@@ -19,6 +19,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -46,21 +47,8 @@ __all__ = ["main", "ConfigError"]
 
 OUTPUT_ENV = "FIELDLAB_OUT"
 
-VERIFIERS = {
-    "dependence_bound": verify_mod.check_dependence,
-    "noise_stability": verify_mod.check_noise_stability,
-    "moment_growth": verify_mod.check_moment_inequality,
-    "maximal_growth": verify_mod.check_maximal_inequality,
-    "variance_ratio": verify_mod.check_variance_ratio,
-    "second_moment_bound": verify_mod.check_second_moment,
-    "inverse_distance_sum": verify_mod.check_inverse_distance_sum,
-    "variance_defect": verify_mod.check_variance_defect,
-    "clt_distance": verify_mod.check_clt_distance,
-    "coupling_error_decay": verify_mod.check_coupling_error_decay,
-    "tail_bound": verify_mod.check_tail_bound,
-    "approximation_error": verify_mod.check_approximation_error,
-    "iterated_logarithm": verify_mod.check_lil,
-}
+# claim id -> checker: verify.CLAIMS itself, filled by each checker's @_claim
+VERIFIERS = verify_mod.CLAIMS
 
 
 class ConfigError(ValueError):
@@ -118,6 +106,8 @@ def load_config(path: str) -> dict:
         _check_keys(cfg["simulate"].get("block", {}), _BLOCK_KEYS, "simulate.block")
     if "verify" in cfg:
         _check_keys(cfg["verify"], _VERIFY_KEYS, "verify")
+        _check_keys(cfg["verify"].get("overrides") or {}, set(VERIFIERS),
+                    "verify.overrides")
     if "couple" in cfg:
         _check_keys(cfg["couple"], _COUPLE_KEYS, "couple")
     return cfg
@@ -312,6 +302,12 @@ def _cmd_couple(args) -> int:
     depths = section.get("depths", [8])
     if not isinstance(depths, list) or not depths:
         raise ConfigError("couple.depths must be a nonempty list")
+    tau = section.get("tau", 1.0)
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < math.inf:
+        raise ConfigError("couple.tau must be a positive number")
+    exact_phi = section.get("exact_phi", False)
+    if not isinstance(exact_phi, bool):
+        raise ConfigError("couple.exact_phi must be true or false")
     outdir = _resolve_outdir(args, cfg)
     studies = approximation_error_study(
         model,
@@ -320,8 +316,8 @@ def _cmd_couple(args) -> int:
         cfg["seed"],
         alpha=_as_int(section.get("alpha", 3), "couple.alpha", 2),
         beta=_as_int(section.get("beta", 2), "couple.beta", 2),
-        tau=float(section.get("tau", 1.0)),
-        exact_phi=bool(section.get("exact_phi", False)),
+        tau=float(tau),
+        exact_phi=exact_phi,
         m_cdf=_as_int(section.get("m_cdf", 10_000), "couple.m_cdf", 100),
         bootstrap=_as_int(section.get("bootstrap", 1000), "couple.bootstrap", 10),
     )

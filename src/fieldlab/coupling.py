@@ -48,20 +48,16 @@ __all__ = [
     "estimate_cdf",
     "quantile_transform",
     "coupling_error",
-    "truncate",
     "cdf_table",
     "CouplingRun",
     "run_coupling",
     "build_wiener",
     "wiener_sum",
     "decomposition_terms",
-    "BoundaryMaxima",
-    "boundary_maxima",
     "BlockCouplingSample",
     "block_coupling_samples",
     "coupling_error_decay_study",
     "approximation_error_study",
-    "summarize_runs",
 ]
 
 
@@ -165,21 +161,23 @@ class BlockVariance:
     tau2: float
 
 
+def _block_variance(model: FieldModel, B: Block, H: Block) -> BlockVariance:
+    """Exact var(S(H)) and var(S(B \\ H)) = var(B) + var(H) - 2 cov(B, H)."""
+    s2 = block_var(model, H)
+    return BlockVariance(s2, block_var(model, B) + s2 - 2.0 * block_cov(model, B, H))
+
+
 def scheme_variances(model: FieldModel, scheme: BlockScheme) -> dict:
     """Exact head/tail variances per block from the model covariance.
 
-    tau_k^2 = var(S(B_k \\ H_k)) is computed as var(B) + var(H) - 2 cov(B, H);
-    it may be nonpositive for strongly negative covariances (such k are
+    tau_k^2 may be nonpositive for strongly negative covariances (such k are
     excluded from coupling), while sigma_k^2 <= 0 is a model error.
     """
     out = {}
     for k in scheme.indices():
-        B, H = scheme.block(k), scheme.head(k)
-        s2 = block_var(model, H)
-        t2 = block_var(model, B) + s2 - 2.0 * block_cov(model, B, H)
-        if s2 <= 0:
+        out[k] = _block_variance(model, scheme.block(k), scheme.head(k))
+        if out[k].sigma2 <= 0:
             raise ValueError(f"head variance is not positive at block {k}")
-        out[k] = BlockVariance(s2, t2)
     return out
 
 
@@ -238,15 +236,6 @@ def coupling_error(xi_val, eta_val, s2: float, t2: float):
     return math.sqrt(s2 + t2) * (np.asarray(xi_val) - np.asarray(eta_val))
 
 
-def truncate(t, y: float):
-    """Clamp to [-y, y] preserving sign: (|t| ^ y) sign(t)."""
-    if y <= 0:
-        raise ValueError("truncation level must be positive")
-    t = np.asarray(t, dtype=np.float64)
-    out = np.sign(t) * np.minimum(np.abs(t), y)
-    return float(out) if out.ndim == 0 else out
-
-
 def _shape_key(scheme: BlockScheme, k) -> tuple:
     return (scheme.head(k).lengths, scheme.block(k).lengths)
 
@@ -280,6 +269,17 @@ def _anchored_xi_batch(
     return (u + w * math.sqrt(t2)) / math.sqrt(s2 + t2)
 
 
+def _shape_cdf(model: FieldModel, h_lengths, b_lengths, bv: BlockVariance, m: int,
+               seed: int) -> EmpiricalCdf:
+    """Empirical xi CDF of one block shape from m origin-anchored draws."""
+    xs = _anchored_xi_batch(
+        model, h_lengths, b_lengths, bv.sigma2, bv.tau2, seed, range(m),
+        field_tag=_shape_tag("cdf-field", h_lengths, b_lengths),
+        companion_tag=_shape_tag("cdf-comp", h_lengths, b_lengths),
+    )
+    return estimate_cdf(xs)
+
+
 def cdf_table(
     model: FieldModel,
     scheme: BlockScheme,
@@ -301,12 +301,7 @@ def cdf_table(
         bv = variances[k]
         if bv.tau2 <= 0:
             continue
-        xs = _anchored_xi_batch(
-            model, key[0], key[1], bv.sigma2, bv.tau2, seed, range(m),
-            field_tag=_shape_tag("cdf-field", *key),
-            companion_tag=_shape_tag("cdf-comp", *key),
-        )
-        out[key] = estimate_cdf(xs)
+        out[key] = _shape_cdf(model, key[0], key[1], bv, m, seed)
     return out
 
 
@@ -470,68 +465,6 @@ def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float
 
 
 @dataclass(frozen=True)
-class BoundaryMaxima:
-    corner_sums: tuple
-    axis_maxima: tuple[float, ...]
-    overhang_maxima: dict
-
-
-def boundary_maxima(grid: SampleGrid, scheme: BlockScheme, k) -> BoundaryMaxima:
-    """Exact boundary statistics at the corner of block k via prefix slices.
-
-    corner_sums lists S((0, N_j]) for every j <= k; axis_maxima[s] is the
-    largest |S((0, n])| over boxes held below the good span along axis s;
-    overhang_maxima[J] is the maximal |S| over boxes protruding past N_k
-    into the next block layer along the axes in J while anchored at the
-    scheme origin elsewhere.  Requires grid anchored at 0 covering the next
-    boundary along every overhang axis.
-    """
-    k = tuple(int(x) for x in k)
-    d = scheme.d
-    if grid.block.a != (0,) * d:
-        raise ValueError("boundary maxima need a grid anchored at the origin")
-    if any(x < 1 or x > scheme.K for x in k):
-        raise ValueError("block index out of range")
-
-    P = np.asarray(grid.prefix, dtype=np.float64)
-    corner_sums = []
-    for j in itertools.product(*[range(1, x + 1) for x in k]):
-        n = scheme.corner(j)
-        corner_sums.append((j, float(P[n])))
-
-    span = good_span(scheme, k) if k in scheme.good else None
-    axis_maxima = []
-    for s in range(d):
-        low = scheme.boundaries[span.start[s] - 1] if span is not None else 0
-        if low == 0:
-            axis_maxima.append(0.0)
-            continue
-        sl = tuple(
-            slice(1, low + 1) if t == s else slice(1, scheme.boundaries[k[t]] + 1)
-            for t in range(d)
-        )
-        axis_maxima.append(float(np.abs(P[sl]).max()))
-
-    overhang = {}
-    for r in range(1, d + 1):
-        for J in itertools.combinations(range(d), r):
-            if any(k[s] + 1 > scheme.K for s in J):
-                continue
-            if any(grid.block.b[s] < scheme.boundaries[k[s] + 1] for s in J):
-                raise ValueError("grid does not cover the next boundary layer")
-            A = P
-            for s in reversed(range(d)):
-                nk = scheme.boundaries[k[s]]
-                if s in J:
-                    hi = scheme.boundaries[k[s] + 1]
-                    A = A.take(range(nk + 1, hi + 1), axis=s) - A.take([nk], axis=s)
-                else:
-                    A = A.take([nk], axis=s)
-            overhang[J] = float(np.abs(A).max())
-    return BoundaryMaxima(tuple(corner_sums), tuple(axis_maxima), overhang)
-
-
-@dataclass(frozen=True)
 class BlockCouplingSample:
     """Fresh-replicate coupling draws for one block shape."""
 
@@ -566,8 +499,8 @@ def block_coupling_samples(
     d = len(b_lengths)
     B0 = Block((0,) * d, b_lengths)
     H0 = Block((0,) * d, h_lengths)
-    s2 = block_var(model, H0)
-    t2 = block_var(model, B0) + s2 - 2.0 * block_cov(model, B0, H0)
+    bv = _block_variance(model, B0, H0)
+    s2, t2 = bv.sigma2, bv.tau2
     if s2 <= 0 or t2 <= 0:
         raise ValueError("block shape has nonpositive head or tail variance")
 
@@ -576,12 +509,7 @@ def block_coupling_samples(
             raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
         cdf = None
     else:
-        xs = _anchored_xi_batch(
-            model, h_lengths, b_lengths, s2, t2, seed, range(m_cdf),
-            field_tag=_shape_tag("cdf-field", h_lengths, b_lengths),
-            companion_tag=_shape_tag("cdf-comp", h_lengths, b_lengths),
-        )
-        cdf = estimate_cdf(xs)
+        cdf = _shape_cdf(model, h_lengths, b_lengths, bv, m_cdf, seed)
 
     xs_eval = _anchored_xi_batch(
         model, h_lengths, b_lengths, s2, t2, seed, range(m_eval),
@@ -716,25 +644,3 @@ def approximation_error_study(
         )
     return out
 
-
-def summarize_runs(runs: Sequence[CouplingRun]) -> list[dict]:
-    """Per-block coupling summary across replicate runs (CSV-ready rows)."""
-    if not runs:
-        return []
-    first = runs[0]
-    rows = []
-    for k in first.coupled:
-        es = np.array([r.e[k] for r in runs])
-        bv = first.variances[k]
-        rows.append(
-            {
-                "k": ",".join(str(x) for x in k),
-                "card": cardinality(first.scheme.block(k)),
-                "sigma2": bv.sigma2,
-                "tau2": bv.tau2,
-                "e_mean": float(es.mean()),
-                "e2_mean": float((es**2).mean()),
-                "e_abs_max": float(np.abs(es).max()),
-            }
-        )
-    return rows

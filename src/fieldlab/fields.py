@@ -22,8 +22,8 @@ X + Y with Y an independent iid field, reusing the theta of X alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,14 +42,11 @@ __all__ = [
     "cox_grimmett",
     "support_radius",
     "theta_sequence",
-    "is_associated",
-    "is_negatively_associated",
     "innovations",
     "sample_block",
     "sample_block_batch",
     "sample_points_batch",
     "empirical_dependence_test",
-    "noise_stability_test",
 ]
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
@@ -155,10 +152,9 @@ def support_radius(model: FieldModel) -> int:
 
 @dataclass(frozen=True)
 class ThetaSequence:
-    """Dependence coefficients theta_r for r = 0..r_max, with provenance."""
+    """Dependence coefficients theta_r for r = 0..r_max."""
 
     values: tuple[float, ...]
-    provenance: str = "analytic"
 
     def __getitem__(self, r: int) -> float:
         if r < len(self.values):
@@ -171,19 +167,6 @@ def theta_sequence(model: FieldModel, r_max: int) -> ThetaSequence:
     if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
         raise AssertionError("theta_r must be nonincreasing in r")
     return ThetaSequence(values=vals)
-
-
-def is_associated(model: FieldModel) -> bool:
-    """Nonnegative moving-average kernels yield associated fields."""
-    return all(a >= 0 for a in model.kernel.values())
-
-
-def is_negatively_associated(model: FieldModel) -> bool:
-    """Gaussian fields with nonpositive off-diagonal covariances are NA."""
-    if model.innovation != "normal":
-        return False
-    zero = (0,) * model.d
-    return all(c <= 0 for lag, c in _cov_lags(model).items() if lag != zero)
 
 
 # --------------------------------------------------------------------------
@@ -399,17 +382,3 @@ def empirical_dependence_test(
         passed=all(p.passed for p in out),
     )
 
-
-def noise_stability_test(
-    model: FieldModel,
-    I: Sequence[Sequence[int]],
-    J: Sequence[Sequence[int]],
-    pairs: int,
-    replicates: int,
-    seed: int,
-    noise: str = "normal",
-) -> DependenceReport:
-    """Dependence test for X + Y, Y independent iid, with X's own theta."""
-    return empirical_dependence_test(
-        model, I, J, pairs, replicates, seed, noise=noise
-    )

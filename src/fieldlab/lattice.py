@@ -2,10 +2,8 @@
 
 A block is a half-open rectangle (a, b] in Z^d: the set of integer points j
 with a_s < j_s <= b_s in every coordinate.  Distances between index sets are
-sup-norm distances.  The bisection and depth functions below drive the
-dyadic decomposition used by the moment and maximal inequalities, and the
-balanced cone restricts attention to multi-indices whose coordinates grow
-at commensurate rates.
+sup-norm distances.  The balanced cone restricts attention to multi-indices
+whose coordinates grow at commensurate rates.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +19,6 @@ __all__ = [
     "Block",
     "cardinality",
     "dist",
-    "bisect",
-    "halving_depth",
     "in_balanced_cone",
     "block_in_balanced_cone",
     "inv_norm_sum",
@@ -109,34 +105,6 @@ def dist(I, J) -> int:
         raise ValueError("index sets live in different dimensions")
     diff = np.abs(pi[:, None, :] - pj[None, :, :]).max(axis=2)
     return int(diff.min())
-
-
-def bisect(block: Block) -> tuple[Block, Block]:
-    """Split along a longest edge (lowest axis on ties); lower piece floor(l/2)."""
-    lens = block.lengths
-    if cardinality(block) == 1:
-        raise ValueError("cannot bisect a single-point block")
-    axis = int(np.argmax(lens))  # argmax takes the lowest index on ties
-    cut = block.a[axis] + lens[axis] // 2
-    b1 = list(block.b)
-    b1[axis] = cut
-    a2 = list(block.a)
-    a2[axis] = cut
-    return Block(block.a, tuple(b1)), Block(tuple(a2), block.b)
-
-
-def halving_depth(x) -> int:
-    """Least k with 2^k >= n; for a block, the sum over edge lengths.
-
-    This is the potential that strictly decreases along any bisection chain,
-    which is what the dyadic induction arguments consume.
-    """
-    if isinstance(x, Block):
-        return sum(halving_depth(n) for n in x.lengths)
-    n = int(x)
-    if n < 1:
-        raise ValueError("depth defined for positive lengths only")
-    return max(0, (n - 1).bit_length())
 
 
 def in_balanced_cone(j: Sequence[int], tau: float) -> bool:

@@ -1,4 +1,4 @@
-"""Partial sums over blocks: prefix grids, sub-block maxima, moments.
+"""Partial sums over blocks: prefix grids, sub-block maxima, variances.
 
 S(V) is the sum of the field over a block V.  A SampleGrid carries one
 replicate on a base block together with its (d+1)-corner prefix array, so
@@ -29,7 +29,6 @@ __all__ = [
     "SampleGrid",
     "make_grid",
     "partial_sum",
-    "partial_sum_or_zero",
     "max_sub_block",
     "max_sub_block_naive",
     "anchored_abs_max",
@@ -38,8 +37,6 @@ __all__ = [
     "union_var",
     "variance_defect",
     "variance_ratio",
-    "moment_estimate",
-    "max_moment_estimate",
 ]
 
 # Above this many cells the prefix array keeps extended precision instead of
@@ -94,13 +91,6 @@ def partial_sum(grid: SampleGrid, W: Block) -> float:
                 idx.append(W.b[s] - base[s])
         total += sign * float(grid.prefix[tuple(idx)])
     return total
-
-
-def partial_sum_or_zero(grid: SampleGrid, a: Sequence[int], b: Sequence[int]) -> float:
-    """S((a, b]) but 0.0 when any side is empty (the documented S(empty) = 0)."""
-    if any(x >= y for x, y in zip(a, b)):
-        return 0.0
-    return partial_sum(grid, Block(tuple(a), tuple(b)))
 
 
 def _max_abs_over_subrects(P: np.ndarray) -> float:
@@ -237,55 +227,8 @@ def variance_ratio(
     model: FieldModel, V: Block, replicates: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo (var(S(V)) / |V|, jackknife SE of that estimate)."""
-    sums = _replicate_sums(model, V, replicates, seed, tag="var-ratio")
+    vals = sample_block_batch(model, V, seed, range(replicates), tag="var-ratio")
+    sums = vals.reshape(replicates, -1).sum(axis=1)
     card = cardinality(V)
     est = float(np.var(sums, ddof=1) / card)
     return est, _jackknife_var_se(sums) / card
-
-
-def _replicate_sums(
-    model: FieldModel, V: Block, replicates: int, seed: int, tag: str
-) -> np.ndarray:
-    vals = sample_block_batch(model, V, seed, range(replicates), tag=tag)
-    return vals.reshape(replicates, -1).sum(axis=1)
-
-
-def moment_estimate(
-    model: FieldModel, V: Block, exponent: float, replicates: int, seed: int,
-    tag: str = "moment",
-) -> tuple[float, float]:
-    """(mean |S(V)|^exponent, Monte Carlo SE)."""
-    sums = _replicate_sums(model, V, replicates, seed, tag=tag)
-    powers = np.abs(sums) ** exponent
-    return float(powers.mean()), float(powers.std(ddof=1) / math.sqrt(replicates))
-
-
-def max_moment_estimate(
-    model: FieldModel, V: Block, exponent: float, replicates: int, seed: int,
-    tag: str = "moment",
-) -> tuple[float, float, bool]:
-    """(mean M(V)^exponent, SE, whether M >= |S| held on every replicate).
-
-    Uses the same replicate streams as moment_estimate with the same tag, so
-    the pathwise domination check is meaningful.
-    """
-    vals = sample_block_batch(model, V, seed, range(replicates), tag=tag)
-    if model.d == 1:
-        P = np.concatenate(
-            [np.zeros((replicates, 1)), np.cumsum(vals, axis=1, dtype=np.longdouble)],
-            axis=1,
-        ).astype(np.float64)
-        maxima = P.max(axis=1) - P.min(axis=1)
-        sums = P[:, -1]
-    else:
-        maxima = np.empty(replicates)
-        sums = vals.reshape(replicates, -1).sum(axis=1)
-        for i in range(replicates):
-            maxima[i] = max_sub_block(make_grid(V, vals[i]))
-    dominated = bool(np.all(maxima >= np.abs(sums) - 1e-12))
-    powers = maxima**exponent
-    return (
-        float(powers.mean()),
-        float(powers.std(ddof=1) / math.sqrt(replicates)),
-        dominated,
-    )

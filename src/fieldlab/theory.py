@@ -25,7 +25,6 @@ __all__ = [
     "SchemeParams",
     "t0",
     "psi",
-    "psi_simple_bound",
     "lambda1",
     "lambda2",
     "choose_delta",
@@ -40,14 +39,12 @@ _INT_CAP = 2**62
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Moment hypotheses: order p, uniform p-th moment cap, decay c0 * r^-lambda."""
+    """Moment hypotheses: order p, decay c0 * r^-lambda."""
 
     d: int
     p: float
     lam: float
     c0: float = 1.5
-    moment_cap: float | None = None  # uniform bound on E|X_j|^p, if known
-    decay: str = "power"  # "power" or "exponential"
 
     def __post_init__(self):
         if self.d < 1:
@@ -58,10 +55,6 @@ class MomentParams:
             raise ValueError("decay exponent lambda must be positive")
         if not self.c0 > 1:
             raise ValueError("decay constant c0 must exceed 1")
-        if self.moment_cap is not None and not self.moment_cap > 0:
-            raise ValueError("moment cap must be positive")
-        if self.decay not in ("power", "exponential"):
-            raise ValueError("decay kind must be 'power' or 'exponential'")
 
 
 @dataclass(frozen=True)
@@ -107,13 +100,6 @@ def psi(x: float) -> float:
         s = math.sqrt(x)
         return (3 - s) * (s + 1) / 2
     return ((x - 1) * math.sqrt((x - 2) ** 2 - 3) - x * x + 6 * x - 11) / (3 * x - 12)
-
-
-def psi_simple_bound(p: float) -> float:
-    """Simple dominating curve (p-1)/(p-2) >= psi(p)."""
-    if not p > 2:
-        raise ValueError("defined for p > 2 only")
-    return (p - 1) / (p - 2)
 
 
 def _check_margin(d: int, delta: float, p: float) -> None:

@@ -15,6 +15,8 @@ in-memory dataclass and in console logs only.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import json
 import math
 import time
@@ -42,6 +44,7 @@ from .theory import moricz_a
 
 __all__ = [
     "VerificationReport",
+    "CLAIMS",
     "kolmogorov_distance",
     "dkw_bound",
     "map_replicate_chunks",
@@ -68,17 +71,49 @@ CHUNK = 256
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One claim's verdict with everything needed to re-derive it."""
+    """One claim's verdict with everything needed to re-derive it.
 
-    claim_id: str
-    statement: str
+    A checker fills in the evidence; its @_claim registration fills in
+    claim_id, statement and seconds.
+    """
+
     inputs: dict
     statistics: dict
     oracle: dict
     tolerance: dict
     passed: bool
     rows: tuple = ()
+    claim_id: str = ""
+    statement: str = ""
     seconds: float | None = None
+
+
+# claim id -> checker: the one registry of verifiable claims
+CLAIMS: dict[str, Callable[..., VerificationReport]] = {}
+
+
+def _claim(claim_id: str, statement: str):
+    """Register a checker in CLAIMS and stamp its reports with the claim.
+
+    functools.wraps keeps the checker's signature visible to inspect, which
+    the CLI uses to build the checker's arguments.
+    """
+
+    def register(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> VerificationReport:
+            t0 = time.perf_counter()
+            report = check(*args, **kwargs)
+            return dataclasses.replace(
+                report, passed=bool(report.passed), rows=tuple(report.rows),
+                claim_id=claim_id, statement=statement,
+                seconds=time.perf_counter() - t0,
+            )
+
+        CLAIMS[claim_id] = run
+        return run
+
+    return register
 
 
 def kolmogorov_distance(sample: np.ndarray, cdf: Callable = ndtr) -> float:
@@ -179,21 +214,6 @@ def _require_power_decay(model: FieldModel, c0: float, lam: float) -> None:
             )
 
 
-def _report(claim_id, statement, inputs, statistics, oracle, tolerance, passed,
-            rows, t0) -> VerificationReport:
-    return VerificationReport(
-        claim_id=claim_id,
-        statement=statement,
-        inputs=inputs,
-        statistics=statistics,
-        oracle=oracle,
-        tolerance=tolerance,
-        passed=bool(passed),
-        rows=tuple(rows),
-        seconds=time.perf_counter() - t0,
-    )
-
-
 # --------------------------------------------------------------------------
 # dependence
 
@@ -212,8 +232,6 @@ def default_geometries(model: FieldModel) -> list[tuple[Block, Block]]:
 
 
 def _dependence_report(
-    claim_id: str,
-    statement: str,
     model: FieldModel,
     geometries,
     pairs: int,
@@ -221,7 +239,6 @@ def _dependence_report(
     seed: int,
     noise: str | None,
 ) -> VerificationReport:
-    t0 = time.perf_counter()
     geometries = default_geometries(model) if geometries is None else geometries
     rows = []
     all_pass = True
@@ -244,8 +261,7 @@ def _dependence_report(
                 "passed": rep.passed,
             }
         )
-    return _report(
-        claim_id, statement,
+    return VerificationReport(
         inputs={
             "model": _model_inputs(model), "geometries": len(geometries),
             "pairs": pairs, "replicates": replicates, "seed": seed,
@@ -254,10 +270,15 @@ def _dependence_report(
         statistics={"max_ratio": worst, "all_geometries_pass": all_pass},
         oracle={"bound": "lip_f * lip_g * min(|I|,|J|) * theta_r"},
         tolerance={"ratio_allowance": "1 + 3 SE per pair"},
-        passed=all_pass, rows=rows, t0=t0,
+        passed=all_pass, rows=rows,
     )
 
 
+@_claim(
+    "dependence_bound",
+    "Covariance of clamped-linear functionals on disjoint index sets is "
+    "bounded by Lip(f) Lip(g) min(|I|,|J|) theta_r at r = dist(I, J).",
+)
 def check_dependence(
     model: FieldModel,
     geometries=None,
@@ -266,14 +287,14 @@ def check_dependence(
     seed: int = 0,
 ) -> VerificationReport:
     """Covariance bound for clamped-linear pairs across block geometries."""
-    return _dependence_report(
-        "dependence_bound",
-        "Covariance of clamped-linear functionals on disjoint index sets is "
-        "bounded by Lip(f) Lip(g) min(|I|,|J|) theta_r at r = dist(I, J).",
-        model, geometries, pairs, replicates, seed, noise=None,
-    )
+    return _dependence_report(model, geometries, pairs, replicates, seed, noise=None)
 
 
+@_claim(
+    "noise_stability",
+    "Adding an independent iid field leaves the covariance bound with "
+    "the original field's theta coefficients intact.",
+)
 def check_noise_stability(
     model: FieldModel,
     geometries=None,
@@ -283,12 +304,7 @@ def check_noise_stability(
     noise: str = "normal",
 ) -> VerificationReport:
     """Same bound for the field plus an independent iid noise field."""
-    return _dependence_report(
-        "noise_stability",
-        "Adding an independent iid field leaves the covariance bound with "
-        "the original field's theta coefficients intact.",
-        model, geometries, pairs, replicates, seed, noise=noise,
-    )
+    return _dependence_report(model, geometries, pairs, replicates, seed, noise=noise)
 
 
 # --------------------------------------------------------------------------
@@ -327,6 +343,11 @@ def _moment_rows(
     return rows, dominated
 
 
+@_claim(
+    "moment_growth",
+    "E|S(U)|^(2+delta) grows no faster than |U|^(1+delta/2) along a "
+    "geometric ladder of blocks.",
+)
 def check_moment_inequality(
     model: FieldModel,
     delta: float,
@@ -338,7 +359,6 @@ def check_moment_inequality(
     workers: int = 1,
 ) -> VerificationReport:
     """Volume-growth cap on E|S(U)|^(2+delta) along a geometric ladder."""
-    t0 = time.perf_counter()
     _require_power_decay(model, c0, lam)
     rows, _ = _moment_rows(model, delta, ladder, replicates, seed, workers, False)
     cards = np.array([r["card"] for r in rows], dtype=np.float64)
@@ -350,10 +370,7 @@ def check_moment_inequality(
     passed = slope <= cap and growth <= 10.0
     for r, ratio in zip(rows, ratios):
         r["ratio_to_volume_power"] = float(ratio)
-    return _report(
-        "moment_growth",
-        "E|S(U)|^(2+delta) grows no faster than |U|^(1+delta/2) along a "
-        "geometric ladder of blocks.",
+    return VerificationReport(
         inputs={
             "model": _model_inputs(model), "delta": delta,
             "ladder": [int(c) for c in cards], "replicates": replicates,
@@ -362,10 +379,15 @@ def check_moment_inequality(
         statistics={"slope": slope, "ratio_growth": growth},
         oracle={"slope_limit": 1.0 + delta / 2.0},
         tolerance={"slope_cap": cap, "ratio_growth_cap": 10.0},
-        passed=passed, rows=rows, t0=t0,
+        passed=passed, rows=rows,
     )
 
 
+@_claim(
+    "maximal_growth",
+    "E M(U)^(2+delta) obeys the same volume growth with the sub-block "
+    "maximal constant A(d, delta), and M >= |S| pathwise.",
+)
 def check_maximal_inequality(
     model: FieldModel,
     delta: float,
@@ -377,7 +399,6 @@ def check_maximal_inequality(
     workers: int = 1,
 ) -> VerificationReport:
     """Same growth cap for M(U), plus the maximal-constant ratio check."""
-    t0 = time.perf_counter()
     _require_power_decay(model, c0, lam)
     rows, dominated = _moment_rows(model, delta, ladder, replicates, seed, workers, True)
     cards = np.array([r["card"] for r in rows], dtype=np.float64)
@@ -389,10 +410,7 @@ def check_maximal_inequality(
     worst_ratio = max(r["max_to_s_ratio"] for r in rows)
     cap = 1.0 + delta / 2.0 + 0.1
     passed = slope <= cap and growth <= 10.0 and worst_ratio <= a_const and dominated
-    return _report(
-        "maximal_growth",
-        "E M(U)^(2+delta) obeys the same volume growth with the sub-block "
-        "maximal constant A(d, delta), and M >= |S| pathwise.",
+    return VerificationReport(
         inputs={
             "model": _model_inputs(model), "delta": delta,
             "ladder": [int(c) for c in cards], "replicates": replicates,
@@ -404,7 +422,7 @@ def check_maximal_inequality(
         },
         oracle={"maximal_constant": a_const, "slope_limit": 1.0 + delta / 2.0},
         tolerance={"slope_cap": cap, "ratio_growth_cap": 10.0},
-        passed=passed, rows=rows, t0=t0,
+        passed=passed, rows=rows,
     )
 
 
@@ -412,6 +430,11 @@ def check_maximal_inequality(
 # variance
 
 
+@_claim(
+    "variance_ratio",
+    "var(S_N)/[N] approaches sigma^2 = sum of covariances, and the "
+    "Monte Carlo estimate matches the exact ratio.",
+)
 def check_variance_ratio(
     model: FieldModel,
     N: int = 200,
@@ -420,7 +443,6 @@ def check_variance_ratio(
     seed: int = 0,
 ) -> VerificationReport:
     """Monte Carlo var(S_N)/[N] against the exact ratio and its limit."""
-    t0 = time.perf_counter()
     from .sums import variance_ratio as mc_ratio
 
     V = _ladder_block(model.d, N)
@@ -431,10 +453,7 @@ def check_variance_ratio(
     s2 = sigma2(model)
     agree = abs(est - exact_big) <= 3.0 * se
     approach = abs(exact_big - s2) <= abs(exact_small - s2) + 1e-12
-    return _report(
-        "variance_ratio",
-        "var(S_N)/[N] approaches sigma^2 = sum of covariances, and the "
-        "Monte Carlo estimate matches the exact ratio.",
+    return VerificationReport(
         inputs={
             "model": _model_inputs(model), "N": N, "N_small": N_small,
             "replicates": replicates, "seed": seed,
@@ -450,10 +469,14 @@ def check_variance_ratio(
             {"N": N_small, "exact_ratio": exact_small},
             {"N": N, "exact_ratio": exact_big, "mc_ratio": est, "se": se},
         ],
-        t0=t0,
     )
 
 
+@_claim(
+    "second_moment_bound",
+    "E S(U)^2 <= (c(0) + c0)|U| whenever the dependence coefficients "
+    "satisfy theta_r <= c0 r^-lambda.",
+)
 def check_second_moment(
     model: FieldModel,
     c0: float = 1.5,
@@ -461,7 +484,6 @@ def check_second_moment(
     sizes: Sequence[int] = (10, 100, 1000, 10000),
 ) -> VerificationReport:
     """Exact E S(U)^2 <= (c(0) + c0)|U| under the decay envelope."""
-    t0 = time.perf_counter()
     _require_power_decay(model, c0, lam)
     from .fields import covariance
 
@@ -474,25 +496,26 @@ def check_second_moment(
         bound = (d2 + c0) * cardinality(V)
         ok &= var <= bound + 1e-9
         rows.append({"card": cardinality(V), "var": var, "bound": bound})
-    return _report(
-        "second_moment_bound",
-        "E S(U)^2 <= (c(0) + c0)|U| whenever the dependence coefficients "
-        "satisfy theta_r <= c0 r^-lambda.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model), "c0": c0, "lambda": lam,
                 "sizes": [int(x) for x in sizes]},
         statistics={"max_var_to_bound": max(r["var"] / r["bound"] for r in rows)},
         oracle={"d2": d2},
         tolerance={"slack": 1e-9},
-        passed=ok, rows=rows, t0=t0,
+        passed=ok, rows=rows,
     )
 
 
+@_claim(
+    "variance_defect",
+    "The per-cell variance defect sigma^2 - var(S(V))/|V| shrinks as "
+    "the minimal block edge grows.",
+)
 def check_variance_defect(
     model: FieldModel,
     edges: Sequence[int] = (10, 40, 160, 640),
 ) -> VerificationReport:
     """Exact per-cell variance defect shrinking with the minimal edge."""
-    t0 = time.perf_counter()
     rows = []
     scaled = []
     for l in edges:
@@ -506,15 +529,12 @@ def check_variance_defect(
     nonincreasing = all(
         scaled[i + 1] <= scaled[i] + 1e-12 for i in range(len(scaled) - 1)
     )
-    return _report(
-        "variance_defect",
-        "The per-cell variance defect sigma^2 - var(S(V))/|V| shrinks as "
-        "the minimal block edge grows.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model), "edges": [int(x) for x in edges]},
         statistics={"scaled_defects": scaled},
         oracle={"sigma2": sigma2(model)},
         tolerance={"monotone": "defect*sqrt(edge) nonincreasing"},
-        passed=nonincreasing, rows=rows, t0=t0,
+        passed=nonincreasing, rows=rows,
     )
 
 
@@ -522,6 +542,12 @@ def check_variance_defect(
 # index geometry
 
 
+@_claim(
+    "inverse_distance_sum",
+    "Sums of inverse sup-norm distances over a block obey the "
+    "volume/log shape bound with one constant transferring from small "
+    "to large blocks.",
+)
 def check_inverse_distance_sum(
     dims: Sequence[int] = (1, 2, 3),
     seed: int = 0,
@@ -535,7 +561,6 @@ def check_inverse_distance_sum(
     bounding random blocks an order of magnitude larger, with 25% headroom
     (a wrong growth exponent would drift past that within the decade).
     """
-    t0 = time.perf_counter()
     gen = stream(seed, "invsum", 0)
     rows = []
     ok = True
@@ -567,17 +592,13 @@ def check_inverse_distance_sum(
             ok &= c_val <= 1.25 * c_fit
             rows.append({"d": d, "nu": nu, "c_fit": c_fit, "c_validate": c_val,
                          "transfer_ratio": c_val / c_fit})
-    return _report(
-        "inverse_distance_sum",
-        "Sums of inverse sup-norm distances over a block obey the "
-        "volume/log shape bound with one constant transferring from small "
-        "to large blocks.",
+    return VerificationReport(
         inputs={"dims": [int(x) for x in dims], "seed": seed,
                 "fit_blocks": fit_blocks, "validate_blocks": validate_blocks},
         statistics={"worst_transfer": max(r["transfer_ratio"] for r in rows)},
         oracle={"bound": "card^(1-nu/d), log-corrected at integer nu <= d"},
         tolerance={"headroom": 1.25},
-        passed=ok, rows=rows, t0=t0,
+        passed=ok, rows=rows,
     )
 
 
@@ -585,6 +606,11 @@ def check_inverse_distance_sum(
 # distributional limits
 
 
+@_claim(
+    "clt_distance",
+    "The Kolmogorov distance from standardized S_N to the standard "
+    "normal shrinks along the ladder and is small at the top.",
+)
 def check_clt_distance(
     model: FieldModel,
     ladder: Sequence = (100, 1000, 10000),
@@ -593,7 +619,6 @@ def check_clt_distance(
     workers: int = 1,
 ) -> VerificationReport:
     """Kolmogorov distance of standardized S_N to the normal on a ladder."""
-    t0 = time.perf_counter()
     if sigma2(model) == 0:
         raise ValueError("CLT distance needs sigma^2 != 0")
     rows = []
@@ -613,20 +638,22 @@ def check_clt_distance(
     mu_hat = -_loglog_slope(
         np.array([r["card"] for r in rows], dtype=np.float64), np.array(dists)
     )
-    return _report(
-        "clt_distance",
-        "The Kolmogorov distance from standardized S_N to the standard "
-        "normal shrinks along the ladder and is small at the top.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model),
                 "ladder": [int(r["card"]) for r in rows],
                 "replicates": replicates, "seed": seed},
         statistics={"distances": dists, "fitted_decay_exponent": mu_hat},
         oracle={"noise_floor": floor},
         tolerance={"top_distance": 0.05, "decrease_allowance": 2.0 * floor},
-        passed=decreasing and top_ok, rows=rows, t0=t0,
+        passed=decreasing and top_ok, rows=rows,
     )
 
 
+@_claim(
+    "coupling_error_decay",
+    "The per-cell mean squared coupling error of the top scheme block "
+    "falls as the scheme deepens.",
+)
 def check_coupling_error_decay(
     model: FieldModel,
     depths: Sequence[int] = (3, 5, 8),
@@ -638,7 +665,6 @@ def check_coupling_error_decay(
     tau: float = 1.0,
 ) -> VerificationReport:
     """Per-cell E e^2 of the top scheme block falls as the scheme deepens."""
-    t0 = time.perf_counter()
     rows = cpl.coupling_error_decay_study(
         model, depths, m_cdf, m_eval, seed, alpha=alpha, beta=beta, tau=tau
     )
@@ -647,20 +673,22 @@ def check_coupling_error_decay(
     fitted = -_loglog_slope(
         np.array([r["card"] for r in rows], dtype=np.float64), np.array(vals)
     )
-    return _report(
-        "coupling_error_decay",
-        "The per-cell mean squared coupling error of the top scheme block "
-        "falls as the scheme deepens.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model), "depths": [int(k) for k in depths],
                 "m_cdf": m_cdf, "m_eval": m_eval, "seed": seed,
                 "alpha": alpha, "beta": beta, "tau": tau},
         statistics={"mean_e2_per_cell": vals, "fitted_decay_exponent": fitted},
         oracle={"direction": "strictly decreasing in depth"},
         tolerance={"strict": True},
-        passed=decreasing, rows=rows, t0=t0,
+        passed=decreasing, rows=rows,
     )
 
 
+@_claim(
+    "tail_bound",
+    "P(M(V) >= x sqrt|V|) decays at least like x^-(2+delta) over the "
+    "tested grid.",
+)
 def check_tail_bound(
     model: FieldModel,
     delta: float,
@@ -671,7 +699,6 @@ def check_tail_bound(
     workers: int = 1,
 ) -> VerificationReport:
     """Empirical tail of M(V)/sqrt|V| against the power-law envelope."""
-    t0 = time.perf_counter()
     if isinstance(V, int):
         V = _ladder_block(model.d, V)
     _, maxima = _sum_max_samples(model, V, replicates, seed, "tail", workers, True)
@@ -690,10 +717,7 @@ def check_tail_bound(
     cap = -(2.0 + delta) + 0.3
     passed = zero_at_top or (exponent is not None and exponent <= cap)
     monotone = bool(np.all(np.diff(probs) <= 1e-12))
-    return _report(
-        "tail_bound",
-        "P(M(V) >= x sqrt|V|) decays at least like x^-(2+delta) over the "
-        "tested grid.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model), "delta": delta,
                 "card": cardinality(V), "xs": [float(x) for x in xs],
                 "replicates": replicates, "seed": seed},
@@ -701,10 +725,14 @@ def check_tail_bound(
                     "fitted_exponent": exponent, "monotone_in_x": monotone},
         oracle={"exponent_cap": cap},
         tolerance={"pass_rule": "zero tail at top x, or exponent <= cap"},
-        passed=passed and monotone, rows=rows, t0=t0,
+        passed=passed and monotone, rows=rows,
     )
 
 
+@_claim(
+    "approximation_error",
+    "log median|S_N - sigma W_N| grows with log[N] at slope below 1/2.",
+)
 def check_approximation_error(
     model: FieldModel,
     depths: Sequence[int] = (24,),
@@ -715,7 +743,6 @@ def check_approximation_error(
     bootstrap: int = 1000,
 ) -> VerificationReport:
     """Bootstrap CI of the S - sigma W decay slope stays below 1/2."""
-    t0 = time.perf_counter()
     studies = cpl.approximation_error_study(
         model, depths, replicates, seed,
         exact_phi=exact_phi, m_cdf=m_cdf, bootstrap=bootstrap,
@@ -726,9 +753,7 @@ def check_approximation_error(
         for s in studies
     ]
     passed = all(r["ci_high"] < 0.5 for r in rows)
-    return _report(
-        "approximation_error",
-        "log median|S_N - sigma W_N| grows with log[N] at slope below 1/2.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model), "depths": [int(k) for k in depths],
                 "replicates": replicates, "seed": seed,
                 "exact_phi": exact_phi, "m_cdf": m_cdf, "bootstrap": bootstrap},
@@ -736,7 +761,7 @@ def check_approximation_error(
                     "ci_highs": [r["ci_high"] for r in rows]},
         oracle={"slope_limit": 0.5},
         tolerance={"ci_level": 0.90},
-        passed=passed, rows=rows, t0=t0,
+        passed=passed, rows=rows,
     )
 
 
@@ -745,6 +770,11 @@ def _loglog_scale(n: float) -> float:
     return math.log(inner)
 
 
+@_claim(
+    "iterated_logarithm",
+    "Normalized partial sums R_N stay within the iterated-logarithm "
+    "bands along a dyadic net.",
+)
 def check_lil(
     model: FieldModel,
     depth: int = 20,
@@ -753,7 +783,6 @@ def check_lil(
     workers: int = 1,
 ) -> VerificationReport:
     """Iterated-logarithm bands for R_N along a dyadic net (d = 1)."""
-    t0 = time.perf_counter()
     if model.d != 1:
         raise ValueError("the dyadic net is implemented for d = 1")
     s2 = sigma2(model)
@@ -781,10 +810,7 @@ def check_lil(
         {"statistic": "median_min_R", "value": min_med},
         {"statistic": "top_exceedance", "value": exceed},
     ]
-    return _report(
-        "iterated_logarithm",
-        "Normalized partial sums R_N stay within the iterated-logarithm "
-        "bands along a dyadic net.",
+    return VerificationReport(
         inputs={"model": _model_inputs(model), "depth": depth,
                 "replicates": replicates, "seed": seed},
         statistics={"median_max_R": max_med, "median_min_R": min_med,
@@ -792,7 +818,7 @@ def check_lil(
         oracle={"limsup": 1.0, "liminf": -1.0},
         tolerance={"max_band": [0.5, 1.4], "min_band": [-1.4, -0.5],
                    "exceedance_cap": 0.05},
-        passed=passed, rows=rows, t0=t0,
+        passed=passed, rows=rows,
     )
 
 

@@ -78,6 +78,33 @@ class TestConfigValidation:
         )
         assert main(["verify", "--config", str(path)]) == 2
 
+    def test_unknown_override_claim(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            verify={"claims": ["variance_defect"],
+                    "overrides": {"variance_defekt": {"edges": [10, 40]}}},
+        )
+        assert main(["verify", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "variance_defekt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        {"tau": "abc"}, {"tau": -1}, {"tau": 0}, {"tau": True},
+        {"exact_phi": "false"}, {"exact_phi": 0},
+    ], ids=["tau-string", "tau-negative", "tau-zero", "tau-bool",
+            "exact_phi-string", "exact_phi-int"])
+    def test_bad_couple_values(self, tmp_path, capsys, bad):
+        path = write_config(
+            tmp_path,
+            model={"kind": "linear_ma", "d": 1, "innovation": "exponential",
+                   "coeffs": {"0": 1.0, "1": 0.5}},
+            couple={"depths": [3], "replicates": 5, "m_cdf": 100, "bootstrap": 10,
+                    **bad},
+        )
+        assert main(["couple", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")

@@ -10,7 +10,6 @@ from fieldlab.coupling import (
     approximation_error_study,
     block_coupling_samples,
     block_sums,
-    boundary_maxima,
     build_scheme,
     build_wiener,
     cdf_table,
@@ -22,8 +21,6 @@ from fieldlab.coupling import (
     quantile_transform,
     run_coupling,
     scheme_variances,
-    summarize_runs,
-    truncate,
     wiener_sum,
     xi,
 )
@@ -104,12 +101,6 @@ class TestTransforms:
 
     def test_coupling_error_definition(self):
         assert coupling_error(1.5, 1.0, 4.0, 12.0) == pytest.approx(2.0)
-
-    def test_truncate(self):
-        assert truncate(5.0, 2.0) == 2.0
-        assert truncate(-5.0, 2.0) == -2.0
-        assert truncate(1.0, 2.0) == 1.0
-        assert np.allclose(truncate(np.array([-3.0, 0.5]), 1.0), [-1.0, 0.5])
 
     def test_empirical_cdf_midpoint_values(self):
         xs = np.array([1.0, 2.0, 3.0, 4.0])
@@ -207,68 +198,6 @@ class TestCouplingRun:
         s = build_scheme(PARAMS, K=3, d=1)
         with pytest.raises(ValueError):
             build_wiener(s, {}, seed=1, coupled=[(1,)])
-
-    def test_summarize_runs(self, gauss_model):
-        s = build_scheme(PARAMS, K=3, d=1)
-        runs = [run_coupling(gauss_model, s, seed=1, replicate=r, exact_phi=True)
-                for r in range(3)]
-        rows = summarize_runs(runs)
-        assert [r["k"] for r in rows] == ["1", "2", "3"]
-        assert all(r["e2_mean"] >= 0 for r in rows)
-
-
-class TestBoundaryMaxima:
-    def test_d1_exact(self, ma_model):
-        s = build_scheme(PARAMS, K=4, d=1)
-        grid = make_grid(s.domain, sample_block(ma_model, s.domain, seed=21))
-        bm = boundary_maxima(grid, s, (3,))
-        vals = np.asarray(grid.values)
-        csum = np.cumsum(vals)
-        for (j,), got in bm.corner_sums:
-            assert got == pytest.approx(csum[s.boundaries[j] - 1], rel=1e-9)
-        assert bm.axis_maxima == (0.0,)  # d=1 span reaches the origin
-        n3, n4 = s.boundaries[3], s.boundaries[4]
-        brute = max(abs(csum[n - 1] - csum[n3 - 1]) for n in range(n3 + 1, n4 + 1))
-        assert bm.overhang_maxima[(0,)] == pytest.approx(brute, rel=1e-9)
-
-    def test_d2_exact(self):
-        model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.5})
-        s = build_scheme(PARAMS, K=3, d=2)
-        grid = make_grid(s.domain, sample_block(model, s.domain, seed=22))
-        bm = boundary_maxima(grid, s, (2, 2))
-        vals = np.asarray(grid.values)
-
-        def S(n0, n1):
-            return vals[:n0, :n1].sum()
-
-        for (j0, j1), got in bm.corner_sums:
-            assert got == pytest.approx(
-                S(s.boundaries[j0], s.boundaries[j1]), rel=1e-9, abs=1e-9
-            )
-        n2 = s.boundaries[2]
-        # span of (2,2) starts at (2,2), so boxes held below boundary 1 bind
-        low = s.boundaries[1]
-        brute0 = max(abs(S(n, m)) for n in range(1, low + 1) for m in range(1, n2 + 1))
-        assert bm.axis_maxima[0] == pytest.approx(brute0, rel=1e-9, abs=1e-9)
-        n3 = s.boundaries[3]
-        brute_oh = max(
-            abs(S(n, n2) - S(n2, n2)) for n in range(n2 + 1, n3 + 1)
-        )
-        assert bm.overhang_maxima[(0,)] == pytest.approx(brute_oh, rel=1e-9, abs=1e-9)
-        both = max(
-            abs(
-                S(n, m) - S(n2, m) - S(n, n2) + S(n2, n2)
-            )
-            for n in range(n2 + 1, n3 + 1)
-            for m in range(n2 + 1, n3 + 1)
-        )
-        assert bm.overhang_maxima[(0, 1)] == pytest.approx(both, rel=1e-9, abs=1e-9)
-
-    def test_needs_origin_anchor(self, ma_model):
-        g = make_grid(Block((1,), (60,)), np.zeros(59))
-        s = build_scheme(PARAMS, K=3, d=1)
-        with pytest.raises(ValueError):
-            boundary_maxima(g, s, (2,))
 
 
 class TestStudies:

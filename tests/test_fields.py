@@ -7,10 +7,7 @@ from fieldlab.fields import (
     empirical_dependence_test,
     iid_model,
     innovations,
-    is_associated,
-    is_negatively_associated,
     linear_ma_model,
-    noise_stability_test,
     sample_block,
     sample_block_batch,
     sigma2,
@@ -46,15 +43,6 @@ class TestModels:
         seq = theta_sequence(ma_model, 3)
         assert seq[0] == pytest.approx(2.25)
         assert seq[10] == 0.0
-
-    def test_association_flags(self, ma_model, assoc_model, exp_model):
-        assert is_associated(assoc_model)
-        assert not is_associated(ma_model)
-        assert is_negatively_associated(ma_model)
-        assert not is_negatively_associated(assoc_model)
-        assert not is_negatively_associated(
-            linear_ma_model(1, {(0,): 1.0, (1,): -0.5}, innovation="exponential")
-        )
 
 
 class TestInnovations:
@@ -141,8 +129,8 @@ class TestDependenceBound:
         assert rep.passed  # true covariance is exactly zero there
 
     def test_noise_stability(self, ma_model):
-        rep = noise_stability_test(
+        rep = empirical_dependence_test(
             ma_model, Block((0,), (3,)), Block((3,), (5,)),
-            pairs=10, replicates=20_000, seed=8,
+            pairs=10, replicates=20_000, seed=8, noise="normal",
         )
         assert rep.passed

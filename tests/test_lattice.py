@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from fieldlab.lattice import (
     Block,
-    bisect,
     block_in_balanced_cone,
     cardinality,
     dist,
-    halving_depth,
     in_balanced_cone,
     inv_norm_sum,
     inv_norm_sum_bound,
@@ -70,43 +68,6 @@ class TestDist:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             dist([(1,)], [(1, 2)])
-
-
-class TestBisect:
-    @given(small_blocks.filter(lambda b: cardinality(b) > 1))
-    def test_partition(self, b):
-        lo, hi = bisect(b)
-        assert cardinality(lo) + cardinality(hi) == cardinality(b)
-        assert b.contains_block(lo) and b.contains_block(hi)
-        for p in lo.points():
-            assert not hi.contains_point(p)
-
-    @given(small_blocks.filter(lambda b: cardinality(b) > 1))
-    def test_depth_strictly_decreases(self, b):
-        lo, hi = bisect(b)
-        assert halving_depth(lo) < halving_depth(b)
-        assert halving_depth(hi) < halving_depth(b)
-
-    def test_longest_edge_low_axis_ties(self):
-        lo, hi = bisect(Block((0, 0), (4, 4)))
-        assert lo == Block((0, 0), (2, 4))
-        assert hi == Block((2, 0), (4, 4))
-
-    def test_single_point_rejected(self):
-        with pytest.raises(ValueError):
-            bisect(Block((0,), (1,)))
-
-
-class TestHalvingDepth:
-    def test_scalar_values(self):
-        assert [halving_depth(n) for n in (1, 2, 3, 4, 5, 1024)] == [0, 1, 2, 2, 3, 10]
-
-    def test_block_is_sum_over_edges(self):
-        assert halving_depth(Block((0, 0), (3, 8))) == 2 + 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            halving_depth(0)
 
 
 class TestBalancedCone:

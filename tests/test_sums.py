@@ -5,21 +5,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fieldlab.lattice import Block, bisect, cardinality
+from fieldlab.lattice import Block, cardinality
 from fieldlab.sums import (
     anchored_abs_max,
     block_cov,
     block_var,
     make_grid,
-    max_moment_estimate,
     max_sub_block,
     max_sub_block_naive,
-    moment_estimate,
     partial_sum,
     union_var,
     variance_defect,
     variance_ratio,
 )
+from fieldlab.verify import check_maximal_inequality
 
 grids_1d = st.lists(
     st.floats(-5, 5, allow_nan=False, width=32), min_size=1, max_size=24
@@ -89,7 +88,11 @@ class TestPartialSum:
 
     @given(grids_2d.filter(lambda g: cardinality(g.block) > 1))
     def test_additive_under_bisection(self, grid):
-        lo, hi = bisect(grid.block)
+        B = grid.block
+        axis = int(np.argmax(B.lengths))
+        cut = B.a[axis] + B.lengths[axis] // 2
+        lo = Block(B.a, tuple(cut if s == axis else x for s, x in enumerate(B.b)))
+        hi = Block(tuple(cut if s == axis else x for s, x in enumerate(B.a)), B.b)
         total = partial_sum(grid, lo) + partial_sum(grid, hi)
         assert total == pytest.approx(partial_sum(grid, grid.block), rel=1e-12, abs=1e-12)
 
@@ -167,17 +170,14 @@ class TestMonteCarlo:
         assert abs(est - 0.255) <= 3 * se
 
     def test_moment_estimate_iid_second_moment(self, gauss_model):
-        est, se = moment_estimate(
-            gauss_model, Block((0,), (100,)), exponent=2.0, replicates=4000, seed=5
-        )
-        assert abs(est - 100.0) <= 4 * se
+        # iid unit cells: var(S(V)) / |V| = 1 exactly
+        est, se = variance_ratio(gauss_model, Block((0,), (100,)), replicates=4000, seed=5)
+        assert abs(est - 1.0) <= 4 * se
 
     def test_max_moment_dominates_and_is_bounded(self, gauss_model):
-        V = Block((0,), (256,))
-        m_est, m_se, dominated = max_moment_estimate(
-            gauss_model, V, exponent=2.0, replicates=3000, seed=7
+        rep = check_maximal_inequality(
+            gauss_model, 0.367, ladder=(64, 256), replicates=3000, seed=7
         )
-        s_est, _ = moment_estimate(gauss_model, V, exponent=2.0, replicates=3000, seed=7)
-        assert dominated
-        assert m_est >= s_est
-        assert m_est / 256.0 <= 4.0  # L2 maximal bound for independent cells
+        assert rep.statistics["pathwise_dominated"] is True
+        assert all(row["max_to_s_ratio"] >= 1.0 for row in rep.rows)
+        assert rep.statistics["worst_max_to_s_ratio"] <= rep.oracle["maximal_constant"]

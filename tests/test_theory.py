@@ -15,7 +15,6 @@ from fieldlab.theory import (
     lambda2,
     moricz_a,
     psi,
-    psi_simple_bound,
     t0,
     tau0,
 )
@@ -43,10 +42,12 @@ class TestPsi:
 
     @given(st.floats(2.001, 100.0))
     def test_dominated_by_simple_bound(self, p):
-        assert psi(p) <= psi_simple_bound(p) + 1e-12
+        assert psi(p) <= (p - 1) / (p - 2) + 1e-12
 
     def test_simple_bound_formula(self):
-        assert psi_simple_bound(4.0) == pytest.approx(1.5)
+        # on (2, 4] psi is the simple bound itself
+        for p in (2.5, 3.0, 4.0):
+            assert psi(p) == pytest.approx((p - 1) / (p - 2), rel=1e-15)
 
     @given(st.floats(2.01, 99.0), st.floats(0.001, 0.9))
     def test_nonincreasing(self, p, step):
@@ -61,8 +62,6 @@ class TestMomentParams:
             MomentParams(d=0, p=5.0, lam=2.0)
         with pytest.raises(ValueError):
             MomentParams(d=1, p=5.0, lam=2.0, c0=0.5)
-        with pytest.raises(ValueError):
-            MomentParams(d=1, p=5.0, lam=2.0, decay="cubic")
 
 
 class TestChooseDelta:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from fieldlab.cli import VERIFIERS
 from fieldlab.fields import linear_ma_model
 from fieldlab.lattice import Block
 from fieldlab.verify import (
+    CLAIMS,
     check_clt_distance,
     check_coupling_error_decay,
     check_dependence,
@@ -146,11 +148,11 @@ class TestCheckers:
         assert noise.claim_id == "noise_stability"
 
     def test_claim_ids_cover_the_contract(self, ma_model):
-        reports = [
-            check_variance_defect(ma_model),
-            check_second_moment(ma_model),
-        ]
-        assert {r.claim_id for r in reports} <= ALL_CLAIM_IDS
+        assert set(CLAIMS) == ALL_CLAIM_IDS
+        assert VERIFIERS is CLAIMS
+        rep = check_variance_defect(ma_model)
+        assert CLAIMS[rep.claim_id] is check_variance_defect
+        assert rep.statement
 
 
 class TestReports:
