@@ -253,6 +253,10 @@ def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int)
         if isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
+    try:
+        verify_mod.require_points(fn, kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"verify.overrides.{claim}: {e}")
     return kwargs
 
 
@@ -272,7 +276,6 @@ def _cmd_verify(args) -> int:
     if unknown:
         raise ConfigError(f"unknown claim id(s): {', '.join(unknown)}")
     workers = cfg.get("workers") or os.cpu_count() or 1
-    outdir = _resolve_outdir(args, cfg)
 
     model_cache: dict = {}
     plans = [
@@ -280,6 +283,7 @@ def _cmd_verify(args) -> int:
          _verifier_kwargs(claim, VERIFIERS[claim], cfg, model_cache, workers))
         for claim in claims
     ]
+    outdir = _resolve_outdir(args, cfg)
     reports = []
     for claim, fn, kwargs in plans:
         report = fn(**kwargs)

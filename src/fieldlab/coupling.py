@@ -31,7 +31,7 @@ from scipy.special import ndtri
 
 from .fields import FieldModel, sample_block, sample_block_batch, sigma2
 from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
-from .rng import stream
+from .rng import stream, streams
 from .sums import SampleGrid, block_cov, block_var, make_grid, partial_sum
 from .theory import SchemeParams, block_boundary
 
@@ -263,9 +263,10 @@ def _anchored_xi_batch(
     vals = sample_block_batch(model, B0, seed, replicates, tag=field_tag)
     head = (slice(None),) + tuple(slice(0, h) for h in h_lengths)
     u = vals[head].reshape(len(replicates), -1).sum(axis=1)
-    w = np.empty(len(replicates))
-    for i, rep in enumerate(replicates):
-        w[i] = stream(seed, companion_tag, rep).standard_normal()
+    w = np.fromiter(
+        (gen.standard_normal() for gen in streams(seed, companion_tag, replicates)),
+        dtype=np.float64, count=len(replicates),
+    )
     return (u + w * math.sqrt(t2)) / math.sqrt(s2 + t2)
 
 

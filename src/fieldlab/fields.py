@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .lattice import Block, dist
-from .rng import stream
+from .rng import stream, streams
 
 __all__ = [
     "FieldModel",
@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
+
+# innovation cells per stacked batch in sample_block_batch (512 KiB of
+# float64): keeps each thread's batch temporaries small on large blocks
+_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -238,14 +242,20 @@ def sample_block_batch(
 
     Row r is bitwise identical to sample_block(..., replicate=r) regardless
     of batching, so any chunking of the replicate range is equivalent.
+    Innovations are drawn per replicate into a stacked grid, and the moving
+    average is evaluated once per batch of about _BATCH_CELLS innovations.
     """
     lens = block.lengths
     zshape = _innovation_shape(model, lens)
-    out = np.empty((len(replicates),) + tuple(lens), dtype=np.float64)
-    for i, rep in enumerate(replicates):
-        gen = stream(seed, tag, rep)
-        z = innovations(gen, zshape, model.innovation)
-        out[i] = _field_from_innovations(model, z, lens)
+    n = len(replicates)
+    out = np.empty((n,) + tuple(lens), dtype=np.float64)
+    batch = max(1, _BATCH_CELLS // math.prod(zshape))
+    gens = streams(seed, tag, replicates)
+    for s in range(0, n, batch):
+        z = np.empty((min(batch, n - s),) + zshape, dtype=np.float64)
+        for i, gen in zip(range(len(z)), gens):
+            z[i] = innovations(gen, zshape, model.innovation)
+        out[s : s + len(z)] = _field_from_innovations(model, z, lens)
     return out
 
 

@@ -9,15 +9,26 @@ how many values any other replicate consumed.  Consequences we rely on:
 * runs are reproducible bit-for-bit from (seed, tag, replicate) alone;
 * replicates can be generated in any order, in any chunking, on any number
   of workers, and the numbers do not change.
+
+`stream` builds the generator of one (seed, tag, replicate).  `streams`
+yields the generators of many replicates of one (seed, tag): it hashes the
+key and builds one Philox generator once, then repoints that generator for
+each replicate by resetting its state to what `stream` would build (counter
+[0, 0, replicate, 0], an empty output buffer, no cached 32-bit half).  Philox
+is counter-based (Salmon et al., SC'11), so the repointed generator draws
+exactly the values of `stream(seed, tag, replicate)`.  Every replicate
+shares that one object: a yielded generator is valid only until the next
+one is yielded, so draw from it before advancing the iterator.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["stream", "key_words"]
+__all__ = ["stream", "streams", "key_words"]
 
 
 def key_words(seed: int, tag: str) -> np.ndarray:
@@ -33,3 +44,21 @@ def stream(seed: int, tag: str, replicate: int = 0) -> np.random.Generator:
     counter = np.zeros(4, dtype=np.uint64)
     counter[2] = np.uint64(replicate)
     return np.random.Generator(np.random.Philox(counter=counter, key=key_words(seed, tag)))
+
+
+def streams(seed: int, tag: str, replicates: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield the generator of stream(seed, tag, rep) for each rep, in order.
+
+    It is one generator, repointed per replicate: each yielded generator is
+    valid only until the next one is yielded.
+    """
+    bitgen = np.random.Philox(key=key_words(seed, tag))
+    gen = np.random.Generator(bitgen)
+    # the fresh state: empty buffer (buffer_pos 4), no cached 32-bit half
+    fresh = bitgen.state
+    for rep in replicates:
+        if rep < 0:
+            raise ValueError("replicate must be nonnegative")
+        fresh["state"]["counter"] = np.array([0, 0, rep, 0], dtype=np.uint64)
+        bitgen.state = fresh
+        yield gen

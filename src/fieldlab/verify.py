@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import time
@@ -48,6 +49,7 @@ __all__ = [
     "kolmogorov_distance",
     "dkw_bound",
     "map_replicate_chunks",
+    "require_points",
     "check_dependence",
     "check_noise_stability",
     "check_moment_inequality",
@@ -92,16 +94,23 @@ class VerificationReport:
 CLAIMS: dict[str, Callable[..., VerificationReport]] = {}
 
 
-def _claim(claim_id: str, statement: str):
+def _claim(claim_id: str, statement: str, fit: str | None = None):
     """Register a checker in CLAIMS and stamp its reports with the claim.
 
     functools.wraps keeps the checker's signature visible to inspect, which
-    the CLI uses to build the checker's arguments.
+    the CLI uses to build the checker's arguments.  `fit` names the
+    parameter (a ladder, depths or edges) over which the checker fits a
+    slope or tests a decrease; require_points checks it before any work.
     """
 
     def register(check):
+        sig = inspect.signature(check)
+
         @functools.wraps(check)
         def run(*args, **kwargs) -> VerificationReport:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            require_points(run, bound.arguments)
             t0 = time.perf_counter()
             report = check(*args, **kwargs)
             return dataclasses.replace(
@@ -110,10 +119,22 @@ def _claim(claim_id: str, statement: str):
                 seconds=time.perf_counter() - t0,
             )
 
+        run.fit = fit
         CLAIMS[claim_id] = run
         return run
 
     return register
+
+
+def require_points(check: Callable, arguments: Mapping) -> None:
+    """Reject a fitted sequence of fewer than two points in a checker's arguments.
+
+    With one point a slope fit has no data and a decrease test runs over an
+    empty range, so the checker would pass vacuously.
+    """
+    name = getattr(check, "fit", None)
+    if name is not None and name in arguments and len(arguments[name]) < 2:
+        raise ValueError(f"{name} needs at least two points")
 
 
 def kolmogorov_distance(sample: np.ndarray, cdf: Callable = ndtr) -> float:
@@ -175,11 +196,15 @@ def _sum_max_samples(
         if not want_max:
             return flat.sum(axis=1)[:, None]
         if model.d == 1:
-            P = np.concatenate(
-                [np.zeros((e - s, 1)), np.cumsum(vals, axis=1, dtype=np.longdouble)],
-                axis=1,
-            ).astype(np.float64)
-            return np.stack([P[:, -1], P.max(axis=1) - P.min(axis=1)], axis=1)
+            # prefix sums P_1..P_n accumulated in place in longdouble, with
+            # P_0 = 0; rounding to float64 is monotone, so the rounded
+            # extremes are the extremes of the rounded prefix
+            P = vals.astype(np.longdouble)
+            del vals, flat  # at its peak a thread holds this one chunk buffer
+            np.cumsum(P, axis=1, out=P)
+            top = np.maximum(P.max(axis=1), 0).astype(np.float64)
+            bottom = np.minimum(P.min(axis=1), 0).astype(np.float64)
+            return np.stack([P[:, -1].astype(np.float64), top - bottom], axis=1)
         sums = flat.sum(axis=1)
         maxima = np.array([max_sub_block(make_grid(V, row)) for row in vals])
         return np.stack([sums, maxima], axis=1)
@@ -347,6 +372,7 @@ def _moment_rows(
     "moment_growth",
     "E|S(U)|^(2+delta) grows no faster than |U|^(1+delta/2) along a "
     "geometric ladder of blocks.",
+    fit="ladder",
 )
 def check_moment_inequality(
     model: FieldModel,
@@ -387,6 +413,7 @@ def check_moment_inequality(
     "maximal_growth",
     "E M(U)^(2+delta) obeys the same volume growth with the sub-block "
     "maximal constant A(d, delta), and M >= |S| pathwise.",
+    fit="ladder",
 )
 def check_maximal_inequality(
     model: FieldModel,
@@ -510,6 +537,7 @@ def check_second_moment(
     "variance_defect",
     "The per-cell variance defect sigma^2 - var(S(V))/|V| shrinks as "
     "the minimal block edge grows.",
+    fit="edges",
 )
 def check_variance_defect(
     model: FieldModel,
@@ -610,6 +638,7 @@ def check_inverse_distance_sum(
     "clt_distance",
     "The Kolmogorov distance from standardized S_N to the standard "
     "normal shrinks along the ladder and is small at the top.",
+    fit="ladder",
 )
 def check_clt_distance(
     model: FieldModel,
@@ -653,6 +682,7 @@ def check_clt_distance(
     "coupling_error_decay",
     "The per-cell mean squared coupling error of the top scheme block "
     "falls as the scheme deepens.",
+    fit="depths",
 )
 def check_coupling_error_decay(
     model: FieldModel,

@@ -105,6 +105,27 @@ class TestConfigValidation:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("claim, one_point", [
+        ("moment_growth", {"ladder": [16]}),
+        ("maximal_growth", {"ladder": [16]}),
+        ("clt_distance", {"ladder": [10000]}),
+        ("coupling_error_decay", {"depths": [3]}),
+        ("variance_defect", {"edges": [10]}),
+    ])
+    def test_single_point_override(self, tmp_path, capsys, claim, one_point):
+        # the valid claim listed first must not run either
+        path = write_config(
+            tmp_path,
+            verify={"claims": ["second_moment_bound", claim],
+                    "overrides": {claim: one_point}},
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "at least two points" in err
+        assert "second_moment_bound" not in err
+        assert not out.exists()
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")
@@ -183,7 +204,7 @@ class TestVerify:
             "model": {"kind": "linear_ma", "d": 1,
                       "coeffs": {"0": 1.0, "1": -1.0}},
             "verify": {"claims": ["clt_distance"],
-                       "overrides": {"clt_distance": {"ladder": [16],
+                       "overrides": {"clt_distance": {"ladder": [16, 64],
                                                       "replicates": 200}}},
         }))
         assert main(["verify", "--config", str(path),

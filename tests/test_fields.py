@@ -1,6 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fieldlab import fields
 from fieldlab.fields import (
     cox_grimmett,
     covariance,
@@ -90,6 +96,38 @@ class TestSampling:
             est = np.mean(vals[:, 0] * vals[:, lag])
             se = np.std(vals[:, 0] * vals[:, lag]) / np.sqrt(len(vals))
             assert abs(est - want) <= 4 * se + 1e-12
+
+    @given(
+        d=st.sampled_from([1, 2]),
+        kind=st.sampled_from(["normal", "exponential", "rademacher"]),
+        edge=st.integers(1, 9),
+        per_batch=st.integers(1, 4),
+        start=st.integers(0, 1000),
+        extra=st.integers(1, 9),
+    )
+    def test_batch_rows_match_sample_block_across_batches(
+        self, d, kind, edge, per_batch, start, extra
+    ):
+        if d == 1:
+            model = linear_ma_model(1, {(0,): 1.0, (1,): -0.5, (-2,): 0.25}, kind)
+            block = Block((3,), (3 + 4 * edge,))
+        else:
+            model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3, (0, -1): 0.2}, kind)
+            block = Block((0, -2), (edge, edge + 1))
+        zcells = math.prod(fields._innovation_shape(model, block.lengths))
+        # a cap of per_batch replicates, and a range that crosses its boundary
+        reps = range(start, start + per_batch + extra)
+        with mock.patch.object(fields, "_BATCH_CELLS", per_batch * zcells):
+            batch = sample_block_batch(model, block, 5, reps, tag="eq")
+        for row, rep in zip(batch, reps, strict=True):
+            assert np.array_equal(row, sample_block(model, block, 5, rep, tag="eq"))
+
+    def test_batch_rows_match_sample_block_at_the_default_cap(self, assoc_model):
+        # 2^14 cells: three replicates per batch, so range(2, 9) spans three batches
+        block = Block((0,), (2**14,))
+        batch = sample_block_batch(assoc_model, block, seed=1, replicates=range(2, 9))
+        for row, rep in zip(batch, range(2, 9)):
+            assert np.array_equal(row, sample_block(assoc_model, block, seed=1, replicate=rep))
 
     def test_d2_shape_and_determinism(self):
         model = linear_ma_model(2, {(0, 0): 1.0, (1, 1): 0.5})

@@ -9,8 +9,6 @@ import json
 import sys
 from pathlib import Path
 
-import pytest
-
 from fieldlab import cli
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -23,8 +21,6 @@ def _load_tracer():
     return module
 
 
-# a single depth leaves one point for the checker's decay-exponent fit
-@pytest.mark.filterwarnings("ignore:Polyfit may be poorly conditioned")
 def test_traced_verify_matches_untraced_and_restores(tmp_path):
     tracer = _load_tracer()
     cfg = {
@@ -33,7 +29,7 @@ def test_traced_verify_matches_untraced_and_restores(tmp_path):
                   "coeffs": {"0": 1.0, "1": 0.5}},
         "verify": {"claims": ["coupling_error_decay"],
                    "overrides": {"coupling_error_decay": {
-                       "depths": [3], "m_cdf": 100, "m_eval": 100}}},
+                       "depths": [3, 5], "m_cdf": 100, "m_eval": 100}}},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -55,9 +51,9 @@ def test_traced_verify_matches_untraced_and_restores(tmp_path):
     assert sorted(plain) == ["coupling_error_decay.csv", "summary.json"]
     assert traced == plain
     assert counts["verify.claims"] == 1
-    # one block shape at depth 3: one CDF drawn through coupling._anchored_xi_batch
-    assert functions["coupling.cdf_xi_batch"][0] == 1
-    assert functions["coupling.estimate_cdf"][0] == 1
+    # one top-block shape per depth: two CDFs drawn through coupling._anchored_xi_batch
+    assert functions["coupling.cdf_xi_batch"][0] == 2
+    assert functions["coupling.estimate_cdf"][0] == 2
 
     assert cli.VERIFIERS.keys() == verifiers.keys()
     assert all(cli.VERIFIERS[k] is fn for k, fn in verifiers.items())

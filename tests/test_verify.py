@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from fieldlab import verify as verify_mod
 from fieldlab.cli import VERIFIERS
 from fieldlab.fields import linear_ma_model
 from fieldlab.lattice import Block
 from fieldlab.verify import (
     CLAIMS,
+    check_approximation_error,
     check_clt_distance,
     check_coupling_error_decay,
     check_dependence,
@@ -114,8 +116,31 @@ class TestCheckers:
 
     def test_clt_needs_variance(self):
         degenerate = linear_ma_model(1, {(0,): 1.0, (1,): -1.0})
-        with pytest.raises(ValueError):
-            check_clt_distance(degenerate, ladder=(16,), replicates=200)
+        with pytest.raises(ValueError, match="sigma"):
+            check_clt_distance(degenerate, ladder=(16, 64), replicates=200)
+
+    @pytest.mark.parametrize("check, one_point", [
+        (check_moment_inequality, {"delta": 0.367, "ladder": (16,)}),
+        (check_maximal_inequality, {"delta": 0.367, "ladder": (16,)}),
+        (check_clt_distance, {"ladder": (10000,)}),
+        (check_coupling_error_decay, {"depths": (3,)}),
+        (check_variance_defect, {"edges": (10,)}),
+    ], ids=["moment", "maximal", "clt", "coupling", "variance_defect"])
+    def test_single_point_rejected_before_sampling(self, monkeypatch, exp_model,
+                                                   check, one_point):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the checker did work before rejecting its input")
+
+        for name in ("sample_block_batch", "variance_defect", "block_var"):
+            monkeypatch.setattr(verify_mod, name, sampled)
+        monkeypatch.setattr(verify_mod.cpl, "coupling_error_decay_study", sampled)
+        with pytest.raises(ValueError, match="at least two points"):
+            check(exp_model, **one_point)
+
+    def test_approximation_error_keeps_a_single_depth(self, gauss_model):
+        rep = check_approximation_error(gauss_model, depths=(6,), replicates=10,
+                                        exact_phi=True, bootstrap=20)
+        assert [r["depth"] for r in rep.rows] == [6]
 
     def test_clt_smoke(self, exp_model):
         rep = check_clt_distance(exp_model, ladder=(100, 400, 1600),
