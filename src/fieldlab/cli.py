@@ -403,10 +403,10 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel worker cap (results are worker-independent)")
         p.add_argument("--output-dir", default=None, help="output directory")
         if name == "verify":
+            p.add_argument("--workers", type=int, default=None,
+                           help="parallel worker cap (results are worker-independent)")
             p.add_argument("--claims", default=None,
                            help="comma-separated claim ids overriding the config list")
         p.set_defaults(func=func)

@@ -570,6 +570,10 @@ def coupling_error_decay_study(
     return rows
 
 
+# coverage of the bootstrap confidence interval of each fitted slope
+_CI_LEVEL = 0.90
+
+
 def approximation_error_study(
     model: FieldModel,
     depths: Sequence[int],
@@ -581,7 +585,6 @@ def approximation_error_study(
     exact_phi: bool = False,
     m_cdf: int = 10_000,
     bootstrap: int = 1000,
-    level: float = 0.90,
 ) -> list[dict]:
     """Log-log decay rate of the partial-sum vs Wiener discrepancy.
 
@@ -629,7 +632,7 @@ def approximation_error_study(
         for b in range(bootstrap):
             m_b = np.median(np.abs(errs[draws[b]]), axis=0)
             slopes[b] = np.polyfit(logn, np.log(m_b), 1)[0]
-        lo, hi = np.quantile(slopes, [(1 - level) / 2, (1 + level) / 2])
+        lo, hi = np.quantile(slopes, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
         out.append(
             {
                 "depth": K,
@@ -639,7 +642,7 @@ def approximation_error_study(
                 "slope": slope,
                 "ci_low": float(lo),
                 "ci_high": float(hi),
-                "level": level,
+                "level": _CI_LEVEL,
                 "replicates": replicates,
             }
         )

@@ -5,8 +5,10 @@ replicate on a base block together with its (d+1)-corner prefix array, so
 any sub-block sum is an inclusion-exclusion of 2^d prefix entries.  M(V) is
 the maximum of |S(W)| over ALL sub-blocks W of V, reduced axis by axis: for
 every choice of boundary pairs on the leading axes, the trailing axis
-contributes max - min of a difference profile.  The corner-anchored variant
-max_{n <= N} |S_n| is a separate, cheaper statistic.
+contributes max - min of a difference profile.  sum_and_max reduces a whole
+stack of replicates at once; this module owns every prefix accumulation
+(always in longdouble) and every rounding of it back to float64.  The
+corner-anchored variant max_{n <= N} |S_n| is a separate, cheaper statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
 finite sum of covariances weighted by rectangle-overlap counts, which also
@@ -29,6 +31,7 @@ __all__ = [
     "SampleGrid",
     "make_grid",
     "partial_sum",
+    "sum_and_max",
     "max_sub_block",
     "max_sub_block_naive",
     "anchored_abs_max",
@@ -39,9 +42,13 @@ __all__ = [
     "variance_ratio",
 ]
 
-# Above this many cells the prefix array keeps extended precision instead of
-# rounding back to float64 (accumulation itself is always extended).
+# Above this many cells per replicate the prefix array keeps extended precision
+# instead of rounding back to float64 (accumulation itself is always extended).
 _LONGDOUBLE_CELLS = 10**6
+
+# sum_and_max holds at most this many longdouble prefix cells at once in
+# d = 1, so its peak memory is the float64 stack plus a small block
+_LONGDOUBLE_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -57,14 +64,18 @@ class SampleGrid:
             raise ValueError("values shape does not match the block")
 
 
-def _prefix_array(values: np.ndarray) -> np.ndarray:
+def _prefix_array(values: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Corner prefix sums over the block axes, with a zero slab on each.
+
+    The first `lead` axes of values index replicates and are not summed.
+    """
     acc = values.astype(np.longdouble)
-    for ax in range(values.ndim):
-        acc = np.cumsum(acc, axis=ax)
-    out = np.zeros(tuple(n + 1 for n in values.shape), dtype=np.longdouble)
-    out[tuple(slice(1, None) for _ in range(values.ndim))] = acc
-    if values.size <= _LONGDOUBLE_CELLS:
-        return out.astype(np.float64)
+    for ax in range(lead, values.ndim):
+        np.cumsum(acc, axis=ax, out=acc)
+    lens = values.shape[lead:]
+    dtype = np.float64 if math.prod(lens) <= _LONGDOUBLE_CELLS else np.longdouble
+    out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens), dtype=dtype)
+    out[(...,) + (slice(1, None),) * len(lens)] = acc
     return out
 
 
@@ -93,74 +104,77 @@ def partial_sum(grid: SampleGrid, W: Block) -> float:
     return total
 
 
-def _max_abs_over_subrects(P: np.ndarray) -> float:
-    """Max |difference| over all index-pair rectangles of a prefix array.
+def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
+    """Max |difference| over all index-pair rectangles, per replicate.
 
-    P has one leading entry per axis (the zero slab).  The last axis is
-    collapsed with max - min; leading axes are scanned over boundary pairs,
-    vectorizing the upper member of each pair.
+    P stacks one prefix array per replicate along its first axis, each with
+    one leading entry per block axis (the zero slab).  The last axis is
+    collapsed with max - min; the leading block axis is scanned over
+    boundary pairs, vectorizing the upper member of each pair, and the
+    differences of a pass are reduced as a stack of their own.
     """
-    if P.ndim == 1:
-        return float(P.max() - P.min())
-    best = 0.0
-    n0 = P.shape[0]
     if P.ndim == 2:
-        for i in range(n0 - 1):
-            D = P[i + 1 :] - P[i]
-            best = max(best, float((D.max(axis=1) - D.min(axis=1)).max()))
-        return best
-    for i in range(n0 - 1):
-        D = P[i + 1 :] - P[i]
-        for j in range(D.shape[0]):
-            best = max(best, _max_abs_over_subrects(D[j]))
+        return P.max(axis=1) - P.min(axis=1)
+    n = P.shape[0]
+    best = np.zeros(n)
+    for i in range(P.shape[1] - 1):
+        D = P[:, i + 1 :] - P[:, i, None]
+        inner = _max_abs_over_subrects(D.reshape((-1,) + D.shape[2:]))
+        np.maximum(best, inner.reshape(n, -1).max(axis=1), out=best)
     return best
 
 
-def max_sub_block(grid: SampleGrid, V: Block | None = None) -> float:
-    """M(V): max |S(W)| over every sub-block W of V (default: the base block)."""
-    V = V if V is not None else grid.block
-    if not grid.block.contains_block(V):
-        raise ValueError("query block is not inside the sampled block")
-    base = grid.block.a
-    sl = tuple(
-        slice(V.a[s] - base[s], V.b[s] - base[s] + 1) for s in range(grid.block.d)
-    )
-    P = np.asarray(grid.prefix[sl], dtype=np.float64)
-    return _max_abs_over_subrects(P)
+def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S(V), M(V)) for each replicate of a stack of shape (n,) + V.lengths.
+
+    In d = 1, S is the longdouble prefix corner rounded to float64; in
+    d >= 2 it is the float64 sum of the replicate's cells.
+    """
+    if values.ndim == 2:
+        # prefix sums P_1..P_n accumulated in longdouble a few rows at a
+        # time, with P_0 = 0; rounding to float64 is monotone, so the
+        # rounded extremes are the extremes of the rounded prefix
+        S, M = np.empty(len(values)), np.empty(len(values))
+        step = max(1, _LONGDOUBLE_BLOCK_CELLS // values.shape[1])
+        for i in range(0, len(values), step):
+            P = np.cumsum(values[i : i + step], axis=1, dtype=np.longdouble)
+            top = np.maximum(P.max(axis=1), 0).astype(np.float64)
+            bottom = np.minimum(P.min(axis=1), 0).astype(np.float64)
+            S[i : i + step], M[i : i + step] = P[:, -1], top - bottom
+        return S, M
+    P = np.asarray(_prefix_array(values, lead=1), dtype=np.float64)
+    return values.reshape(len(values), -1).sum(axis=1), _max_abs_over_subrects(P)
 
 
-def max_sub_block_naive(grid: SampleGrid, V: Block | None = None) -> float:
+def max_sub_block(grid: SampleGrid) -> float:
+    """M(V): max |S(W)| over every sub-block W of the grid's base block."""
+    return float(sum_and_max(grid.values[None])[1][0])
+
+
+def max_sub_block_naive(grid: SampleGrid) -> float:
     """Independent oracle: enumerate every sub-block and sum cells directly."""
-    V = V if V is not None else grid.block
-    base = grid.block.a
-    d = V.d
     best = 0.0
-    counters = [(lo, hi) for lo, hi in zip(V.a, V.b)]
 
     def rec(axis, a_off, b_off):
         nonlocal best
-        if axis == d:
+        if axis == grid.block.d:
             sl = tuple(slice(a, b) for a, b in zip(a_off, b_off))
             s = math.fsum(grid.values[sl].ravel().tolist())
             best = max(best, abs(s))
             return
-        lo, hi = counters[axis]
-        for a in range(lo, hi):
-            for b in range(a + 1, hi + 1):
-                rec(axis + 1, a_off + [a - base[axis]], b_off + [b - base[axis]])
+        n = grid.block.lengths[axis]
+        for a in range(n):
+            for b in range(a + 1, n + 1):
+                rec(axis + 1, a_off + [a], b_off + [b])
 
     rec(0, [], [])
     return best
 
 
-def anchored_abs_max(grid: SampleGrid, N: Sequence[int] | None = None) -> float:
-    """max |S((a, n])| over corner-anchored n with n <= N componentwise."""
-    lens = grid.block.lengths
-    N = tuple(lens) if N is None else tuple(int(x) for x in N)
-    if any(n < 1 or n > l for n, l in zip(N, lens)):
-        raise ValueError("anchored range must satisfy 1 <= N_s <= edge length")
-    sl = tuple(slice(1, n + 1) for n in N)
-    return float(np.abs(np.asarray(grid.prefix[sl], dtype=np.float64)).max())
+def anchored_abs_max(grid: SampleGrid) -> float:
+    """max |S((a, n])| over corner-anchored n in the grid's base block."""
+    corners = grid.prefix[(slice(1, None),) * grid.block.d]
+    return float(np.abs(np.asarray(corners, dtype=np.float64)).max())
 
 
 # --------------------------------------------------------------------------

@@ -34,13 +34,14 @@ from .fields import (
     FieldModel,
     cox_grimmett,
     empirical_dependence_test,
+    sample_block,
     sample_block_batch,
     sigma2,
     support_radius,
 )
 from .lattice import Block, cardinality, inv_norm_sum, inv_norm_sum_bound
 from .rng import stream
-from .sums import block_var, make_grid, max_sub_block, variance_defect
+from .sums import block_var, make_grid, sum_and_max, variance_defect
 from .theory import moricz_a
 
 __all__ = [
@@ -192,22 +193,9 @@ def _sum_max_samples(
 
     def kernel(s: int, e: int) -> np.ndarray:
         vals = sample_block_batch(model, V, seed, range(s, e), tag=tag)
-        flat = vals.reshape(e - s, -1)
         if not want_max:
-            return flat.sum(axis=1)[:, None]
-        if model.d == 1:
-            # prefix sums P_1..P_n accumulated in place in longdouble, with
-            # P_0 = 0; rounding to float64 is monotone, so the rounded
-            # extremes are the extremes of the rounded prefix
-            P = vals.astype(np.longdouble)
-            del vals, flat  # at its peak a thread holds this one chunk buffer
-            np.cumsum(P, axis=1, out=P)
-            top = np.maximum(P.max(axis=1), 0).astype(np.float64)
-            bottom = np.minimum(P.min(axis=1), 0).astype(np.float64)
-            return np.stack([P[:, -1].astype(np.float64), top - bottom], axis=1)
-        sums = flat.sum(axis=1)
-        maxima = np.array([max_sub_block(make_grid(V, row)) for row in vals])
-        return np.stack([sums, maxima], axis=1)
+            return vals.reshape(e - s, -1).sum(axis=1)[:, None]
+        return np.stack(sum_and_max(vals), axis=1)
 
     out = map_replicate_chunks(kernel, replicates, workers)
     if want_max:
@@ -339,19 +327,21 @@ def check_noise_stability(
 _DEFAULT_LADDER = tuple(16 * 2**j for j in range(11))
 
 
-def _moment_rows(
-    model, delta, ladder, replicates, seed, workers, want_max
-) -> tuple[list[dict], bool]:
+def _growth_report(
+    model, delta, ladder, replicates, seed, c0, lam, workers, want_max
+) -> VerificationReport:
+    """Volume-growth cap on E|S|^q (q = 2 + delta), or with want_max on E M^q
+    together with the maximal-constant ratio and pathwise M >= |S| checks."""
+    _require_power_decay(model, c0, lam)
     q = 2.0 + delta
     rows = []
     dominated = True
     for size in ladder:
         V = _ladder_block(model.d, size)
-        tag = f"moment:{cardinality(V)}"
-        sums, maxima = _sum_max_samples(
-            model, V, replicates, seed, tag, workers, want_max
-        )
         card = cardinality(V)
+        sums, maxima = _sum_max_samples(
+            model, V, replicates, seed, f"moment:{card}", workers, want_max
+        )
         s_pow = np.abs(sums) ** q
         row = {
             "card": card,
@@ -365,7 +355,35 @@ def _moment_rows(
             row["se_max_pow"] = float(m_pow.std(ddof=1) / math.sqrt(replicates))
             row["max_to_s_ratio"] = row["mean_max_pow"] / row["mean_abs_s_pow"]
         rows.append(row)
-    return rows, dominated
+    cards = np.array([r["card"] for r in rows], dtype=np.float64)
+    means = np.array([r["mean_max_pow" if want_max else "mean_abs_s_pow"] for r in rows])
+    slope = _loglog_slope(cards, means)
+    ratios = means / cards ** (1.0 + delta / 2.0)
+    growth = float((ratios / ratios[0]).max())
+    cap = 1.0 + delta / 2.0 + 0.1
+    statistics = {"slope": slope, "ratio_growth": growth}
+    oracle = {"slope_limit": 1.0 + delta / 2.0}
+    passed = slope <= cap and growth <= 10.0
+    if want_max:
+        a_const = moricz_a(model.d, delta)
+        worst_ratio = max(r["max_to_s_ratio"] for r in rows)
+        statistics["worst_max_to_s_ratio"] = worst_ratio
+        statistics["pathwise_dominated"] = dominated
+        oracle["maximal_constant"] = a_const
+        passed = passed and worst_ratio <= a_const and dominated
+    else:
+        for r, ratio in zip(rows, ratios):
+            r["ratio_to_volume_power"] = float(ratio)
+    return VerificationReport(
+        inputs={
+            "model": _model_inputs(model), "delta": delta,
+            "ladder": [int(c) for c in cards], "replicates": replicates,
+            "seed": seed, "c0": c0, "lambda": lam,
+        },
+        statistics=statistics, oracle=oracle,
+        tolerance={"slope_cap": cap, "ratio_growth_cap": 10.0},
+        passed=passed, rows=rows,
+    )
 
 
 @_claim(
@@ -385,27 +403,8 @@ def check_moment_inequality(
     workers: int = 1,
 ) -> VerificationReport:
     """Volume-growth cap on E|S(U)|^(2+delta) along a geometric ladder."""
-    _require_power_decay(model, c0, lam)
-    rows, _ = _moment_rows(model, delta, ladder, replicates, seed, workers, False)
-    cards = np.array([r["card"] for r in rows], dtype=np.float64)
-    means = np.array([r["mean_abs_s_pow"] for r in rows])
-    slope = _loglog_slope(cards, means)
-    ratios = means / cards ** (1.0 + delta / 2.0)
-    growth = float((ratios / ratios[0]).max())
-    cap = 1.0 + delta / 2.0 + 0.1
-    passed = slope <= cap and growth <= 10.0
-    for r, ratio in zip(rows, ratios):
-        r["ratio_to_volume_power"] = float(ratio)
-    return VerificationReport(
-        inputs={
-            "model": _model_inputs(model), "delta": delta,
-            "ladder": [int(c) for c in cards], "replicates": replicates,
-            "seed": seed, "c0": c0, "lambda": lam,
-        },
-        statistics={"slope": slope, "ratio_growth": growth},
-        oracle={"slope_limit": 1.0 + delta / 2.0},
-        tolerance={"slope_cap": cap, "ratio_growth_cap": 10.0},
-        passed=passed, rows=rows,
+    return _growth_report(
+        model, delta, ladder, replicates, seed, c0, lam, workers, want_max=False
     )
 
 
@@ -426,30 +425,8 @@ def check_maximal_inequality(
     workers: int = 1,
 ) -> VerificationReport:
     """Same growth cap for M(U), plus the maximal-constant ratio check."""
-    _require_power_decay(model, c0, lam)
-    rows, dominated = _moment_rows(model, delta, ladder, replicates, seed, workers, True)
-    cards = np.array([r["card"] for r in rows], dtype=np.float64)
-    means = np.array([r["mean_max_pow"] for r in rows])
-    slope = _loglog_slope(cards, means)
-    ratios = means / cards ** (1.0 + delta / 2.0)
-    growth = float((ratios / ratios[0]).max())
-    a_const = moricz_a(model.d, delta)
-    worst_ratio = max(r["max_to_s_ratio"] for r in rows)
-    cap = 1.0 + delta / 2.0 + 0.1
-    passed = slope <= cap and growth <= 10.0 and worst_ratio <= a_const and dominated
-    return VerificationReport(
-        inputs={
-            "model": _model_inputs(model), "delta": delta,
-            "ladder": [int(c) for c in cards], "replicates": replicates,
-            "seed": seed, "c0": c0, "lambda": lam,
-        },
-        statistics={
-            "slope": slope, "ratio_growth": growth,
-            "worst_max_to_s_ratio": worst_ratio, "pathwise_dominated": dominated,
-        },
-        oracle={"maximal_constant": a_const, "slope_limit": 1.0 + delta / 2.0},
-        tolerance={"slope_cap": cap, "ratio_growth_cap": 10.0},
-        passed=passed, rows=rows,
+    return _growth_report(
+        model, delta, ladder, replicates, seed, c0, lam, workers, want_max=True
     )
 
 
@@ -825,9 +802,8 @@ def check_lil(
     def kernel(s: int, e: int) -> np.ndarray:
         out = np.empty((e - s, depth))
         for i, rep in enumerate(range(s, e)):
-            vals = sample_block_batch(model, V, seed, range(rep, rep + 1), tag="lil")[0]
-            c = np.cumsum(vals, dtype=np.longdouble).astype(np.float64)
-            out[i] = c[ns - 1] / denom
+            grid = make_grid(V, sample_block(model, V, seed, rep, tag="lil"))
+            out[i] = np.asarray(grid.prefix[ns], dtype=np.float64) / denom
         return out
 
     R = map_replicate_chunks(kernel, replicates, workers)

@@ -1,16 +1,26 @@
-"""Report bytes pinned to digests recorded before the batched sampling engine.
+"""Report bytes pinned to digests recorded at earlier commits.
 
-The batched engine (rng.streams, the stacked moving average in
-fields.sample_block_batch and the companion draws of the coupling) must
-draw exactly the numbers of one Philox stream per replicate, and the d = 1
-prefix max-min of maximal_growth must round exactly as before.  A change in
-any drawn value, in the draw order, in that rounding or in the
-serialization changes these digests.  They were recorded with one
-generator built per replicate and the prefix kept whole in longdouble.
+The first config's digests were recorded before the batched sampling engine,
+with one generator built per replicate and the prefix kept whole in
+longdouble.  The batched engine (rng.streams, the stacked moving average in
+fields.sample_block_batch and the companion draws of the coupling) must draw
+exactly the numbers of one Philox stream per replicate, and the d = 1 prefix
+max-min of maximal_growth must round exactly as before.
+
+The other configs' digests were recorded while M(V) was still reduced one
+SampleGrid per replicate in d >= 2 and check_lil summed its own prefix.  They
+pin the stacked reduction sums.sum_and_max in d = 2 and d = 3, tail_bound's
+d = 1 maxima, and the dyadic prefixes of iterated_logarithm on a block of
+2^20 cells, whose prefix stays in longdouble.
+
+A change in any drawn value, in the draw order, in the rounding of a prefix
+or in the serialization changes these digests.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from fieldlab.cli import main
 
@@ -41,12 +51,59 @@ DIGESTS = {
     "summary.json": "7f0ef8c5aea640634f1cc7ca33b5db1f0e01edde72de6bde874cc868dd231bf3",
 }
 
+# (config, exit code, digests); the d = 3 ladder fails its slope cap at
+# this scale, and that verdict is part of the pinned bytes
+STACKED = [
+    (
+        {"seed": 11,
+         "model": {"kind": "linear_ma", "d": 2,
+                   "coeffs": {"0,0": 1.0, "1,0": -0.3, "0,1": 0.2}},
+         "verify": {"claims": ["maximal_growth"], "overrides": {"maximal_growth": {
+             "ladder": [[3, 5], [8, 8], [16, 12]], "replicates": 300}}}},
+        0,
+        {"maximal_growth.csv":
+             "f408b48c196195ae5b0d555060aefe5468066e4c62ef35e71e88698595a76711",
+         "summary.json": "85220e6923fdfaee32957b035d7c16e74c11806169502565a5b0e6e0c1732ea4"},
+    ),
+    (
+        {"seed": 2,
+         "model": {"kind": "linear_ma", "d": 3, "coeffs": {"0,0,0": 1.0, "0,1,1": 0.3}},
+         "verify": {"claims": ["maximal_growth"], "overrides": {"maximal_growth": {
+             "ladder": [[2, 3, 2], [4, 5, 3]], "replicates": 300}}}},
+        1,
+        {"maximal_growth.csv":
+             "1583ddb1d1a7bb08ec9639d32bf1703c9d95021517bba1f0ca2dbcd15c7774de",
+         "summary.json": "b20fae2dd08dde85768eb8ff5bef0c338fad16fba1dd2e711fb1b08c9705efda"},
+    ),
+    (
+        {"seed": 5,
+         "model": {"kind": "linear_ma", "d": 1, "coeffs": {"0": 1.0, "1": 0.5}},
+         "verify": {"claims": ["tail_bound", "iterated_logarithm"], "overrides": {
+             "tail_bound": {"V": 1000, "replicates": 300},
+             "iterated_logarithm": {"depth": 20, "replicates": 3}}}},
+        0,
+        {"iterated_logarithm.csv":
+             "8a120462d0ce0ed21c2a1b5352f1beddbb2f2290479c088c387cf60eb3480165",
+         "summary.json": "b615e4360457b900ae29f364d575bba66dc8b6e76ceb21f24c7a1c5b18dfc5fd",
+         "tail_bound.csv": "fa9052e006b2dbbac5c126d3b4a45b44a8216f15fe3519730f67b9bfc9d5f644"},
+    ),
+]
+
+
+def _digests(tmp_path, config) -> tuple[int, dict]:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(path), "--output-dir", str(out)])
+    return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                  for p in out.iterdir() if p.name != "resolved_config.json"}
+
 
 def test_verify_reports_match_recorded_digests(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(CONFIG))
-    out = tmp_path / "out"
-    assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 0
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in out.iterdir() if p.name != "resolved_config.json"}
-    assert got == DIGESTS
+    assert _digests(tmp_path, CONFIG) == (0, DIGESTS)
+
+
+@pytest.mark.parametrize("config, code, digests", STACKED,
+                         ids=["maximal_d2", "maximal_d3", "tail_lil"])
+def test_stacked_reductions_match_recorded_digests(tmp_path, config, code, digests):
+    assert _digests(tmp_path, config) == (code, digests)

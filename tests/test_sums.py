@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fieldlab import sums
 from fieldlab.lattice import Block, cardinality
 from fieldlab.sums import (
     anchored_abs_max,
@@ -14,6 +16,7 @@ from fieldlab.sums import (
     max_sub_block,
     max_sub_block_naive,
     partial_sum,
+    sum_and_max,
     union_var,
     variance_defect,
     variance_ratio,
@@ -35,6 +38,22 @@ grids_2d = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
             np.array(v).reshape(shape),
         )
     )
+)
+
+
+# a stack of 1 to 4 replicates on a d = 1, 2 or 3 block, with edges small
+# enough for the naive oracle
+stacks = st.sampled_from([(1, 12), (2, 5), (3, 3)]).flatmap(
+    lambda d_edge: st.tuples(
+        st.integers(1, 4),
+        st.lists(st.integers(1, d_edge[1]), min_size=d_edge[0], max_size=d_edge[0]),
+    )
+).flatmap(
+    lambda n_lens: st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, width=32),
+        min_size=n_lens[0] * math.prod(n_lens[1]),
+        max_size=n_lens[0] * math.prod(n_lens[1]),
+    ).map(lambda v: np.array(v).reshape([n_lens[0]] + n_lens[1]))
 )
 
 
@@ -115,9 +134,40 @@ class TestMaxSubBlock:
         g = make_grid(Block((0, 0, 0), (3, 4, 2)), gen.standard_normal((3, 4, 2)))
         assert max_sub_block(g) == pytest.approx(max_sub_block_naive(g), rel=1e-9)
 
-    def test_restricted_to_sub_block(self):
-        g = make_grid(Block((0,), (4,)), np.array([100.0, 1.0, -2.0, 3.0]))
-        assert max_sub_block(g, Block((1,), (4,))) == pytest.approx(3.0)
+    @given(stacks)
+    def test_stacked_rows_equal_one_replicate(self, values):
+        V = Block((0,) * (values.ndim - 1), values.shape[1:])
+        S, M = sum_and_max(values)
+        with mock.patch.object(sums, "_LONGDOUBLE_BLOCK_CELLS", 5):
+            blocked = sum_and_max(values)  # d = 1 accumulates a few rows at a time
+        np.testing.assert_array_equal(blocked[0], S)
+        np.testing.assert_array_equal(blocked[1], M)
+        for row, s, m in zip(values, S, M):
+            grid = make_grid(V, row)
+            assert m == max_sub_block(grid)
+            assert m == pytest.approx(max_sub_block_naive(grid), rel=1e-9, abs=1e-9)
+            if V.d == 1:  # the rounded longdouble prefix corner
+                assert s == partial_sum(grid, V)
+            else:  # the float64 sum of the cells
+                assert s == row.sum()
+
+    def test_longdouble_rule_counts_one_replicate(self):
+        # the stacks hold more than _LONGDOUBLE_CELLS cells, each replicate fewer
+        gen = np.random.default_rng(3)
+        for shape in ((3, 400_000), (3, 4, 100_000)):
+            values = gen.standard_normal(shape) * 1e3
+            assert values.size > sums._LONGDOUBLE_CELLS > values[0].size
+            V = Block((0,) * (values.ndim - 1), values.shape[1:])
+            P = sums._prefix_array(values, lead=1)
+            assert P.dtype == np.float64
+            S, M = sum_and_max(values)
+            for row, p, s, m in zip(values, P, S, M):
+                grid = make_grid(V, row)
+                np.testing.assert_array_equal(p, grid.prefix)
+                assert m == max_sub_block(grid)
+                assert s == (partial_sum(grid, V) if V.d == 1 else row.sum())
+        big = gen.standard_normal((2, sums._LONGDOUBLE_CELLS + 1))
+        assert sums._prefix_array(big, lead=1).dtype == np.longdouble
 
     def test_dominates_anchored(self):
         gen = np.random.default_rng(9)
