@@ -146,6 +146,11 @@ def _resolve_outdir(args, cfg: dict) -> Path:
     return path
 
 
+def _workers(cfg: dict) -> int:
+    """The thread count of the replicate loops: the config's, else one per core."""
+    return cfg.get("workers") or os.cpu_count() or 1
+
+
 def _write_resolved(cfg: dict, outdir: Path) -> None:
     outdir.joinpath("resolved_config.json").write_text(
         json.dumps(cfg, indent=2, sort_keys=True) + "\n"
@@ -275,7 +280,7 @@ def _cmd_verify(args) -> int:
     unknown = sorted(set(claims) - set(VERIFIERS))
     if unknown:
         raise ConfigError(f"unknown claim id(s): {', '.join(unknown)}")
-    workers = cfg.get("workers") or os.cpu_count() or 1
+    workers = _workers(cfg)
 
     model_cache: dict = {}
     plans = [
@@ -324,6 +329,7 @@ def _cmd_couple(args) -> int:
         exact_phi=exact_phi,
         m_cdf=_as_int(section.get("m_cdf", 10_000), "couple.m_cdf", 100),
         bootstrap=_as_int(section.get("bootstrap", 1000), "couple.bootstrap", 10),
+        workers=_workers(cfg),
     )
     doc = {"model": verify_mod._model_inputs(model), "seed": cfg["seed"],
            "studies": verify_mod._jsonable(studies)}

@@ -585,6 +585,7 @@ def approximation_error_study(
     exact_phi: bool = False,
     m_cdf: int = 10_000,
     bootstrap: int = 1000,
+    workers: int = 1,
 ) -> list[dict]:
     """Log-log decay rate of the partial-sum vs Wiener discrepancy.
 
@@ -592,35 +593,54 @@ def approximation_error_study(
     err = S(0, N] - sigma W(0, N] at every good in-cone corner N, and
     regresses log median|err| on log volume.  The slope's bootstrap
     confidence interval (over replicates) is attached per depth.
+
+    Replicates are coupled one per task on `workers` threads, so each
+    thread holds one coupled replicate at a time; the result does not
+    depend on the worker count.
     """
+    from .verify import map_replicate_chunks
+
     if sigma2(model) == 0:
         raise ValueError("the study needs sigma^2 != 0")
+    if replicates < 2:
+        raise ValueError("the study needs at least two replicates")
     params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
-    out = []
+    plans = []
     for K in depths:
         scheme = build_scheme(params, K, model.d)
         variances = scheme_variances(model, scheme)
-        cdfs = None
-        if not exact_phi:
-            cdfs = cdf_table(model, scheme, variances, m_cdf, seed)
         corners = [
             k
             for k in sorted(scheme.good)
             if variances[k].tau2 > 0 and in_balanced_cone(scheme.corner(k), tau)
         ]
-        cards = np.array(
-            [cardinality(Block((0,) * model.d, scheme.corner(k))) for k in corners],
-            dtype=np.float64,
-        )
-        errs = np.empty((replicates, len(corners)))
-        for rep in range(replicates):
+        if len(corners) < 2:
+            raise ValueError(
+                f"depth {K} has {len(corners)} coupled in-cone corner(s); "
+                "the slope fit needs at least two"
+            )
+        plans.append((K, scheme, variances, corners))
+
+    out = []
+    for K, scheme, variances, corners in plans:
+        cdfs = None
+        if not exact_phi:
+            cdfs = cdf_table(model, scheme, variances, m_cdf, seed)
+        prefixes = [Block((0,) * model.d, scheme.corner(k)) for k in corners]
+        cards = np.array([cardinality(V) for V in prefixes], dtype=np.float64)
+
+        def corner_errors(rep: int) -> list[float]:
             run = run_coupling(
                 model, scheme, seed, rep,
                 variances=variances, cdfs=cdfs, exact_phi=exact_phi,
             )
-            for i, k in enumerate(corners):
-                V = Block((0,) * model.d, scheme.corner(k))
-                errs[rep, i] = partial_sum(run.field, V) - run.sigma * wiener_sum(run, V)
+            return [partial_sum(run.field, V) - run.sigma * wiener_sum(run, V)
+                    for V in prefixes]
+
+        errs = map_replicate_chunks(
+            lambda s, e: np.array([corner_errors(rep) for rep in range(s, e)]),
+            replicates, workers, chunk=1,
+        )
 
         logn = np.log(cards)
         med = np.median(np.abs(errs), axis=0)
@@ -647,4 +667,3 @@ def approximation_error_study(
             }
         )
     return out
-

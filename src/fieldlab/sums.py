@@ -69,13 +69,18 @@ def _prefix_array(values: np.ndarray, lead: int = 0) -> np.ndarray:
 
     The first `lead` axes of values index replicates and are not summed.
     """
-    acc = values.astype(np.longdouble)
+    lens = values.shape[lead:]
+    inner = (...,) + (slice(1, None),) * len(lens)
+    keep = math.prod(lens) > _LONGDOUBLE_CELLS
+    out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens),
+                   dtype=np.longdouble if keep else np.float64)
+    # a kept longdouble prefix accumulates inside the padded output itself
+    acc = out[inner] if keep else np.empty(values.shape, dtype=np.longdouble)
+    acc[...] = values
     for ax in range(lead, values.ndim):
         np.cumsum(acc, axis=ax, out=acc)
-    lens = values.shape[lead:]
-    dtype = np.float64 if math.prod(lens) <= _LONGDOUBLE_CELLS else np.longdouble
-    out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens), dtype=dtype)
-    out[(...,) + (slice(1, None),) * len(lens)] = acc
+    if not keep:
+        out[inner] = acc
     return out
 
 

@@ -156,14 +156,15 @@ def map_replicate_chunks(
     kernel: Callable[[int, int], np.ndarray],
     replicates: int,
     workers: int = 1,
+    chunk: int = CHUNK,
 ) -> np.ndarray:
-    """Evaluate kernel(start, stop) over fixed-size replicate chunks.
+    """Evaluate kernel(start, stop) over replicate chunks of `chunk` replicates.
 
     Chunk boundaries never depend on the worker count and results are
     concatenated in chunk order, so the output is bitwise identical for any
     number of workers (kernels draw from per-replicate streams).
     """
-    spans = [(s, min(s + CHUNK, replicates)) for s in range(0, replicates, CHUNK)]
+    spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
     if workers <= 1:
         parts = [kernel(s, e) for s, e in spans]
     else:
@@ -748,11 +749,12 @@ def check_approximation_error(
     exact_phi: bool = False,
     m_cdf: int = 10_000,
     bootstrap: int = 1000,
+    workers: int = 1,
 ) -> VerificationReport:
     """Bootstrap CI of the S - sigma W decay slope stays below 1/2."""
     studies = cpl.approximation_error_study(
         model, depths, replicates, seed,
-        exact_phi=exact_phi, m_cdf=m_cdf, bootstrap=bootstrap,
+        exact_phi=exact_phi, m_cdf=m_cdf, bootstrap=bootstrap, workers=workers,
     )
     rows = [
         {"depth": s["depth"], "top_volume": s["cards"][-1], "slope": s["slope"],

@@ -90,9 +90,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("bad", [
         {"tau": "abc"}, {"tau": -1}, {"tau": 0}, {"tau": True},
-        {"exact_phi": "false"}, {"exact_phi": 0},
+        {"exact_phi": "false"}, {"exact_phi": 0}, {"replicates": 1},
     ], ids=["tau-string", "tau-negative", "tau-zero", "tau-bool",
-            "exact_phi-string", "exact_phi-int"])
+            "exact_phi-string", "exact_phi-int", "replicates-one"])
     def test_bad_couple_values(self, tmp_path, capsys, bad):
         path = write_config(
             tmp_path,
@@ -256,6 +256,22 @@ class TestCoupleAndReport:
         lines = (out / "couple.csv").read_text().splitlines()
         assert lines[0] == "depth,card,median_abs_err"
         assert len(lines) > 1
+
+    def test_couple_is_worker_invariant(self, tmp_path):
+        written = []
+        for workers in (1, 2):
+            path = write_config(
+                tmp_path, workers=workers,
+                model={"kind": "linear_ma", "d": 1, "innovation": "exponential",
+                       "coeffs": {"0": 1.0, "1": 0.5}},
+                couple={"depths": [4, 6], "replicates": 9, "m_cdf": 200,
+                        "bootstrap": 50},
+            )
+            out = tmp_path / f"w{workers}"
+            assert main(["couple", "--config", str(path), "--output-dir", str(out)]) == 0
+            written.append({name: (out / name).read_bytes()
+                            for name in ("couple.json", "couple.csv")})
+        assert written[0] == written[1]
 
     def test_report_merges_and_propagates_failure(self, tmp_path):
         ok_cfg = write_config(tmp_path, verify={"claims": ["second_moment_bound"]})

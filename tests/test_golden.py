@@ -13,6 +13,13 @@ pin the stacked reduction sums.sum_and_max in d = 2 and d = 3, tail_bound's
 d = 1 maxima, and the dyadic prefixes of iterated_logarithm on a block of
 2^20 cells, whose prefix stays in longdouble.
 
+The approximation_error configs' digests were recorded while the study
+coupled its replicates one after another on one thread, with the longdouble
+prefix copied into its zero-padded array.  They pin the S - sigma W study on
+the thread workers: an exact-Phi call at depth 48, whose 1,421,000-cell
+prefixes stay in longdouble, and an empirical-CDF call on the exponential
+model, whose threads share one table of CDFs.
+
 A change in any drawn value, in the draw order, in the rounding of a prefix
 or in the serialization changes these digests.
 """
@@ -90,6 +97,31 @@ STACKED = [
 ]
 
 
+APPROXIMATION = [
+    (
+        {"seed": 3,
+         "model": {"kind": "iid", "d": 1},
+         "verify": {"claims": ["approximation_error"], "overrides": {"approximation_error": {
+             "depths": [48], "replicates": 4, "exact_phi": True, "bootstrap": 50}}}},
+        0,
+        {"approximation_error.csv":
+             "741ce559fe19c23f59cabde8a578fef5b4e33c4e74cfab821cf94418b55ff26a",
+         "summary.json": "54ec798acbe28e345b86d1e06220e0a360e564bfed6bcd7431f51b2412847254"},
+    ),
+    (
+        {"seed": 4,
+         "model": {"kind": "linear_ma", "d": 1, "innovation": "exponential",
+                   "coeffs": {"0": 1.0, "1": 0.5}},
+         "verify": {"claims": ["approximation_error"], "overrides": {"approximation_error": {
+             "depths": [5, 8], "replicates": 12, "m_cdf": 300, "bootstrap": 50}}}},
+        1,
+        {"approximation_error.csv":
+             "e942964d9c514fab56e98633601b2b97987749506039f7ce1d81e36a1722c3ba",
+         "summary.json": "5f7318c9a645131f5f74625230f7b87f3a2c267a8aff6a996da9d891671b68a0"},
+    ),
+]
+
+
 def _digests(tmp_path, config) -> tuple[int, dict]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -107,3 +139,11 @@ def test_verify_reports_match_recorded_digests(tmp_path):
                          ids=["maximal_d2", "maximal_d3", "tail_lil"])
 def test_stacked_reductions_match_recorded_digests(tmp_path, config, code, digests):
     assert _digests(tmp_path, config) == (code, digests)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config, code, digests", APPROXIMATION,
+                         ids=["exact_phi_d48", "empirical_cdf"])
+def test_approximation_study_matches_recorded_digests(tmp_path, config, code, digests,
+                                                      workers):
+    assert _digests(tmp_path, {**config, "workers": workers}) == (code, digests)

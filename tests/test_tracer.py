@@ -21,16 +21,12 @@ def _load_tracer():
     return module
 
 
-def test_traced_verify_matches_untraced_and_restores(tmp_path):
+def _traced_and_plain(tmp_path, cfg):
+    """Run one verify call untraced, then traced; check that the tracer restores.
+
+    Returns the untraced and traced report bytes and the tracer's snapshot.
+    """
     tracer = _load_tracer()
-    cfg = {
-        "seed": 0,
-        "model": {"kind": "linear_ma", "d": 1, "innovation": "exponential",
-                  "coeffs": {"0": 1.0, "1": 0.5}},
-        "verify": {"claims": ["coupling_error_decay"],
-                   "overrides": {"coupling_error_decay": {
-                       "depths": [3, 5], "m_cdf": 100, "m_eval": 100}}},
-    }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
 
@@ -46,7 +42,25 @@ def test_traced_verify_matches_untraced_and_restores(tmp_path):
     plain = verify(tmp_path / "plain")
     with tracer.Tracer() as tr:
         traced = verify(tmp_path / "traced")
-    counts, _, functions = tr.snapshot()
+
+    assert cli.VERIFIERS.keys() == verifiers.keys()
+    assert all(cli.VERIFIERS[k] is fn for k, fn in verifiers.items())
+    for name, before in namespaces.items():
+        after = vars(sys.modules[name])
+        assert [k for k, v in before.items() if after.get(k) is not v] == [], name
+    return plain, traced, tr.snapshot()
+
+
+def test_traced_verify_matches_untraced_and_restores(tmp_path):
+    cfg = {
+        "seed": 0,
+        "model": {"kind": "linear_ma", "d": 1, "innovation": "exponential",
+                  "coeffs": {"0": 1.0, "1": 0.5}},
+        "verify": {"claims": ["coupling_error_decay"],
+                   "overrides": {"coupling_error_decay": {
+                       "depths": [3, 5], "m_cdf": 100, "m_eval": 100}}},
+    }
+    plain, traced, (counts, _, functions) = _traced_and_plain(tmp_path, cfg)
 
     assert sorted(plain) == ["coupling_error_decay.csv", "summary.json"]
     assert traced == plain
@@ -55,8 +69,23 @@ def test_traced_verify_matches_untraced_and_restores(tmp_path):
     assert functions["coupling.cdf_xi_batch"][0] == 2
     assert functions["coupling.estimate_cdf"][0] == 2
 
-    assert cli.VERIFIERS.keys() == verifiers.keys()
-    assert all(cli.VERIFIERS[k] is fn for k, fn in verifiers.items())
-    for name, before in namespaces.items():
-        after = vars(sys.modules[name])
-        assert [k for k, v in before.items() if after.get(k) is not v] == [], name
+
+def test_traced_approximation_study_on_two_workers(tmp_path):
+    cfg = {
+        "seed": 1,
+        "workers": 2,
+        "model": {"kind": "iid", "d": 1},
+        "verify": {"claims": ["approximation_error"],
+                   "overrides": {"approximation_error": {
+                       "depths": [8], "replicates": 7, "exact_phi": True,
+                       "bootstrap": 20}}},
+    }
+    plain, traced, (counts, _, functions) = _traced_and_plain(tmp_path, cfg)
+
+    assert sorted(plain) == ["approximation_error.csv", "summary.json"]
+    assert traced == plain
+    # the runs are spread over the pool's threads; their sum is one per replicate
+    assert functions["coupling.run_coupling"][0] == 7
+    assert counts["coupling.runs"] == 7
+    assert functions["verify.kernel"][0] == 7
+    assert functions["verify.map_replicate_chunks"][0] == 1

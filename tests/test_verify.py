@@ -137,6 +137,23 @@ class TestCheckers:
         with pytest.raises(ValueError, match="at least two points"):
             check(exp_model, **one_point)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"depths": (6, 1)}, "corner"),
+        ({"depths": (6,), "replicates": 1}, "two replicates"),
+    ], ids=["one_corner", "one_replicate"])
+    @pytest.mark.parametrize("exact_phi", [True, False], ids=["exact", "empirical"])
+    def test_approximation_error_rejected_before_sampling(
+        self, monkeypatch, gauss_model, bad, match, exact_phi
+    ):
+        def sampled(*args, **kwargs):
+            raise AssertionError("the study drew samples before rejecting its input")
+
+        for name in ("sample_block", "sample_block_batch", "run_coupling"):
+            monkeypatch.setattr(verify_mod.cpl, name, sampled)
+        with pytest.raises(ValueError, match=match):
+            check_approximation_error(gauss_model, exact_phi=exact_phi, m_cdf=200,
+                                      bootstrap=20, **bad)
+
     def test_approximation_error_keeps_a_single_depth(self, gauss_model):
         rep = check_approximation_error(gauss_model, depths=(6,), replicates=10,
                                         exact_phi=True, bootstrap=20)
@@ -200,6 +217,21 @@ class TestReports:
         assert json.dumps(report_record(a), sort_keys=True) == json.dumps(
             report_record(b), sort_keys=True
         )
+
+    @pytest.mark.parametrize("model, kwargs", [
+        ("gauss_model", {"depths": (48,), "replicates": 4, "exact_phi": True}),
+        ("exp_model", {"depths": (5, 8), "replicates": 12, "m_cdf": 300}),
+    ], ids=["exact_phi_d48", "empirical_cdf"])
+    def test_approximation_error_worker_invariant(self, request, model, kwargs):
+        # depth 48 has 1,421,000 cells, so its prefixes stay in longdouble;
+        # the empirical-CDF threads share one cdfs table
+        model = request.getfixturevalue(model)
+        records = {
+            json.dumps(report_record(check_approximation_error(
+                model, seed=3, bootstrap=50, workers=w, **kwargs)), sort_keys=True)
+            for w in (1, 2, 3)
+        }
+        assert len(records) == 1
 
     def test_emit_report_round_trip(self, tmp_path, ma_model):
         reports = [check_variance_defect(ma_model), check_second_moment(ma_model)]
