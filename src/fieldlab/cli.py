@@ -260,6 +260,7 @@ def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int)
         kwargs[key] = value
     try:
         verify_mod.require_points(fn, kwargs)
+        verify_mod.require_inputs(fn, kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"verify.overrides.{claim}: {e}")
     return kwargs

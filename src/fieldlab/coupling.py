@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .fields import FieldModel, sample_block, sample_block_batch, sigma2
+from .fields import _BATCH_CELLS, FieldModel, sample_block, sample_block_batch, sigma2
 from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
 from .rng import stream, streams
 from .sums import SampleGrid, block_cov, block_var, make_grid, partial_sum
@@ -57,6 +57,7 @@ __all__ = [
     "BlockCouplingSample",
     "block_coupling_samples",
     "coupling_error_decay_study",
+    "study_plans",
     "approximation_error_study",
 ]
 
@@ -574,6 +575,44 @@ def coupling_error_decay_study(
 _CI_LEVEL = 0.90
 
 
+def study_plans(
+    model: FieldModel,
+    depths: Sequence[int],
+    replicates: int,
+    alpha: int = 3,
+    beta: int = 2,
+    tau: float = 1.0,
+) -> list[tuple]:
+    """(depth, scheme, variances, coupled in-cone corners) for each depth.
+
+    Raises ValueError on the inputs approximation_error_study cannot fit:
+    sigma^2 = 0, fewer than two replicates, or a depth with fewer than two
+    coupled in-cone corners.  Building the plans is cheap next to coupling,
+    so a caller can check a study's inputs before any other work starts.
+    """
+    if sigma2(model) == 0:
+        raise ValueError("the study needs sigma^2 != 0")
+    if replicates < 2:
+        raise ValueError("the study needs at least two replicates")
+    params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
+    plans = []
+    for K in depths:
+        scheme = build_scheme(params, K, model.d)
+        variances = scheme_variances(model, scheme)
+        corners = [
+            k
+            for k in sorted(scheme.good)
+            if variances[k].tau2 > 0 and in_balanced_cone(scheme.corner(k), tau)
+        ]
+        if len(corners) < 2:
+            raise ValueError(
+                f"depth {K} has {len(corners)} coupled in-cone corner(s); "
+                "the slope fit needs at least two"
+            )
+        plans.append((K, scheme, variances, corners))
+    return plans
+
+
 def approximation_error_study(
     model: FieldModel,
     depths: Sequence[int],
@@ -600,29 +639,10 @@ def approximation_error_study(
     """
     from .verify import map_replicate_chunks
 
-    if sigma2(model) == 0:
-        raise ValueError("the study needs sigma^2 != 0")
-    if replicates < 2:
-        raise ValueError("the study needs at least two replicates")
-    params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
-    plans = []
-    for K in depths:
-        scheme = build_scheme(params, K, model.d)
-        variances = scheme_variances(model, scheme)
-        corners = [
-            k
-            for k in sorted(scheme.good)
-            if variances[k].tau2 > 0 and in_balanced_cone(scheme.corner(k), tau)
-        ]
-        if len(corners) < 2:
-            raise ValueError(
-                f"depth {K} has {len(corners)} coupled in-cone corner(s); "
-                "the slope fit needs at least two"
-            )
-        plans.append((K, scheme, variances, corners))
-
     out = []
-    for K, scheme, variances, corners in plans:
+    for K, scheme, variances, corners in study_plans(
+        model, depths, replicates, alpha, beta, tau
+    ):
         cdfs = None
         if not exact_phi:
             cdfs = cdf_table(model, scheme, variances, m_cdf, seed)
@@ -637,9 +657,12 @@ def approximation_error_study(
             return [partial_sum(run.field, V) - run.sigma * wiener_sum(run, V)
                     for V in prefixes]
 
+        # a coupled replicate runs on its own, so a task of several would
+        # stack nothing and only idle the other threads: each one claims a
+        # whole task's cells, which makes it one task at every depth
         errs = map_replicate_chunks(
             lambda s, e: np.array([corner_errors(rep) for rep in range(s, e)]),
-            replicates, workers, chunk=1,
+            replicates, _BATCH_CELLS, workers,
         )
 
         logn = np.log(cards)

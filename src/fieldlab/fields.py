@@ -51,8 +51,9 @@ __all__ = [
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
 
-# innovation cells per stacked batch in sample_block_batch (512 KiB of
-# float64): keeps each thread's batch temporaries small on large blocks
+# innovation cells per stacked batch in sample_block_batch, and block cells
+# per task of verify.map_replicate_chunks (512 KiB of float64): keeps each
+# thread's stacked buffers small on large blocks
 _BATCH_CELLS = 1 << 16
 
 

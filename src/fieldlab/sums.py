@@ -7,8 +7,10 @@ the maximum of |S(W)| over ALL sub-blocks W of V, reduced axis by axis: for
 every choice of boundary pairs on the leading axes, the trailing axis
 contributes max - min of a difference profile.  sum_and_max reduces a whole
 stack of replicates at once; this module owns every prefix accumulation
-(always in longdouble) and every rounding of it back to float64.  The
-corner-anchored variant max_{n <= N} |S_n| is a separate, cheaper statistic.
+(always in longdouble), and line_prefix hands the longdouble prefix of a
+d = 1 stack to a caller that reads and rounds only a few of its entries.
+The corner-anchored variant max_{n <= N} |S_n| is a separate, cheaper
+statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
 finite sum of covariances weighted by rectangle-overlap counts, which also
@@ -31,6 +33,7 @@ __all__ = [
     "SampleGrid",
     "make_grid",
     "partial_sum",
+    "line_prefix",
     "sum_and_max",
     "max_sub_block",
     "max_sub_block_naive",
@@ -129,6 +132,17 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
+def line_prefix(values: np.ndarray) -> np.ndarray:
+    """Longdouble prefix sums P_1..P_n of each row of a stack of d = 1 replicates.
+
+    The rows are cast into one longdouble buffer that is then accumulated in
+    place, which gives the bits of cumsum(dtype=longdouble) at half its time.
+    """
+    P = np.empty(values.shape, dtype=np.longdouble)
+    P[...] = values
+    return np.cumsum(P, axis=1, out=P)
+
+
 def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S(V), M(V)) for each replicate of a stack of shape (n,) + V.lengths.
 
@@ -142,9 +156,9 @@ def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         S, M = np.empty(len(values)), np.empty(len(values))
         step = max(1, _LONGDOUBLE_BLOCK_CELLS // values.shape[1])
         for i in range(0, len(values), step):
-            P = np.cumsum(values[i : i + step], axis=1, dtype=np.longdouble)
-            top = np.maximum(P.max(axis=1), 0).astype(np.float64)
-            bottom = np.minimum(P.min(axis=1), 0).astype(np.float64)
+            P = line_prefix(values[i : i + step]).astype(np.float64)
+            top = np.maximum(P.max(axis=1), 0)
+            bottom = np.minimum(P.min(axis=1), 0)
             S[i : i + step], M[i : i + step] = P[:, -1], top - bottom
         return S, M
     P = np.asarray(_prefix_array(values, lead=1), dtype=np.float64)

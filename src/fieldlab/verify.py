@@ -31,17 +31,17 @@ from scipy.special import ndtr
 
 from . import coupling as cpl
 from .fields import (
+    _BATCH_CELLS,
     FieldModel,
     cox_grimmett,
     empirical_dependence_test,
-    sample_block,
     sample_block_batch,
     sigma2,
     support_radius,
 )
 from .lattice import Block, cardinality, inv_norm_sum, inv_norm_sum_bound
 from .rng import stream
-from .sums import block_var, make_grid, sum_and_max, variance_defect
+from .sums import block_var, line_prefix, sum_and_max, variance_defect
 from .theory import moricz_a
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "dkw_bound",
     "map_replicate_chunks",
     "require_points",
+    "require_inputs",
     "check_dependence",
     "check_noise_stability",
     "check_moment_inequality",
@@ -69,6 +70,8 @@ __all__ = [
     "emit_report",
 ]
 
+# the most replicates in one task of map_replicate_chunks: tasks of small
+# blocks stay short enough to spread over the workers
 CHUNK = 256
 
 
@@ -95,13 +98,17 @@ class VerificationReport:
 CLAIMS: dict[str, Callable[..., VerificationReport]] = {}
 
 
-def _claim(claim_id: str, statement: str, fit: str | None = None):
+def _claim(claim_id: str, statement: str, fit: str | None = None,
+           inputs: Callable[[Mapping], object] | None = None):
     """Register a checker in CLAIMS and stamp its reports with the claim.
 
     functools.wraps keeps the checker's signature visible to inspect, which
     the CLI uses to build the checker's arguments.  `fit` names the
     parameter (a ladder, depths or edges) over which the checker fits a
     slope or tests a decrease; require_points checks it before any work.
+    `inputs` raises on arguments the checker would reject only mid-run;
+    require_inputs calls it, so a caller can reject them before any claim
+    runs.
     """
 
     def register(check):
@@ -121,6 +128,7 @@ def _claim(claim_id: str, statement: str, fit: str | None = None):
             )
 
         run.fit = fit
+        run.inputs = inputs
         CLAIMS[claim_id] = run
         return run
 
@@ -136,6 +144,15 @@ def require_points(check: Callable, arguments: Mapping) -> None:
     name = getattr(check, "fit", None)
     if name is not None and name in arguments and len(arguments[name]) < 2:
         raise ValueError(f"{name} needs at least two points")
+
+
+def require_inputs(check: Callable, arguments: Mapping) -> None:
+    """Run the checker's registered input check on its arguments and defaults."""
+    inputs = getattr(check, "inputs", None)
+    if inputs is not None:
+        bound = inspect.signature(check).bind_partial(**arguments)
+        bound.apply_defaults()
+        inputs(bound.arguments)
 
 
 def kolmogorov_distance(sample: np.ndarray, cdf: Callable = ndtr) -> float:
@@ -155,15 +172,20 @@ def dkw_bound(m: int, level: float = 0.01) -> float:
 def map_replicate_chunks(
     kernel: Callable[[int, int], np.ndarray],
     replicates: int,
+    cells: int,
     workers: int = 1,
-    chunk: int = CHUNK,
 ) -> np.ndarray:
-    """Evaluate kernel(start, stop) over replicate chunks of `chunk` replicates.
+    """Evaluate kernel(start, stop) over tasks of consecutive replicates.
 
-    Chunk boundaries never depend on the worker count and results are
-    concatenated in chunk order, so the output is bitwise identical for any
-    number of workers (kernels draw from per-replicate streams).
+    A task holds at most fields._BATCH_CELLS cells of `cells` per replicate
+    and at most CHUNK replicates, and never less than one replicate, so each
+    thread's stacked buffers stay that small whatever the block.  The task
+    length is a function of `cells` alone, never of the worker count, and
+    kernels draw from per-replicate streams and reduce each replicate on its
+    own; results are concatenated in replicate order, so the output is
+    bitwise identical for any number of workers.
     """
+    chunk = min(CHUNK, max(1, _BATCH_CELLS // cells))
     spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
     if workers <= 1:
         parts = [kernel(s, e) for s, e in spans]
@@ -198,7 +220,7 @@ def _sum_max_samples(
             return vals.reshape(e - s, -1).sum(axis=1)[:, None]
         return np.stack(sum_and_max(vals), axis=1)
 
-    out = map_replicate_chunks(kernel, replicates, workers)
+    out = map_replicate_chunks(kernel, replicates, cardinality(V), workers)
     if want_max:
         return out[:, 0], out[:, 1]
     return out[:, 0], None
@@ -740,6 +762,7 @@ def check_tail_bound(
 @_claim(
     "approximation_error",
     "log median|S_N - sigma W_N| grows with log[N] at slope below 1/2.",
+    inputs=lambda a: cpl.study_plans(a["model"], a["depths"], a["replicates"]),
 )
 def check_approximation_error(
     model: FieldModel,
@@ -802,13 +825,10 @@ def check_lil(
     V = Block((0,), (int(ns[-1]),))
 
     def kernel(s: int, e: int) -> np.ndarray:
-        out = np.empty((e - s, depth))
-        for i, rep in enumerate(range(s, e)):
-            grid = make_grid(V, sample_block(model, V, seed, rep, tag="lil"))
-            out[i] = np.asarray(grid.prefix[ns], dtype=np.float64) / denom
-        return out
+        P = line_prefix(sample_block_batch(model, V, seed, range(s, e), tag="lil"))
+        return P[:, ns - 1].astype(np.float64) / denom
 
-    R = map_replicate_chunks(kernel, replicates, workers)
+    R = map_replicate_chunks(kernel, replicates, cardinality(V), workers)
     max_med = float(np.median(R.max(axis=1)))
     min_med = float(np.median(R.min(axis=1)))
     exceed = float(np.mean(np.abs(R[:, -1]) > 1.5))

@@ -126,6 +126,23 @@ class TestConfigValidation:
         assert "second_moment_bound" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"depths": [1]}, "corner"),
+        ({"depths": [6], "replicates": 1}, "two replicates"),
+    ], ids=["one_corner", "one_replicate"])
+    def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, bad, match):
+        path = write_config(
+            tmp_path,
+            verify={"claims": ["variance_defect", "approximation_error"],
+                    "overrides": {"approximation_error": bad}},
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+        assert "variance_defect" not in err
+        assert not out.exists()
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope")

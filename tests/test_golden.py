@@ -20,6 +20,11 @@ the thread workers: an exact-Phi call at depth 48, whose 1,421,000-cell
 prefixes stay in longdouble, and an empirical-CDF call on the exponential
 model, whose threads share one table of CDFs.
 
+Since then replicates are mapped in tasks of at most 2^16 cells, and
+check_lil no longer builds a SampleGrid per replicate: it draws its stack
+through sample_block_batch and reads the dyadic net from sums.line_prefix,
+rounded to float64 at the net.  The digests were kept unchanged.
+
 A change in any drawn value, in the draw order, in the rounding of a prefix
 or in the serialization changes these digests.
 """

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,13 +66,22 @@ class TestStatisticsHelpers:
         )
 
     def test_chunk_map_is_worker_invariant(self):
-        def kernel(s, e):
-            return np.arange(s, e, dtype=np.float64)
+        # cells per replicate -> replicates per task, whatever the workers
+        for cells, task in ((1, 256), (256, 256), (1024, 64), (16384, 4),
+                            (65536, 1), (1 << 20, 1)):
+            spans = []
 
-        a = map_replicate_chunks(kernel, 1000, workers=1)
-        b = map_replicate_chunks(kernel, 1000, workers=3)
-        assert np.array_equal(a, np.arange(1000.0))
-        assert np.array_equal(a, b)
+            def kernel(s, e):
+                spans.append((s, e))
+                return np.arange(s, e, dtype=np.float64)
+
+            a = map_replicate_chunks(kernel, 1000, cells, workers=1)
+            b = map_replicate_chunks(kernel, 1000, cells, workers=3)
+            assert np.array_equal(a, np.arange(1000.0))
+            assert np.array_equal(a, b)
+            expected = [(s, min(s + task, 1000)) for s in range(0, 1000, task)]
+            assert spans[: len(expected)] == expected
+            assert sorted(spans[len(expected) :]) == expected
 
 
 class TestCheckers:
@@ -195,6 +205,55 @@ class TestCheckers:
         rep = check_variance_defect(ma_model)
         assert CLAIMS[rep.claim_id] is check_variance_defect
         assert rep.statement
+
+
+MA_2D = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
+
+# checkers whose replicates map_replicate_chunks groups into tasks, at scales
+# where the default budget gives tasks of 256, of a few and of one replicate
+TASK_CALLS = {
+    "moment_growth": lambda m, w: check_moment_inequality(
+        m, 0.367, ladder=(16, 1024, 32768), replicates=40, seed=3, workers=w),
+    "maximal_growth": lambda m, w: check_maximal_inequality(
+        m, 0.367, ladder=(16, 1024, 32768), replicates=40, seed=3, workers=w),
+    "maximal_growth_2d": lambda m, w: check_maximal_inequality(
+        MA_2D, 0.367, ladder=((4, 4), (16, 16), (64, 64)), replicates=40, seed=3,
+        workers=w),
+    "clt_distance": lambda m, w: check_clt_distance(
+        m, ladder=(100, 20000), replicates=40, seed=3, workers=w),
+    "tail_bound": lambda m, w: check_tail_bound(
+        m, 0.367, V=20000, xs=(1.5, 2.0, 2.5, 3.0), replicates=40, seed=3,
+        workers=w),
+    "iterated_logarithm": lambda m, w: check_lil(
+        m, depth=15, replicates=12, seed=3, workers=w),
+}
+
+
+@pytest.mark.parametrize("call", sorted(TASK_CALLS))
+def test_reports_do_not_depend_on_task_size(monkeypatch, assoc_model, call):
+    records = []
+    for budget in (verify_mod._BATCH_CELLS, 1):  # one cell: one replicate per task
+        monkeypatch.setattr(verify_mod, "_BATCH_CELLS", budget)
+        for workers in (1, 2):
+            records.append(report_record(TASK_CALLS[call](assoc_model, workers)))
+    assert all(r == records[0] for r in records[1:])
+
+
+@pytest.mark.parametrize("model, ladder, replicates", [
+    (None, (8192, 16384), 512),
+    (MA_2D, ((32, 32), (64, 64)), 256),
+], ids=["d1", "d2"])
+def test_maximal_growth_memory_is_bounded(assoc_model, model, ladder, replicates):
+    # a task holds at most _BATCH_CELLS cells, so the peak does not grow
+    # with the replicate count (256 replicates per task peaked above 32 MiB)
+    tracemalloc.start()
+    try:
+        check_maximal_inequality(model or assoc_model, 0.367, ladder=ladder,
+                                 replicates=replicates, seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 class TestReports:
