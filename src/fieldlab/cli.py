@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .coupling import approximation_error_study
+from .coupling import approximation_error_study, study_plans
 from .fields import FieldModel, iid_model, linear_ma_model
 from .lattice import Block, cardinality
 from .sums import anchored_abs_max, make_grid, max_sub_block, partial_sum
@@ -318,19 +318,20 @@ def _cmd_couple(args) -> int:
     exact_phi = section.get("exact_phi", False)
     if not isinstance(exact_phi, bool):
         raise ConfigError("couple.exact_phi must be true or false")
+    depths = tuple(_as_int(k, "couple.depths[…]", 2) for k in depths)
+    replicates = _as_int(section.get("replicates", 100), "couple.replicates", 2)
+    alpha = _as_int(section.get("alpha", 3), "couple.alpha", 2)
+    beta = _as_int(section.get("beta", 2), "couple.beta", 2)
+    m_cdf = _as_int(section.get("m_cdf", 10_000), "couple.m_cdf", 100)
+    bootstrap = _as_int(section.get("bootstrap", 1000), "couple.bootstrap", 10)
+    try:
+        study_plans(model, depths, replicates, alpha, beta, float(tau))
+    except ValueError as e:
+        raise ConfigError(f"couple: {e}")
     outdir = _resolve_outdir(args, cfg)
     studies = approximation_error_study(
-        model,
-        tuple(_as_int(k, "couple.depths[…]", 2) for k in depths),
-        _as_int(section.get("replicates", 100), "couple.replicates", 2),
-        cfg["seed"],
-        alpha=_as_int(section.get("alpha", 3), "couple.alpha", 2),
-        beta=_as_int(section.get("beta", 2), "couple.beta", 2),
-        tau=float(tau),
-        exact_phi=exact_phi,
-        m_cdf=_as_int(section.get("m_cdf", 10_000), "couple.m_cdf", 100),
-        bootstrap=_as_int(section.get("bootstrap", 1000), "couple.bootstrap", 10),
-        workers=_workers(cfg),
+        model, depths, replicates, cfg["seed"], alpha=alpha, beta=beta, tau=float(tau),
+        exact_phi=exact_phi, m_cdf=m_cdf, bootstrap=bootstrap, workers=_workers(cfg),
     )
     doc = {"model": verify_mod._model_inputs(model), "seed": cfg["seed"],
            "studies": verify_mod._jsonable(studies)}

@@ -17,6 +17,13 @@ that W(B_k) = sqrt(|B_k|) eta_k exactly.
 All randomness is drawn from counter-based streams keyed by (seed, tag,
 replicate), so a run is a pure function of (model, scheme, seed, replicate)
 and any batching of replicates is equivalent.
+
+run_coupling holds a replicate's whole domain: the field, the Wiener grid
+and both prefix arrays.  The S - sigma W study reads only one prefix value
+per block corner, and in d = 1 the blocks are consecutive segments, so
+corner_errors couples a d = 1 replicate slab by slab, with the same draws
+and the same float operations, carrying only the moving-average overlap
+and the running prefix totals from one slab to the next.
 """
 
 from __future__ import annotations
@@ -29,10 +36,19 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .fields import _BATCH_CELLS, FieldModel, sample_block, sample_block_batch, sigma2
+from .fields import (
+    _BATCH_CELLS,
+    FieldModel,
+    _dilation,
+    _field_from_innovations,
+    innovations,
+    sample_block,
+    sample_block_batch,
+    sigma2,
+)
 from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
 from .rng import stream, streams
-from .sums import SampleGrid, block_cov, block_var, make_grid, partial_sum
+from .sums import SampleGrid, block_cov, block_var, line_prefix, make_grid, partial_sum
 from .theory import SchemeParams, block_boundary
 
 __all__ = [
@@ -53,6 +69,7 @@ __all__ = [
     "run_coupling",
     "build_wiener",
     "wiener_sum",
+    "corner_errors",
     "decomposition_terms",
     "BlockCouplingSample",
     "block_coupling_samples",
@@ -307,6 +324,23 @@ def cdf_table(
     return out
 
 
+def _couple_block(u: float, z: float, bv: BlockVariance, cdf) -> tuple:
+    """(w, xi, eta, e) of one block from its head sum u and companion draw z.
+
+    cdf is the block shape's empirical CDF, or None for the exact-Phi
+    shortcut eta = xi.
+    """
+    w = z * math.sqrt(bv.tau2)
+    x = xi(u, w, bv.sigma2, bv.tau2)
+    eta = x if cdf is None else float(quantile_transform(x, cdf))
+    return w, x, eta, float(coupling_error(x, eta, bv.sigma2, bv.tau2))
+
+
+def _condition(zeta: np.ndarray, eta: float) -> None:
+    """Recenter a coupled block's increments in place to total sqrt(|B|) eta."""
+    zeta[...] = eta / math.sqrt(zeta.size) + (zeta - zeta.mean())
+
+
 @dataclass(frozen=True)
 class CouplingRun:
     """One replicate of the full coupling pipeline on a scheme domain."""
@@ -368,14 +402,8 @@ def run_coupling(
     draws = gen.standard_normal(len(coupled))
     w, xis, etas, errs = {}, {}, {}, {}
     for k, z in zip(coupled, draws):
-        bv = variances[k]
-        w[k] = z * math.sqrt(bv.tau2)
-        xis[k] = xi(u[k], w[k], bv.sigma2, bv.tau2)
-        if exact_phi:
-            etas[k] = xis[k]
-        else:
-            etas[k] = float(quantile_transform(xis[k], cdfs[_shape_key(scheme, k)]))
-        errs[k] = float(coupling_error(xis[k], etas[k], bv.sigma2, bv.tau2))
+        cdf = None if exact_phi else cdfs[_shape_key(scheme, k)]
+        w[k], xis[k], etas[k], errs[k] = _couple_block(u[k], z, variances[k], cdf)
 
     Z = build_wiener(scheme, etas, seed, replicate, coupled=coupled)
     return CouplingRun(
@@ -421,14 +449,92 @@ def build_wiener(
     Z = gen.standard_normal(scheme.domain.lengths)
     for k in coupled:
         B = scheme.block(k)
-        sl = tuple(slice(a, b) for a, b in zip(B.a, B.b))
-        zeta = Z[sl]
-        Z[sl] = etas[k] / math.sqrt(cardinality(B)) + (zeta - zeta.mean())
+        _condition(Z[tuple(slice(a, b) for a, b in zip(B.a, B.b))], etas[k])
     return Z
 
 
 def wiener_sum(run: CouplingRun, V: Block) -> float:
     return partial_sum(run.wiener, V)
+
+
+def _slabs(scheme: BlockScheme):
+    """(first, last) block numbers of each slab of a d = 1 scheme.
+
+    A slab is a run of consecutive blocks with at most _BATCH_CELLS cells in
+    all; a larger block is a slab of its own.
+    """
+    bounds = scheme.boundaries
+    first = 1
+    for k in range(2, scheme.K + 1):
+        if bounds[k] - bounds[first - 1] > _BATCH_CELLS:
+            yield first, k - 1
+            first = k
+    yield first, scheme.K
+
+
+def corner_errors(
+    model: FieldModel,
+    scheme: BlockScheme,
+    seed: int,
+    replicate: int,
+    variances: Mapping,
+    cdfs: Mapping | None,
+    exact_phi: bool,
+    corners: Sequence,
+) -> list[float]:
+    """S(0, N] - sigma W(0, N] at the upper corner N of each block in corners.
+
+    Bit for bit the numbers partial_sum(run.field, V) - run.sigma *
+    wiener_sum(run, V), V = (0, N], of run = run_coupling(model, scheme,
+    seed, replicate, variances, cdfs, exact_phi=exact_phi).  In d >= 2 they
+    are read from that run.  In d = 1 the replicate is coupled slab by slab
+    (see _slabs), drawing each stream in order: only the moving-average
+    overlap of the innovations and the two running longdouble prefix totals
+    carry to the next slab, so memory is set by the largest slab, not by
+    the domain.
+    """
+    if exact_phi and model.innovation != "normal":
+        raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
+    sigma = math.sqrt(sigma2(model))
+    if model.d != 1:
+        run = run_coupling(model, scheme, seed, replicate, variances=variances,
+                           cdfs=cdfs, exact_phi=exact_phi)
+        return [partial_sum(run.field, V) - sigma * wiener_sum(run, V)
+                for V in (Block((0,) * model.d, scheme.corner(k)) for k in corners)]
+
+    coupled = [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
+    draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
+    companions = dict(zip(coupled, draws))
+    field_gen = stream(seed, "field", replicate)
+    wiener_gen = stream(seed, "wiener", replicate)
+    lo, hi = _dilation(model)
+    overlap = innovations(field_gen, hi[0] - lo[0], model.innovation)
+    field_total = wiener_total = 0
+    errs = {}
+    for first, last in _slabs(scheme):
+        s0, n = scheme.boundaries[first - 1], scheme.boundaries[last]
+        z = np.concatenate([overlap, innovations(field_gen, n - s0, model.innovation)])
+        overlap = z[n - s0 :]
+        P = line_prefix(_field_from_innovations(model, z, (n - s0,)), field_total)
+        Z = wiener_gen.standard_normal(n - s0)
+
+        def at(prefix, total, i):  # S(0, i] rounded to float64, s0 <= i <= n
+            return float(prefix[i - s0 - 1] if i > s0 else total)
+
+        blocks = [(j,) for j in range(first, last + 1)]
+        for k in blocks:
+            if k in companions:
+                B = scheme.block(k)
+                u = at(P, field_total, scheme.head(k).b[0]) - at(P, field_total, B.a[0])
+                cdf = None if exact_phi else cdfs[_shape_key(scheme, k)]
+                _, _, eta, _ = _couple_block(u, companions[k], variances[k], cdf)
+                _condition(Z[B.a[0] - s0 : B.b[0] - s0], eta)
+        PW = line_prefix(Z, wiener_total)
+        for k in blocks:
+            N = scheme.boundaries[k[0]]
+            errs[k] = at(P, field_total, N) - sigma * at(PW, wiener_total, N)
+        field_total, wiener_total = P[-1], PW[-1]
+    return [errs[k] for k in corners]
 
 
 def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float, float]:
@@ -633,8 +739,9 @@ def approximation_error_study(
     regresses log median|err| on log volume.  The slope's bootstrap
     confidence interval (over replicates) is attached per depth.
 
-    Replicates are coupled one per task on `workers` threads, so each
-    thread holds one coupled replicate at a time; the result does not
+    Replicates are coupled one per task on `workers` threads through
+    corner_errors, so each thread holds one coupled replicate at a time: in
+    d = 1 one slab of it, in d >= 2 its whole domain.  The result does not
     depend on the worker count.
     """
     from .verify import map_replicate_chunks
@@ -646,35 +753,32 @@ def approximation_error_study(
         cdfs = None
         if not exact_phi:
             cdfs = cdf_table(model, scheme, variances, m_cdf, seed)
-        prefixes = [Block((0,) * model.d, scheme.corner(k)) for k in corners]
-        cards = np.array([cardinality(V) for V in prefixes], dtype=np.float64)
-
-        def corner_errors(rep: int) -> list[float]:
-            run = run_coupling(
-                model, scheme, seed, rep,
-                variances=variances, cdfs=cdfs, exact_phi=exact_phi,
-            )
-            return [partial_sum(run.field, V) - run.sigma * wiener_sum(run, V)
-                    for V in prefixes]
+        cards = np.array([math.prod(scheme.corner(k)) for k in corners], dtype=np.float64)
 
         # a coupled replicate runs on its own, so a task of several would
         # stack nothing and only idle the other threads: each one claims a
         # whole task's cells, which makes it one task at every depth
-        errs = map_replicate_chunks(
-            lambda s, e: np.array([corner_errors(rep) for rep in range(s, e)]),
+        errs = np.abs(map_replicate_chunks(
+            lambda s, e: np.array([
+                corner_errors(model, scheme, seed, rep, variances, cdfs, exact_phi, corners)
+                for rep in range(s, e)
+            ]),
             replicates, _BATCH_CELLS, workers,
-        )
+        ))
 
         logn = np.log(cards)
-        med = np.median(np.abs(errs), axis=0)
+        med = np.median(errs, axis=0)
         slope = float(np.polyfit(logn, np.log(med), 1)[0])
 
         gen = stream(seed, "bootstrap", 0)
         draws = gen.integers(0, replicates, size=(bootstrap, replicates))
         slopes = np.empty(bootstrap)
-        for b in range(bootstrap):
-            m_b = np.median(np.abs(errs[draws[b]]), axis=0)
-            slopes[b] = np.polyfit(logn, np.log(m_b), 1)[0]
+        # medians of 100 draws at a time, bitwise those of one draw at a time;
+        # the fits stay one per draw, as a stacked fit rounds differently
+        for b0 in range(0, bootstrap, 100):
+            meds = np.median(errs[draws[b0 : b0 + 100]], axis=1)
+            for b, m_b in enumerate(meds, b0):
+                slopes[b] = np.polyfit(logn, np.log(m_b), 1)[0]
         lo, hi = np.quantile(slopes, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
         out.append(
             {

@@ -51,9 +51,10 @@ __all__ = [
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
 
-# innovation cells per stacked batch in sample_block_batch, and block cells
-# per task of verify.map_replicate_chunks (512 KiB of float64): keeps each
-# thread's stacked buffers small on large blocks
+# block cells per stacked batch of sample_block_batch, per task of
+# verify.map_replicate_chunks and per slab of coupling.corner_errors (512 KiB
+# of float64): keeps each thread's buffers small on large blocks, and a task
+# is one batch
 _BATCH_CELLS = 1 << 16
 
 
@@ -244,13 +245,14 @@ def sample_block_batch(
     Row r is bitwise identical to sample_block(..., replicate=r) regardless
     of batching, so any chunking of the replicate range is equivalent.
     Innovations are drawn per replicate into a stacked grid, and the moving
-    average is evaluated once per batch of about _BATCH_CELLS innovations.
+    average is evaluated once per batch of at most _BATCH_CELLS block cells
+    (never less than one replicate).
     """
     lens = block.lengths
     zshape = _innovation_shape(model, lens)
     n = len(replicates)
     out = np.empty((n,) + tuple(lens), dtype=np.float64)
-    batch = max(1, _BATCH_CELLS // math.prod(zshape))
+    batch = max(1, _BATCH_CELLS // math.prod(lens))
     gens = streams(seed, tag, replicates)
     for s in range(0, n, batch):
         z = np.empty((min(batch, n - s),) + zshape, dtype=np.float64)

@@ -6,9 +6,11 @@ any sub-block sum is an inclusion-exclusion of 2^d prefix entries.  M(V) is
 the maximum of |S(W)| over ALL sub-blocks W of V, reduced axis by axis: for
 every choice of boundary pairs on the leading axes, the trailing axis
 contributes max - min of a difference profile.  sum_and_max reduces a whole
-stack of replicates at once; this module owns every prefix accumulation
-(always in longdouble), and line_prefix hands the longdouble prefix of a
-d = 1 stack to a caller that reads and rounds only a few of its entries.
+stack of replicates at once.  This module owns every prefix accumulation:
+it always accumulates in longdouble, and a stored prefix array is always
+rounded to float64.  line_prefix hands the longdouble prefix of a d = 1
+stack, optionally carried on from a running total, to a caller that reads
+and rounds only a few of its entries.
 The corner-anchored variant max_{n <= N} |S_n| is a separate, cheaper
 statistic.
 
@@ -45,10 +47,6 @@ __all__ = [
     "variance_ratio",
 ]
 
-# Above this many cells per replicate the prefix array keeps extended precision
-# instead of rounding back to float64 (accumulation itself is always extended).
-_LONGDOUBLE_CELLS = 10**6
-
 # sum_and_max holds at most this many longdouble prefix cells at once in
 # d = 1, so its peak memory is the float64 stack plus a small block
 _LONGDOUBLE_BLOCK_CELLS = 2**16
@@ -71,19 +69,15 @@ def _prefix_array(values: np.ndarray, lead: int = 0) -> np.ndarray:
     """Corner prefix sums over the block axes, with a zero slab on each.
 
     The first `lead` axes of values index replicates and are not summed.
+    The sums accumulate in longdouble and are stored rounded to float64.
     """
     lens = values.shape[lead:]
-    inner = (...,) + (slice(1, None),) * len(lens)
-    keep = math.prod(lens) > _LONGDOUBLE_CELLS
-    out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens),
-                   dtype=np.longdouble if keep else np.float64)
-    # a kept longdouble prefix accumulates inside the padded output itself
-    acc = out[inner] if keep else np.empty(values.shape, dtype=np.longdouble)
+    acc = np.empty(values.shape, dtype=np.longdouble)
     acc[...] = values
     for ax in range(lead, values.ndim):
         np.cumsum(acc, axis=ax, out=acc)
-    if not keep:
-        out[inner] = acc
+    out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens))
+    out[(...,) + (slice(1, None),) * len(lens)] = acc
     return out
 
 
@@ -132,15 +126,20 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
-def line_prefix(values: np.ndarray) -> np.ndarray:
-    """Longdouble prefix sums P_1..P_n of each row of a stack of d = 1 replicates.
+def line_prefix(values: np.ndarray, start=0) -> np.ndarray:
+    """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values.
 
-    The rows are cast into one longdouble buffer that is then accumulated in
-    place, which gives the bits of cumsum(dtype=longdouble) at half its time.
+    The values are cast into one longdouble buffer that is then accumulated
+    in place, which gives the bits of cumsum(dtype=longdouble) at half its
+    time.  The sums run on from `start`, so the prefix of a long line taken
+    segment by segment, each starting from the last total of the one before,
+    has the bits of the prefix of the whole line.
     """
     P = np.empty(values.shape, dtype=np.longdouble)
     P[...] = values
-    return np.cumsum(P, axis=1, out=P)
+    if start:
+        P[..., 0] += start
+    return np.cumsum(P, axis=-1, out=P)
 
 
 def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +160,7 @@ def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             bottom = np.minimum(P.min(axis=1), 0)
             S[i : i + step], M[i : i + step] = P[:, -1], top - bottom
         return S, M
-    P = np.asarray(_prefix_array(values, lead=1), dtype=np.float64)
+    P = _prefix_array(values, lead=1)
     return values.reshape(len(values), -1).sum(axis=1), _max_abs_over_subrects(P)
 
 
@@ -192,8 +191,7 @@ def max_sub_block_naive(grid: SampleGrid) -> float:
 
 def anchored_abs_max(grid: SampleGrid) -> float:
     """max |S((a, n])| over corner-anchored n in the grid's base block."""
-    corners = grid.prefix[(slice(1, None),) * grid.block.d]
-    return float(np.abs(np.asarray(corners, dtype=np.float64)).max())
+    return float(np.abs(grid.prefix[(slice(1, None),) * grid.block.d]).max())
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fieldlab
 from fieldlab.cli import main
 
 
@@ -47,9 +50,12 @@ class TestTheory:
         assert main(["theory"]) == 2
 
     def test_module_entry_point(self):
+        # the subprocess imports the package that this test imported
+        src = str(Path(fieldlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fieldlab", "theory", "--p", "5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["delta"] == pytest.approx(0.367007, abs=1e-5)
@@ -104,6 +110,19 @@ class TestConfigValidation:
         assert main(["couple", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_couple_inputs_checked_before_output(self, tmp_path, capsys):
+        # sigma^2 = (1 - 1)^2 = 0 leaves the study no scale to fit
+        path = write_config(
+            tmp_path,
+            model={"kind": "linear_ma", "d": 1, "coeffs": {"0": 1, "1": -1}},
+            couple={"depths": [4, 6], "replicates": 5, "exact_phi": True},
+        )
+        out = tmp_path / "out"
+        assert main(["couple", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "sigma^2" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("claim, one_point", [
         ("moment_growth", {"ladder": [16]}),

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from fieldlab import coupling
 from fieldlab.coupling import (
     BlockVariance,
     EmpiricalCdf,
@@ -15,6 +17,7 @@ from fieldlab.coupling import (
     cdf_table,
     coupling_error,
     coupling_error_decay_study,
+    corner_errors,
     decomposition_terms,
     estimate_cdf,
     good_span,
@@ -229,3 +232,71 @@ class TestStudies:
         assert row["cards"][-1] > 10_000
         assert row["ci_low"] <= row["slope"] <= row["ci_high"]
         assert row["slope"] < 0.6
+
+
+class TestCornerErrors:
+    """The slab-by-slab d = 1 coupling against the whole-domain run."""
+
+    MODELS = {
+        "iid_exact": (iid_model(1), True),
+        "negative_lag_exact": (linear_ma_model(1, {(-2,): 0.3, (0,): 1.0, (1,): 0.5}), True),
+        "exponential_cdf": (linear_ma_model(1, {(0,): 1.0, (1,): 0.5}, "exponential"), False),
+        "rademacher_cdf": (
+            linear_ma_model(1, {(-1,): 0.4, (0,): 1.0, (2,): -0.5}, "rademacher"), False),
+        "d2_exact": (linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3}), True),
+    }
+
+    @staticmethod
+    def _reference(model, scheme, seed, rep, variances, cdfs, exact_phi, corners):
+        run = run_coupling(model, scheme, seed, rep, variances=variances, cdfs=cdfs,
+                           exact_phi=exact_phi)
+        prefixes = [Block((0,) * model.d, scheme.corner(k)) for k in corners]
+        return [partial_sum(run.field, V) - run.sigma * wiener_sum(run, V) for V in prefixes]
+
+    @pytest.mark.parametrize("budget", [2**16, 300, 1], ids=["one_slab", "slabs", "blocks"])
+    @pytest.mark.parametrize("alpha", [3, 4])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_equals_run_coupling(self, monkeypatch, name, alpha, budget):
+        # a 300-cell budget splits the domain into slabs, with the top blocks
+        # larger than a slab; a budget of one cell makes each block a slab
+        model, exact_phi = self.MODELS[name]
+        scheme = build_scheme(SchemeParams(alpha=alpha, beta=2, tau=1.0),
+                              K=9 if model.d == 1 else 4, d=model.d)
+        variances = scheme_variances(model, scheme)
+        cdfs = None if exact_phi else cdf_table(model, scheme, variances, 100, seed=2)
+        corners = [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
+        monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
+        for rep in (0, 5):
+            args = (model, scheme, 2, rep, variances, cdfs, exact_phi, corners)
+            assert corner_errors(*args) == self._reference(*args)
+
+    @pytest.mark.parametrize("budget", [1, 49, 50, 300, 2**16])  # blocks 1-3 hold 50 cells
+    def test_slabs_tile_the_blocks(self, monkeypatch, budget):
+        monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
+        scheme = build_scheme(PARAMS, K=12, d=1)
+        bounds = scheme.boundaries
+        slabs = list(coupling._slabs(scheme))
+        assert [f for f, _ in slabs] == [1] + [last + 1 for _, last in slabs[:-1]]
+        assert slabs[-1][1] == 12
+        for first, last in slabs:
+            assert first == last or bounds[last] - bounds[first - 1] <= budget
+        for (first, _), (nxt, _) in zip(slabs, slabs[1:]):
+            assert bounds[nxt] - bounds[first - 1] > budget  # no slab could take more
+
+    def test_exact_phi_requires_normal(self, exp_model):
+        scheme = build_scheme(PARAMS, K=3, d=1)
+        variances = scheme_variances(exp_model, scheme)
+        with pytest.raises(ValueError, match="Gaussian"):
+            corner_errors(exp_model, scheme, 0, 0, variances, None, True, [(2,), (3,)])
+
+    def test_study_memory_is_set_by_the_slab(self, gauss_model):
+        # depth 48 has 1,421,000 cells; holding the whole domain, as
+        # run_coupling does, peaked at 65 MiB
+        tracemalloc.start()
+        try:
+            approximation_error_study(gauss_model, depths=(48,), replicates=2, seed=1,
+                                      exact_phi=True, bootstrap=20, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20

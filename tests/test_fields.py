@@ -114,16 +114,16 @@ class TestSampling:
         else:
             model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3, (0, -1): 0.2}, kind)
             block = Block((0, -2), (edge, edge + 1))
-        zcells = math.prod(fields._innovation_shape(model, block.lengths))
         # a cap of per_batch replicates, and a range that crosses its boundary
         reps = range(start, start + per_batch + extra)
-        with mock.patch.object(fields, "_BATCH_CELLS", per_batch * zcells):
+        cells = math.prod(block.lengths)
+        with mock.patch.object(fields, "_BATCH_CELLS", per_batch * cells):
             batch = sample_block_batch(model, block, 5, reps, tag="eq")
         for row, rep in zip(batch, reps, strict=True):
             assert np.array_equal(row, sample_block(model, block, 5, rep, tag="eq"))
 
     def test_batch_rows_match_sample_block_at_the_default_cap(self, assoc_model):
-        # 2^14 cells: three replicates per batch, so range(2, 9) spans three batches
+        # 2^14 cells: four replicates per batch, so range(2, 9) spans two batches
         block = Block((0,), (2**14,))
         batch = sample_block_batch(assoc_model, block, seed=1, replicates=range(2, 9))
         for row, rep in zip(batch, range(2, 9)):

@@ -17,13 +17,21 @@ The approximation_error configs' digests were recorded while the study
 coupled its replicates one after another on one thread, with the longdouble
 prefix copied into its zero-padded array.  They pin the S - sigma W study on
 the thread workers: an exact-Phi call at depth 48, whose 1,421,000-cell
-prefixes stay in longdouble, and an empirical-CDF call on the exponential
-model, whose threads share one table of CDFs.
+prefixes were then kept in longdouble, and an empirical-CDF call on the
+exponential model, whose threads share one table of CDFs.
 
 Since then replicates are mapped in tasks of at most 2^16 cells, and
 check_lil no longer builds a SampleGrid per replicate: it draws its stack
 through sample_block_batch and reads the dyadic net from sums.line_prefix,
 rounded to float64 at the net.  The digests were kept unchanged.
+
+The last digests were recorded while every S - sigma W replicate was still
+coupled on its whole domain through run_coupling.  They pin the d = 1 study
+coupled slab by slab through coupling.corner_errors: an empirical-CDF call
+on a Rademacher kernel with a negative lag whose depth-24 domain spans two
+slabs, and a `couple` run at alpha = 4 whose depth-16 top block is larger
+than a slab.  A d = 2 `couple` run pins the whole-domain path that d >= 2
+keeps.  Every prefix array is now stored rounded to float64.
 
 A change in any drawn value, in the draw order, in the rounding of a prefix
 or in the serialization changes these digests.
@@ -124,14 +132,45 @@ APPROXIMATION = [
              "e942964d9c514fab56e98633601b2b97987749506039f7ce1d81e36a1722c3ba",
          "summary.json": "5f7318c9a645131f5f74625230f7b87f3a2c267a8aff6a996da9d891671b68a0"},
     ),
+    (
+        {"seed": 9,
+         "model": {"kind": "linear_ma", "d": 1, "innovation": "rademacher",
+                   "coeffs": {"-1": 0.4, "0": 1.0, "2": -0.5}},
+         "verify": {"claims": ["approximation_error"], "overrides": {"approximation_error": {
+             "depths": [8, 24], "replicates": 8, "m_cdf": 200, "bootstrap": 30}}}},
+        1,
+        {"approximation_error.csv":
+             "70ecbbdf40c648bc17779c1987576c1f79e64603cc84b138e041ec6e52c26b2f",
+         "summary.json": "53c9f4cba0aee04820e15b9a81985749ad43ce8377c7ae772f400b1a6e1568d0"},
+    ),
+]
+
+# `couple` configs and the digests of couple.json and couple.csv
+COUPLE = [
+    (
+        {"seed": 6,
+         "model": {"kind": "linear_ma", "d": 1, "coeffs": {"-2": 0.3, "0": 1.0, "1": 0.5}},
+         "couple": {"depths": [6, 16], "replicates": 6, "exact_phi": True,
+                    "alpha": 4, "bootstrap": 30}},
+        {"couple.csv": "70b6d304969ca8c719a52705a1cec147e4ca0fb5441abdf32eeee1f6a739d2c0",
+         "couple.json": "f735e3fa31f5d760a8fd498838063face8b5c962e3dbe5af1f46d3be058bce3e"},
+    ),
+    (
+        {"seed": 8,
+         "model": {"kind": "linear_ma", "d": 2, "coeffs": {"0,0": 1.0, "1,0": -0.3}},
+         "couple": {"depths": [4, 6], "replicates": 6, "exact_phi": True,
+                    "tau": 0.5, "bootstrap": 20}},
+        {"couple.csv": "378f64c3f54d157dde244eb16ddabdaee697110bb43983153fd59556d34641e8",
+         "couple.json": "24489fd315df12467c53f38156ea981b20d6b6a1b5495989e9011e0cd7cdb7af"},
+    ),
 ]
 
 
-def _digests(tmp_path, config) -> tuple[int, dict]:
+def _digests(tmp_path, config, command="verify") -> tuple[int, dict]:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    code = main(["verify", "--config", str(path), "--output-dir", str(out)])
+    code = main([command, "--config", str(path), "--output-dir", str(out)])
     return code, {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                   for p in out.iterdir() if p.name != "resolved_config.json"}
 
@@ -148,7 +187,13 @@ def test_stacked_reductions_match_recorded_digests(tmp_path, config, code, diges
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("config, code, digests", APPROXIMATION,
-                         ids=["exact_phi_d48", "empirical_cdf"])
+                         ids=["exact_phi_d48", "empirical_cdf", "rademacher_cdf"])
 def test_approximation_study_matches_recorded_digests(tmp_path, config, code, digests,
                                                       workers):
     assert _digests(tmp_path, {**config, "workers": workers}) == (code, digests)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config, digests", COUPLE, ids=["alpha4_d1", "exact_phi_d2"])
+def test_couple_matches_recorded_digests(tmp_path, config, digests, workers):
+    assert _digests(tmp_path, {**config, "workers": workers}, "couple") == (0, digests)

@@ -152,11 +152,13 @@ class TestMaxSubBlock:
                 assert s == row.sum()
 
     def test_longdouble_rule_counts_one_replicate(self):
-        # the stacks hold more than _LONGDOUBLE_CELLS cells, each replicate fewer
+        # every prefix is stored rounded to float64; the stacks hold more cells
+        # than the 10^6 per replicate above which a prefix once stayed longdouble
+        limit = 10**6
         gen = np.random.default_rng(3)
         for shape in ((3, 400_000), (3, 4, 100_000)):
             values = gen.standard_normal(shape) * 1e3
-            assert values.size > sums._LONGDOUBLE_CELLS > values[0].size
+            assert values.size > limit > values[0].size
             V = Block((0,) * (values.ndim - 1), values.shape[1:])
             P = sums._prefix_array(values, lead=1)
             assert P.dtype == np.float64
@@ -166,8 +168,8 @@ class TestMaxSubBlock:
                 np.testing.assert_array_equal(p, grid.prefix)
                 assert m == max_sub_block(grid)
                 assert s == (partial_sum(grid, V) if V.d == 1 else row.sum())
-        big = gen.standard_normal((2, sums._LONGDOUBLE_CELLS + 1))
-        assert sums._prefix_array(big, lead=1).dtype == np.longdouble
+        big = gen.standard_normal((2, limit + 1))
+        assert sums._prefix_array(big, lead=1).dtype == np.float64
 
     def test_dominates_anchored(self):
         gen = np.random.default_rng(9)

@@ -84,8 +84,8 @@ def test_traced_approximation_study_on_two_workers(tmp_path):
 
     assert sorted(plain) == ["approximation_error.csv", "summary.json"]
     assert traced == plain
-    # the runs are spread over the pool's threads; their sum is one per replicate
-    assert functions["coupling.run_coupling"][0] == 7
-    assert counts["coupling.runs"] == 7
+    # the replicates are spread over the pool's threads; their sum is one per
+    # replicate, each coupled slab by slab through corner_errors
+    assert functions["coupling.corner_errors"][0] == 7
     assert functions["verify.kernel"][0] == 7
     assert functions["verify.map_replicate_chunks"][0] == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from fieldlab import fields
 from fieldlab import verify as verify_mod
 from fieldlab.cli import VERIFIERS
 from fieldlab.fields import linear_ma_model
@@ -158,7 +159,7 @@ class TestCheckers:
         def sampled(*args, **kwargs):
             raise AssertionError("the study drew samples before rejecting its input")
 
-        for name in ("sample_block", "sample_block_batch", "run_coupling"):
+        for name in ("sample_block", "sample_block_batch", "run_coupling", "corner_errors"):
             monkeypatch.setattr(verify_mod.cpl, name, sampled)
         with pytest.raises(ValueError, match=match):
             check_approximation_error(gauss_model, exact_phi=exact_phi, m_cdf=200,
@@ -256,6 +257,22 @@ def test_maximal_growth_memory_is_bounded(assoc_model, model, ladder, replicates
     assert peak < 8 * 2**20
 
 
+def test_one_sampling_batch_per_task(monkeypatch, assoc_model):
+    # tasks and batches are both sized by block cells, so each task of 8 and
+    # 4 replicates is one batch: 64 + 128 evaluations
+    calls = []
+    evaluate = fields._field_from_innovations
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(fields, "_field_from_innovations", counted)
+    check_moment_inequality(assoc_model, 0.367, ladder=(8192, 16384), replicates=512,
+                            seed=1, workers=1)
+    assert len(calls) == 192
+
+
 class TestReports:
     def test_record_shape_and_null_seconds(self, ma_model):
         rep = check_variance_defect(ma_model)
@@ -282,7 +299,7 @@ class TestReports:
         ("exp_model", {"depths": (5, 8), "replicates": 12, "m_cdf": 300}),
     ], ids=["exact_phi_d48", "empirical_cdf"])
     def test_approximation_error_worker_invariant(self, request, model, kwargs):
-        # depth 48 has 1,421,000 cells, so its prefixes stay in longdouble;
+        # depth 48 has 1,421,000 cells, coupled in slabs;
         # the empirical-CDF threads share one cdfs table
         model = request.getfixturevalue(model)
         records = {
