@@ -259,7 +259,6 @@ def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int)
             value = tuple(value)
         kwargs[key] = value
     try:
-        verify_mod.require_points(fn, kwargs)
         verify_mod.require_inputs(fn, kwargs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"verify.overrides.{claim}: {e}")
@@ -316,8 +315,6 @@ def _cmd_couple(args) -> int:
     if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < math.inf:
         raise ConfigError("couple.tau must be a positive number")
     exact_phi = section.get("exact_phi", False)
-    if not isinstance(exact_phi, bool):
-        raise ConfigError("couple.exact_phi must be true or false")
     depths = tuple(_as_int(k, "couple.depths[…]", 2) for k in depths)
     replicates = _as_int(section.get("replicates", 100), "couple.replicates", 2)
     alpha = _as_int(section.get("alpha", 3), "couple.alpha", 2)
@@ -325,7 +322,7 @@ def _cmd_couple(args) -> int:
     m_cdf = _as_int(section.get("m_cdf", 10_000), "couple.m_cdf", 100)
     bootstrap = _as_int(section.get("bootstrap", 1000), "couple.bootstrap", 10)
     try:
-        study_plans(model, depths, replicates, alpha, beta, float(tau))
+        study_plans(model, depths, replicates, alpha, beta, float(tau), exact_phi, m_cdf)
     except ValueError as e:
         raise ConfigError(f"couple: {e}")
     outdir = _resolve_outdir(args, cfg)

@@ -22,8 +22,9 @@ run_coupling holds a replicate's whole domain: the field, the Wiener grid
 and both prefix arrays.  The S - sigma W study reads only one prefix value
 per block corner, and in d = 1 the blocks are consecutive segments, so
 corner_errors couples a d = 1 replicate slab by slab, with the same draws
-and the same float operations, carrying only the moving-average overlap
-and the running prefix totals from one slab to the next.
+and the same float operations: fields.line_segments draws the field of
+each slab, and only the running prefix totals carry from one slab to the
+next.  Every field is drawn through fields.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from scipy.special import ndtri
 from .fields import (
     _BATCH_CELLS,
     FieldModel,
-    _dilation,
-    _field_from_innovations,
-    innovations,
+    line_segments,
     sample_block,
     sample_block_batch,
     sigma2,
@@ -61,6 +60,7 @@ __all__ = [
     "block_sums",
     "xi",
     "EmpiricalCdf",
+    "require_cdf_draws",
     "estimate_cdf",
     "quantile_transform",
     "coupling_error",
@@ -238,10 +238,15 @@ class EmpiricalCdf:
         return np.interp(x, self.xs, fs)
 
 
+def require_cdf_draws(m: int) -> None:
+    """Reject an empirical CDF of fewer than 100 draws."""
+    if m < 100:
+        raise ValueError("CDF estimation needs at least 100 values")
+
+
 def estimate_cdf(values: Sequence[float]) -> EmpiricalCdf:
     values = np.sort(np.asarray(values, dtype=np.float64))
-    if values.size < 100:
-        raise ValueError("CDF estimation needs at least 100 values")
+    require_cdf_draws(values.size)
     return EmpiricalCdf(values)
 
 
@@ -488,10 +493,10 @@ def corner_errors(
     wiener_sum(run, V), V = (0, N], of run = run_coupling(model, scheme,
     seed, replicate, variances, cdfs, exact_phi=exact_phi).  In d >= 2 they
     are read from that run.  In d = 1 the replicate is coupled slab by slab
-    (see _slabs), drawing each stream in order: only the moving-average
-    overlap of the innovations and the two running longdouble prefix totals
-    carry to the next slab, so memory is set by the largest slab, not by
-    the domain.
+    (see _slabs): fields.line_segments yields the field on each slab, the
+    Wiener stream is drawn on in order, and only the two running longdouble
+    prefix totals carry to the next slab, so memory is set by the largest
+    slab, not by the domain.
     """
     if exact_phi and model.innovation != "normal":
         raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
@@ -505,20 +510,17 @@ def corner_errors(
     coupled = [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
     companions = dict(zip(coupled, draws))
-    field_gen = stream(seed, "field", replicate)
     wiener_gen = stream(seed, "wiener", replicate)
-    lo, hi = _dilation(model)
-    overlap = innovations(field_gen, hi[0] - lo[0], model.innovation)
+    slabs = list(_slabs(scheme))
+    cuts = [scheme.boundaries[first - 1] for first, _ in slabs] + [scheme.boundaries[-1]]
     field_total = wiener_total = 0
     errs = {}
-    for first, last in _slabs(scheme):
-        s0, n = scheme.boundaries[first - 1], scheme.boundaries[last]
-        z = np.concatenate([overlap, innovations(field_gen, n - s0, model.innovation)])
-        overlap = z[n - s0 :]
-        P = line_prefix(_field_from_innovations(model, z, (n - s0,)), field_total)
-        Z = wiener_gen.standard_normal(n - s0)
+    for (first, last), X in zip(slabs, line_segments(model, seed, replicate, cuts)):
+        s0 = scheme.boundaries[first - 1]
+        P = line_prefix(X, field_total)
+        Z = wiener_gen.standard_normal(len(X))
 
-        def at(prefix, total, i):  # S(0, i] rounded to float64, s0 <= i <= n
+        def at(prefix, total, i):  # S(0, i] rounded to float64, i in the slab or s0
             return float(prefix[i - s0 - 1] if i > s0 else total)
 
         blocks = [(j,) for j in range(first, last + 1)]
@@ -688,14 +690,24 @@ def study_plans(
     alpha: int = 3,
     beta: int = 2,
     tau: float = 1.0,
+    exact_phi: bool = False,
+    m_cdf: int = 10_000,
 ) -> list[tuple]:
     """(depth, scheme, variances, coupled in-cone corners) for each depth.
 
-    Raises ValueError on the inputs approximation_error_study cannot fit:
+    Raises ValueError on the inputs approximation_error_study cannot run or
+    fit: an exact_phi that is not a bool, exact_phi with non-Gaussian
+    innovations, fewer than 100 CDF draws on the empirical-CDF path,
     sigma^2 = 0, fewer than two replicates, or a depth with fewer than two
     coupled in-cone corners.  Building the plans is cheap next to coupling,
     so a caller can check a study's inputs before any other work starts.
     """
+    if not isinstance(exact_phi, bool):
+        raise ValueError("exact_phi must be true or false")
+    if exact_phi and model.innovation != "normal":
+        raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
+    if not exact_phi:
+        require_cdf_draws(m_cdf)
     if sigma2(model) == 0:
         raise ValueError("the study needs sigma^2 != 0")
     if replicates < 2:
@@ -748,7 +760,7 @@ def approximation_error_study(
 
     out = []
     for K, scheme, variances, corners in study_plans(
-        model, depths, replicates, alpha, beta, tau
+        model, depths, replicates, alpha, beta, tau, exact_phi, m_cdf
     ):
         cdfs = None
         if not exact_phi:

@@ -17,6 +17,10 @@ inequality
 
 r = dist(I, J), against Monte Carlo error; the noise test repeats it for
 X + Y with Y an independent iid field, reusing the theta of X alone.
+
+This module draws every field of the package and alone knows the
+innovation layout: sample_block draws one replicate on a block,
+sample_block_batch a stack of them, line_segments a d = 1 line by segments.
 """
 
 from __future__ import annotations
@@ -45,16 +49,16 @@ __all__ = [
     "innovations",
     "sample_block",
     "sample_block_batch",
-    "sample_points_batch",
+    "line_segments",
     "empirical_dependence_test",
 ]
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
 
 # block cells per stacked batch of sample_block_batch, per task of
-# verify.map_replicate_chunks and per slab of coupling.corner_errors (512 KiB
-# of float64): keeps each thread's buffers small on large blocks, and a task
-# is one batch
+# verify.map_replicate_chunks and per slab of coupling.corner_errors, which
+# line_segments draws (512 KiB of float64): keeps each thread's buffers small
+# on large blocks, and a task is one batch
 _BATCH_CELLS = 1 << 16
 
 
@@ -262,25 +266,22 @@ def sample_block_batch(
     return out
 
 
-def sample_points_batch(
-    model: FieldModel,
-    points: np.ndarray,
-    seed: int,
-    replicates: range,
-    tag: str = "field",
-) -> np.ndarray:
-    """Field values at scattered points, shape (m, npoints).
+def line_segments(model: FieldModel, seed: int, replicate: int, cuts: Sequence[int]):
+    """One d = 1 replicate of the field, yielded segment by segment.
 
-    Samples the bounding block of the points and gathers; exact for any
-    point set small enough to enumerate.
+    Segment i is the field on (cuts[i], cuts[i+1]], bitwise the slice of
+    sample_block(model, Block((cuts[0],), (cuts[-1],)), seed, replicate)
+    over it: the innovations are drawn from the same stream in order, and
+    only their moving-average overlap carries to the next segment, so memory
+    is set by the longest segment, not by the line.
     """
-    pts = np.asarray(points, dtype=np.int64)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    block = Block(tuple(lo - 1), tuple(hi))
-    vals = sample_block_batch(model, block, seed, replicates, tag=tag)
-    idx = tuple((pts[:, s] - lo[s]) for s in range(model.d))
-    return vals[(slice(None),) + idx]
+    gen = stream(seed, "field", replicate)
+    lo, hi = _dilation(model)
+    width = hi[0] - lo[0]
+    z = innovations(gen, width, model.innovation)
+    for a, b in zip(cuts, cuts[1:]):
+        z = np.concatenate([z[len(z) - width :], innovations(gen, b - a, model.innovation)])
+        yield _field_from_innovations(model, z, (b - a,))
 
 
 # --------------------------------------------------------------------------
@@ -357,12 +358,15 @@ def empirical_dependence_test(
     th = (theta if theta is not None else theta_sequence(model, r + 1))[r]
 
     both = np.concatenate([pts_i, pts_j], axis=0)
-    vals = sample_points_batch(model, both, seed, range(replicates), tag="dep-field")
+    low = both.min(axis=0)
+    box = Block(tuple(low - 1), tuple(both.max(axis=0)))
+    vals = sample_block_batch(model, box, seed, range(replicates), tag="dep-field")
     if noise is not None:
         noise_model = iid_model(model.d, innovation=noise)
-        vals = vals + sample_points_batch(
-            noise_model, both, seed, range(replicates), tag="dep-noise"
+        vals = vals + sample_block_batch(
+            noise_model, box, seed, range(replicates), tag="dep-noise"
         )
+    vals = vals[(slice(None),) + tuple(both.T - low[:, None])]
     xi = vals[:, : len(pts_i)]
     xj = vals[:, len(pts_i) :]
 

@@ -6,13 +6,13 @@ any sub-block sum is an inclusion-exclusion of 2^d prefix entries.  M(V) is
 the maximum of |S(W)| over ALL sub-blocks W of V, reduced axis by axis: for
 every choice of boundary pairs on the leading axes, the trailing axis
 contributes max - min of a difference profile.  sum_and_max reduces a whole
-stack of replicates at once.  This module owns every prefix accumulation:
-it always accumulates in longdouble, and a stored prefix array is always
-rounded to float64.  line_prefix hands the longdouble prefix of a d = 1
-stack, optionally carried on from a running total, to a caller that reads
-and rounds only a few of its entries.
-The corner-anchored variant max_{n <= N} |S_n| is a separate, cheaper
-statistic.
+stack of replicates at once.  This module draws nothing: it reduces what
+its callers sampled, and it owns every prefix accumulation: it always
+accumulates in longdouble, and a stored prefix array is always rounded to
+float64.  line_prefix hands the longdouble prefix of a d = 1 stack,
+optionally carried on from a running total, to a caller that reads and
+rounds only a few of its entries.  The corner-anchored variant
+max_{n <= N} |S_n| is a separate, cheaper statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
 finite sum of covariances weighted by rectangle-overlap counts, which also
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldModel, sample_block_batch, sigma2, _cov_lags
+from .fields import FieldModel, sigma2, _cov_lags
 from .lattice import Block, cardinality
 
 __all__ = [
@@ -44,12 +44,7 @@ __all__ = [
     "block_var",
     "union_var",
     "variance_defect",
-    "variance_ratio",
 ]
-
-# sum_and_max holds at most this many longdouble prefix cells at once in
-# d = 1, so its peak memory is the float64 stack plus a small block
-_LONGDOUBLE_BLOCK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -146,20 +141,15 @@ def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S(V), M(V)) for each replicate of a stack of shape (n,) + V.lengths.
 
     In d = 1, S is the longdouble prefix corner rounded to float64; in
-    d >= 2 it is the float64 sum of the replicate's cells.
+    d >= 2 it is the float64 sum of the replicate's cells.  Callers hand it
+    one task of replicates or one replicate, which bounds its buffers.
     """
     if values.ndim == 2:
-        # prefix sums P_1..P_n accumulated in longdouble a few rows at a
-        # time, with P_0 = 0; rounding to float64 is monotone, so the
-        # rounded extremes are the extremes of the rounded prefix
-        S, M = np.empty(len(values)), np.empty(len(values))
-        step = max(1, _LONGDOUBLE_BLOCK_CELLS // values.shape[1])
-        for i in range(0, len(values), step):
-            P = line_prefix(values[i : i + step]).astype(np.float64)
-            top = np.maximum(P.max(axis=1), 0)
-            bottom = np.minimum(P.min(axis=1), 0)
-            S[i : i + step], M[i : i + step] = P[:, -1], top - bottom
-        return S, M
+        # prefix sums P_1..P_n accumulated in longdouble, with P_0 = 0;
+        # rounding to float64 is monotone, so the rounded extremes are the
+        # extremes of the rounded prefix
+        P = line_prefix(values).astype(np.float64)
+        return P[:, -1], np.maximum(P.max(axis=1), 0) - np.minimum(P.min(axis=1), 0)
     P = _prefix_array(values, lead=1)
     return values.reshape(len(values), -1).sum(axis=1), _max_abs_over_subrects(P)
 
@@ -239,27 +229,3 @@ def variance_defect(model: FieldModel, blocks: Sequence[Block] | Block) -> float
         blocks = [blocks]
     total = sum(cardinality(B) for B in blocks)
     return sigma2(model) - union_var(model, list(blocks)) / total
-
-
-def _jackknife_var_se(x: np.ndarray) -> float:
-    """Jackknife standard error of the unbiased sample variance of x."""
-    m = x.size
-    if m < 3:
-        return float("nan")
-    s1 = x.sum()
-    s2 = (x * x).sum()
-    mean_i = (s1 - x) / (m - 1)
-    var_i = (s2 - x * x - (m - 1) * mean_i * mean_i) / (m - 2)
-    vbar = var_i.mean()
-    return float(math.sqrt((m - 1) / m * np.sum((var_i - vbar) ** 2)))
-
-
-def variance_ratio(
-    model: FieldModel, V: Block, replicates: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo (var(S(V)) / |V|, jackknife SE of that estimate)."""
-    vals = sample_block_batch(model, V, seed, range(replicates), tag="var-ratio")
-    sums = vals.reshape(replicates, -1).sum(axis=1)
-    card = cardinality(V)
-    est = float(np.var(sums, ddof=1) / card)
-    return est, _jackknife_var_se(sums) / card

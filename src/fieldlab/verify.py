@@ -50,7 +50,6 @@ __all__ = [
     "kolmogorov_distance",
     "dkw_bound",
     "map_replicate_chunks",
-    "require_points",
     "require_inputs",
     "check_dependence",
     "check_noise_stability",
@@ -98,17 +97,15 @@ class VerificationReport:
 CLAIMS: dict[str, Callable[..., VerificationReport]] = {}
 
 
-def _claim(claim_id: str, statement: str, fit: str | None = None,
+def _claim(claim_id: str, statement: str,
            inputs: Callable[[Mapping], object] | None = None):
     """Register a checker in CLAIMS and stamp its reports with the claim.
 
     functools.wraps keeps the checker's signature visible to inspect, which
-    the CLI uses to build the checker's arguments.  `fit` names the
-    parameter (a ladder, depths or edges) over which the checker fits a
-    slope or tests a decrease; require_points checks it before any work.
-    `inputs` raises on arguments the checker would reject only mid-run;
-    require_inputs calls it, so a caller can reject them before any claim
-    runs.
+    the CLI uses to build the checker's arguments.  `inputs` raises on
+    arguments the checker would reject only mid-run, or would pass
+    vacuously.  Every call runs it through require_inputs before any work,
+    and a caller can run require_inputs alone before any claim runs.
     """
 
     def register(check):
@@ -116,9 +113,7 @@ def _claim(claim_id: str, statement: str, fit: str | None = None,
 
         @functools.wraps(check)
         def run(*args, **kwargs) -> VerificationReport:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            require_points(run, bound.arguments)
+            require_inputs(run, sig.bind(*args, **kwargs).arguments)
             t0 = time.perf_counter()
             report = check(*args, **kwargs)
             return dataclasses.replace(
@@ -127,7 +122,6 @@ def _claim(claim_id: str, statement: str, fit: str | None = None,
                 seconds=time.perf_counter() - t0,
             )
 
-        run.fit = fit
         run.inputs = inputs
         CLAIMS[claim_id] = run
         return run
@@ -135,15 +129,18 @@ def _claim(claim_id: str, statement: str, fit: str | None = None,
     return register
 
 
-def require_points(check: Callable, arguments: Mapping) -> None:
-    """Reject a fitted sequence of fewer than two points in a checker's arguments.
+def _fitted(name: str) -> Callable[[Mapping], None]:
+    """Input check of a slope fit or decrease test over the sequence `name`.
 
     With one point a slope fit has no data and a decrease test runs over an
     empty range, so the checker would pass vacuously.
     """
-    name = getattr(check, "fit", None)
-    if name is not None and name in arguments and len(arguments[name]) < 2:
-        raise ValueError(f"{name} needs at least two points")
+
+    def check(arguments: Mapping) -> None:
+        if len(arguments[name]) < 2:
+            raise ValueError(f"{name} needs at least two points")
+
+    return check
 
 
 def require_inputs(check: Callable, arguments: Mapping) -> None:
@@ -224,6 +221,19 @@ def _sum_max_samples(
     if want_max:
         return out[:, 0], out[:, 1]
     return out[:, 0], None
+
+
+def _jackknife_var_se(x: np.ndarray) -> float:
+    """Jackknife standard error of the unbiased sample variance of x."""
+    m = x.size
+    if m < 3:
+        return float("nan")
+    s1 = x.sum()
+    s2 = (x * x).sum()
+    mean_i = (s1 - x) / (m - 1)
+    var_i = (s2 - x * x - (m - 1) * mean_i * mean_i) / (m - 2)
+    vbar = var_i.mean()
+    return float(math.sqrt((m - 1) / m * np.sum((var_i - vbar) ** 2)))
 
 
 def _loglog_slope(sizes: np.ndarray, values: np.ndarray) -> float:
@@ -413,7 +423,7 @@ def _growth_report(
     "moment_growth",
     "E|S(U)|^(2+delta) grows no faster than |U|^(1+delta/2) along a "
     "geometric ladder of blocks.",
-    fit="ladder",
+    inputs=_fitted("ladder"),
 )
 def check_moment_inequality(
     model: FieldModel,
@@ -435,7 +445,7 @@ def check_moment_inequality(
     "maximal_growth",
     "E M(U)^(2+delta) obeys the same volume growth with the sub-block "
     "maximal constant A(d, delta), and M >= |S| pathwise.",
-    fit="ladder",
+    inputs=_fitted("ladder"),
 )
 def check_maximal_inequality(
     model: FieldModel,
@@ -470,12 +480,13 @@ def check_variance_ratio(
     seed: int = 0,
 ) -> VerificationReport:
     """Monte Carlo var(S_N)/[N] against the exact ratio and its limit."""
-    from .sums import variance_ratio as mc_ratio
-
     V = _ladder_block(model.d, N)
     Vs = _ladder_block(model.d, N_small)
-    est, se = mc_ratio(model, V, replicates, seed)
-    exact_big = block_var(model, V) / cardinality(V)
+    sums, _ = _sum_max_samples(model, V, replicates, seed, "var-ratio", 1, False)
+    card = cardinality(V)
+    est = float(np.var(sums, ddof=1) / card)
+    se = _jackknife_var_se(sums) / card
+    exact_big = block_var(model, V) / card
     exact_small = block_var(model, Vs) / cardinality(Vs)
     s2 = sigma2(model)
     agree = abs(est - exact_big) <= 3.0 * se
@@ -537,7 +548,7 @@ def check_second_moment(
     "variance_defect",
     "The per-cell variance defect sigma^2 - var(S(V))/|V| shrinks as "
     "the minimal block edge grows.",
-    fit="edges",
+    inputs=_fitted("edges"),
 )
 def check_variance_defect(
     model: FieldModel,
@@ -638,7 +649,7 @@ def check_inverse_distance_sum(
     "clt_distance",
     "The Kolmogorov distance from standardized S_N to the standard "
     "normal shrinks along the ladder and is small at the top.",
-    fit="ladder",
+    inputs=_fitted("ladder"),
 )
 def check_clt_distance(
     model: FieldModel,
@@ -678,11 +689,17 @@ def check_clt_distance(
     )
 
 
+def _decay_inputs(arguments: Mapping) -> None:
+    """Two depths at least, and enough draws for each empirical CDF."""
+    _fitted("depths")(arguments)
+    cpl.require_cdf_draws(arguments["m_cdf"])
+
+
 @_claim(
     "coupling_error_decay",
     "The per-cell mean squared coupling error of the top scheme block "
     "falls as the scheme deepens.",
-    fit="depths",
+    inputs=_decay_inputs,
 )
 def check_coupling_error_decay(
     model: FieldModel,
@@ -762,7 +779,8 @@ def check_tail_bound(
 @_claim(
     "approximation_error",
     "log median|S_N - sigma W_N| grows with log[N] at slope below 1/2.",
-    inputs=lambda a: cpl.study_plans(a["model"], a["depths"], a["replicates"]),
+    inputs=lambda a: cpl.study_plans(a["model"], a["depths"], a["replicates"],
+                                     exact_phi=a["exact_phi"], m_cdf=a["m_cdf"]),
 )
 def check_approximation_error(
     model: FieldModel,

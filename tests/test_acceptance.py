@@ -32,7 +32,6 @@ from fieldlab.sums import (
     max_sub_block_naive,
     partial_sum,
     variance_defect,
-    variance_ratio,
 )
 from fieldlab.theory import (
     MomentParams,
@@ -182,7 +181,8 @@ def test_criterion_02_exact_summation_engines():
 def test_criterion_03_variance_shrinkage(ma_model):
     start = time.perf_counter()
 
-    est, se = variance_ratio(ma_model, Block((0,), (200,)), replicates=2000, seed=5)
+    ratio_rep = check_variance_ratio(ma_model, N=200, replicates=2000, seed=5)
+    est, se = ratio_rep.statistics["mc_ratio"], ratio_rep.statistics["se"]
     mc_gap = abs(est - 0.2525)
     ok_mc = mc_gap <= 3.0 * se
 
@@ -200,7 +200,6 @@ def test_criterion_03_variance_shrinkage(ma_model):
     ok_exact = exact_gap < 1e-12 and defect_gap < 1e-12
     ok_trend = all(x > y for x, y in zip(scaled, scaled[1:]))
 
-    ratio_rep = check_variance_ratio(ma_model, seed=5)
     defect_rep = check_variance_defect(ma_model)
 
     elapsed = time.perf_counter() - start

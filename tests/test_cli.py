@@ -97,8 +97,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         {"tau": "abc"}, {"tau": -1}, {"tau": 0}, {"tau": True},
         {"exact_phi": "false"}, {"exact_phi": 0}, {"replicates": 1},
+        {"exact_phi": True}, {"m_cdf": 50},
     ], ids=["tau-string", "tau-negative", "tau-zero", "tau-bool",
-            "exact_phi-string", "exact_phi-int", "replicates-one"])
+            "exact_phi-string", "exact_phi-int", "replicates-one",
+            "exact_phi-exponential", "m_cdf-50"])
     def test_bad_couple_values(self, tmp_path, capsys, bad):
         path = write_config(
             tmp_path,
@@ -107,9 +109,10 @@ class TestConfigValidation:
             couple={"depths": [3], "replicates": 5, "m_cdf": 100, "bootstrap": 10,
                     **bad},
         )
-        assert main(["couple", "--config", str(path),
-                     "--output-dir", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main(["couple", "--config", str(path), "--output-dir", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_couple_inputs_checked_before_output(self, tmp_path, capsys):
         # sigma^2 = (1 - 1)^2 = 0 leaves the study no scale to fit
@@ -145,15 +148,25 @@ class TestConfigValidation:
         assert "second_moment_bound" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("bad, match", [
-        ({"depths": [1]}, "corner"),
-        ({"depths": [6], "replicates": 1}, "two replicates"),
-    ], ids=["one_corner", "one_replicate"])
-    def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, bad, match):
+    @pytest.mark.parametrize("claim, bad, match, innovation", [
+        ("approximation_error", {"depths": [1]}, "corner", "normal"),
+        ("approximation_error", {"depths": [6], "replicates": 1}, "two replicates",
+         "normal"),
+        ("approximation_error", {"depths": [6], "exact_phi": "false"}, "true or false",
+         "normal"),
+        ("approximation_error", {"depths": [6], "exact_phi": True}, "Gaussian",
+         "exponential"),
+        ("approximation_error", {"depths": [6], "m_cdf": 50}, "100 values", "normal"),
+        ("coupling_error_decay", {"m_cdf": 50}, "100 values", "normal"),
+    ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
+            "m_cdf-50", "decay-m_cdf-50"])
+    def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
+                                                   match, innovation):
         path = write_config(
             tmp_path,
-            verify={"claims": ["variance_defect", "approximation_error"],
-                    "overrides": {"approximation_error": bad}},
+            model={"kind": "linear_ma", "d": 1, "innovation": innovation,
+                   "coeffs": {"0": 1.0, "1": -0.5}},
+            verify={"claims": ["variance_defect", claim], "overrides": {claim: bad}},
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2

@@ -13,6 +13,7 @@ from fieldlab.fields import (
     empirical_dependence_test,
     iid_model,
     innovations,
+    line_segments,
     linear_ma_model,
     sample_block,
     sample_block_batch,
@@ -128,6 +129,23 @@ class TestSampling:
         batch = sample_block_batch(assoc_model, block, seed=1, replicates=range(2, 9))
         for row, rep in zip(batch, range(2, 9)):
             assert np.array_equal(row, sample_block(assoc_model, block, seed=1, replicate=rep))
+
+    @given(
+        kind=st.sampled_from(["normal", "exponential", "rademacher"]),
+        start=st.integers(-50, 50),
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        replicate=st.integers(0, 1000),
+    )
+    def test_line_segments_are_slices_of_sample_block(self, kind, start, lengths,
+                                                       replicate):
+        # lags on both sides of 0, so each segment carries an overlap of 4
+        # innovations; one-cell segments are shorter than the overlap
+        model = linear_ma_model(1, {(-1,): 0.4, (0,): 1.0, (3,): -0.5}, kind)
+        cuts = [start + sum(lengths[:i]) for i in range(len(lengths) + 1)]
+        segments = list(line_segments(model, 9, replicate, cuts))
+        assert [len(x) for x in segments] == lengths
+        whole = sample_block(model, Block((cuts[0],), (cuts[-1],)), 9, replicate)
+        assert np.concatenate(segments).tobytes() == whole.tobytes()
 
     def test_d2_shape_and_determinism(self):
         model = linear_ma_model(2, {(0, 0): 1.0, (1, 1): 0.5})

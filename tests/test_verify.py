@@ -227,6 +227,8 @@ TASK_CALLS = {
         workers=w),
     "iterated_logarithm": lambda m, w: check_lil(
         m, depth=15, replicates=12, seed=3, workers=w),
+    "variance_ratio": lambda m, w: check_variance_ratio(  # one thread at any w
+        m, N=20000, N_small=100, replicates=40, seed=3),
 }
 
 
@@ -251,6 +253,18 @@ def test_maximal_growth_memory_is_bounded(assoc_model, model, ladder, replicates
     try:
         check_maximal_inequality(model or assoc_model, 0.367, ladder=ladder,
                                  replicates=replicates, seed=1, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_variance_ratio_memory_is_bounded(ma_model):
+    # the block sums are drawn task by task; drawing all 400 replicates of
+    # the 20,000-cell block at once peaked at 62 MiB
+    tracemalloc.start()
+    try:
+        check_variance_ratio(ma_model, N=20000, replicates=400, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
