@@ -19,7 +19,6 @@ import argparse
 import csv
 import inspect
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -302,33 +301,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_couple(args) -> int:
+    """The S - sigma W study on the couple section: load_config checks its keys,
+    and coupling.study_plans alone its values, before the output directory."""
     cfg = load_config(args.config)
     _apply_common_flags(args, cfg)
     section = cfg.get("couple")
     if section is None:
         raise ConfigError("config needs a couple section")
     model = build_model(cfg)
-    depths = section.get("depths", [8])
-    if not isinstance(depths, list) or not depths:
-        raise ConfigError("couple.depths must be a nonempty list")
-    tau = section.get("tau", 1.0)
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < math.inf:
-        raise ConfigError("couple.tau must be a positive number")
-    exact_phi = section.get("exact_phi", False)
-    depths = tuple(_as_int(k, "couple.depths[…]", 2) for k in depths)
-    replicates = _as_int(section.get("replicates", 100), "couple.replicates", 2)
-    alpha = _as_int(section.get("alpha", 3), "couple.alpha", 2)
-    beta = _as_int(section.get("beta", 2), "couple.beta", 2)
-    m_cdf = _as_int(section.get("m_cdf", 10_000), "couple.m_cdf", 100)
-    bootstrap = _as_int(section.get("bootstrap", 1000), "couple.bootstrap", 10)
+    study = {"depths": [8], "replicates": 100, **section}
     try:
-        study_plans(model, depths, replicates, alpha, beta, float(tau), exact_phi, m_cdf)
-    except ValueError as e:
+        study_plans(model, **study)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"couple: {e}")
     outdir = _resolve_outdir(args, cfg)
     studies = approximation_error_study(
-        model, depths, replicates, cfg["seed"], alpha=alpha, beta=beta, tau=float(tau),
-        exact_phi=exact_phi, m_cdf=m_cdf, bootstrap=bootstrap, workers=_workers(cfg),
+        model, seed=cfg["seed"], workers=_workers(cfg), **study
     )
     doc = {"model": verify_mod._model_inputs(model), "seed": cfg["seed"],
            "studies": verify_mod._jsonable(studies)}

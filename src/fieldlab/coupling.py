@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -238,10 +239,17 @@ class EmpiricalCdf:
         return np.interp(x, self.xs, fs)
 
 
+def _require_count(value, name: str, minimum: int, need: str) -> None:
+    """Reject a count that is not an integer (bools excluded) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer")
+    if value < minimum:
+        raise ValueError(f"{name}: {need}")
+
+
 def require_cdf_draws(m: int) -> None:
-    """Reject an empirical CDF of fewer than 100 draws."""
-    if m < 100:
-        raise ValueError("CDF estimation needs at least 100 values")
+    """Reject an empirical CDF of fewer than 100 draws, or a non-integer m_cdf."""
+    _require_count(m, "m_cdf", 100, "CDF estimation needs at least 100 values")
 
 
 def estimate_cdf(values: Sequence[float]) -> EmpiricalCdf:
@@ -350,18 +358,13 @@ def _condition(zeta: np.ndarray, eta: float) -> None:
 class CouplingRun:
     """One replicate of the full coupling pipeline on a scheme domain."""
 
-    model: FieldModel
     scheme: BlockScheme
-    seed: int
-    replicate: int
-    exact_phi: bool
     sigma: float
     field: SampleGrid
     wiener: SampleGrid
-    variances: dict
+    variances: Mapping
     coupled: tuple
     low_variance: tuple
-    u: dict
     v: dict
     w: dict
     xi: dict
@@ -412,18 +415,13 @@ def run_coupling(
 
     Z = build_wiener(scheme, etas, seed, replicate, coupled=coupled)
     return CouplingRun(
-        model=model,
         scheme=scheme,
-        seed=seed,
-        replicate=replicate,
-        exact_phi=exact_phi,
         sigma=math.sqrt(sigma2(model)),
         field=grid,
         wiener=make_grid(scheme.domain, Z),
-        variances=dict(variances),
+        variances=variances,
         coupled=coupled,
         low_variance=low_variance,
-        u=u,
         v=v,
         w=w,
         xi=xis,
@@ -595,7 +593,6 @@ def block_coupling_samples(
     m_cdf: int,
     m_eval: int,
     seed: int,
-    exact_phi: bool = False,
 ) -> BlockCouplingSample:
     """Estimate the shape's CDF from m_cdf draws, evaluate on m_eval fresh.
 
@@ -614,19 +611,14 @@ def block_coupling_samples(
     if s2 <= 0 or t2 <= 0:
         raise ValueError("block shape has nonpositive head or tail variance")
 
-    if exact_phi:
-        if model.innovation != "normal":
-            raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
-        cdf = None
-    else:
-        cdf = _shape_cdf(model, h_lengths, b_lengths, bv, m_cdf, seed)
+    cdf = _shape_cdf(model, h_lengths, b_lengths, bv, m_cdf, seed)
 
     xs_eval = _anchored_xi_batch(
         model, h_lengths, b_lengths, s2, t2, seed, range(m_eval),
         field_tag=_shape_tag("eval-field", h_lengths, b_lengths),
         companion_tag=_shape_tag("eval-comp", h_lengths, b_lengths),
     )
-    eta = xs_eval if cdf is None else quantile_transform(xs_eval, cdf)
+    eta = quantile_transform(xs_eval, cdf)
     e = coupling_error(xs_eval, eta, s2, t2)
     return BlockCouplingSample(
         h_lengths, b_lengths, cardinality(B0), s2, t2, xs_eval, eta, e
@@ -692,16 +684,24 @@ def study_plans(
     tau: float = 1.0,
     exact_phi: bool = False,
     m_cdf: int = 10_000,
+    bootstrap: int = 1000,
 ) -> list[tuple]:
     """(depth, scheme, variances, coupled in-cone corners) for each depth.
 
-    Raises ValueError on the inputs approximation_error_study cannot run or
-    fit: an exact_phi that is not a bool, exact_phi with non-Gaussian
-    innovations, fewer than 100 CDF draws on the empirical-CDF path,
-    sigma^2 = 0, fewer than two replicates, or a depth with fewer than two
-    coupled in-cone corners.  Building the plans is cheap next to coupling,
-    so a caller can check a study's inputs before any other work starts.
+    The one check of approximation_error_study's values, run by `fieldlab
+    couple` and the approximation_error claim before any work.  Raises
+    TypeError or ValueError naming the argument unless: depths is a nonempty
+    list of integers >= 1, replicates an integer >= 2, bootstrap an integer
+    >= 10, exact_phi a bool (true only with Gaussian innovations), m_cdf an
+    integer >= 100 on the empirical-CDF path, sigma^2 != 0, alpha, beta and
+    tau pass SchemeParams, and every depth has two coupled in-cone corners.
     """
+    if isinstance(depths, str) or not isinstance(depths, Sequence) or not depths:
+        raise ValueError("depths must be a nonempty list")
+    for K in depths:
+        _require_count(K, "depths", 1, "a scheme depth is at least 1")
+    _require_count(replicates, "replicates", 2, "the study needs at least two replicates")
+    _require_count(bootstrap, "bootstrap", 10, "the slope CI needs at least 10 resamples")
     if not isinstance(exact_phi, bool):
         raise ValueError("exact_phi must be true or false")
     if exact_phi and model.innovation != "normal":
@@ -710,8 +710,6 @@ def study_plans(
         require_cdf_draws(m_cdf)
     if sigma2(model) == 0:
         raise ValueError("the study needs sigma^2 != 0")
-    if replicates < 2:
-        raise ValueError("the study needs at least two replicates")
     params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
     plans = []
     for K in depths:
@@ -760,11 +758,9 @@ def approximation_error_study(
 
     out = []
     for K, scheme, variances, corners in study_plans(
-        model, depths, replicates, alpha, beta, tau, exact_phi, m_cdf
+        model, depths, replicates, alpha, beta, tau, exact_phi, m_cdf, bootstrap
     ):
-        cdfs = None
-        if not exact_phi:
-            cdfs = cdf_table(model, scheme, variances, m_cdf, seed)
+        cdfs = None if exact_phi else cdf_table(model, scheme, variances, m_cdf, seed)
         cards = np.array([math.prod(scheme.corner(k)) for k in corners], dtype=np.float64)
 
         # a coupled replicate runs on its own, so a task of several would

@@ -71,8 +71,9 @@ class SchemeParams:
             raise ValueError("alpha and beta must be integers")
         if not self.alpha > self.beta > 1:
             raise ValueError("need integer alpha > beta > 1")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        tau = self.tau
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 < tau < math.inf:
+            raise ValueError("tau must be a positive finite number")
 
     @property
     def rho(self) -> float:

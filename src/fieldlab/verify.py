@@ -136,11 +136,13 @@ def _fitted(name: str) -> Callable[[Mapping], None]:
     empty range, so the checker would pass vacuously.
     """
 
-    def check(arguments: Mapping) -> None:
-        if len(arguments[name]) < 2:
-            raise ValueError(f"{name} needs at least two points")
+    return lambda arguments: _require(len(arguments[name]) >= 2,
+                                      f"{name} needs at least two points")
 
-    return check
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
 
 
 def require_inputs(check: Callable, arguments: Mapping) -> None:
@@ -195,8 +197,7 @@ def map_replicate_chunks(
 def _ladder_block(d: int, size) -> Block:
     if isinstance(size, (tuple, list)):
         return Block((0,) * d, tuple(int(x) for x in size))
-    if d != 1:
-        raise ValueError("scalar ladder sizes require d = 1")
+    _require(d == 1, "scalar ladder sizes require d = 1")
     return Block((0,), (int(size),))
 
 
@@ -218,16 +219,12 @@ def _sum_max_samples(
         return np.stack(sum_and_max(vals), axis=1)
 
     out = map_replicate_chunks(kernel, replicates, cardinality(V), workers)
-    if want_max:
-        return out[:, 0], out[:, 1]
-    return out[:, 0], None
+    return out[:, 0], (out[:, 1] if want_max else None)
 
 
 def _jackknife_var_se(x: np.ndarray) -> float:
-    """Jackknife standard error of the unbiased sample variance of x."""
+    """Jackknife standard error of the unbiased sample variance of x (m >= 3)."""
     m = x.size
-    if m < 3:
-        return float("nan")
     s1 = x.sum()
     s2 = (x * x).sum()
     mean_i = (s1 - x) / (m - 1)
@@ -251,13 +248,18 @@ def _model_inputs(model: FieldModel) -> dict:
     }
 
 
-def _require_power_decay(model: FieldModel, c0: float, lam: float) -> None:
+def _envelope_inputs(arguments: Mapping) -> None:
     """Exact check theta_r <= c0 r^-lam for all r >= 1 (finite support)."""
+    model, c0, lam = arguments["model"], arguments["c0"], arguments["lam"]
     for r in range(1, support_radius(model) + 2):
-        if cox_grimmett(model, r) > c0 * r ** (-lam) + 1e-12:
-            raise ValueError(
-                f"dependence coefficients violate the decay envelope at r={r}"
-            )
+        _require(cox_grimmett(model, r) <= c0 * r ** (-lam) + 1e-12,
+                 f"dependence coefficients violate the decay envelope at r={r}")
+
+
+def _growth_inputs(arguments: Mapping) -> None:
+    """Two ladder points at least, under the decay envelope."""
+    _fitted("ladder")(arguments)
+    _envelope_inputs(arguments)
 
 
 # --------------------------------------------------------------------------
@@ -266,8 +268,7 @@ def _require_power_decay(model: FieldModel, c0: float, lam: float) -> None:
 
 def default_geometries(model: FieldModel) -> list[tuple[Block, Block]]:
     """Five standard block pairs at sup-norm distances 1 and 2 (d = 1)."""
-    if model.d != 1:
-        raise ValueError("default geometries are defined for d = 1")
+    _require(model.d == 1, "default geometries are defined for d = 1")
     return [
         (Block((0,), (1,)), Block((1,), (2,))),
         (Block((0,), (3,)), Block((3,), (4,))),
@@ -365,7 +366,6 @@ def _growth_report(
 ) -> VerificationReport:
     """Volume-growth cap on E|S|^q (q = 2 + delta), or with want_max on E M^q
     together with the maximal-constant ratio and pathwise M >= |S| checks."""
-    _require_power_decay(model, c0, lam)
     q = 2.0 + delta
     rows = []
     dominated = True
@@ -423,7 +423,7 @@ def _growth_report(
     "moment_growth",
     "E|S(U)|^(2+delta) grows no faster than |U|^(1+delta/2) along a "
     "geometric ladder of blocks.",
-    inputs=_fitted("ladder"),
+    inputs=_growth_inputs,
 )
 def check_moment_inequality(
     model: FieldModel,
@@ -445,7 +445,7 @@ def check_moment_inequality(
     "maximal_growth",
     "E M(U)^(2+delta) obeys the same volume growth with the sub-block "
     "maximal constant A(d, delta), and M >= |S| pathwise.",
-    inputs=_fitted("ladder"),
+    inputs=_growth_inputs,
 )
 def check_maximal_inequality(
     model: FieldModel,
@@ -471,6 +471,8 @@ def check_maximal_inequality(
     "variance_ratio",
     "var(S_N)/[N] approaches sigma^2 = sum of covariances, and the "
     "Monte Carlo estimate matches the exact ratio.",
+    inputs=lambda a: _require(a["replicates"] >= 3,
+                              "replicates must be at least 3 for the jackknife SE"),
 )
 def check_variance_ratio(
     model: FieldModel,
@@ -514,6 +516,7 @@ def check_variance_ratio(
     "second_moment_bound",
     "E S(U)^2 <= (c(0) + c0)|U| whenever the dependence coefficients "
     "satisfy theta_r <= c0 r^-lambda.",
+    inputs=_envelope_inputs,
 )
 def check_second_moment(
     model: FieldModel,
@@ -522,7 +525,6 @@ def check_second_moment(
     sizes: Sequence[int] = (10, 100, 1000, 10000),
 ) -> VerificationReport:
     """Exact E S(U)^2 <= (c(0) + c0)|U| under the decay envelope."""
-    _require_power_decay(model, c0, lam)
     from .fields import covariance
 
     d2 = covariance(model, (0,) * model.d)
@@ -645,11 +647,18 @@ def check_inverse_distance_sum(
 # distributional limits
 
 
+def _clt_inputs(arguments: Mapping) -> None:
+    """Two ladder points, sigma^2 != 0 to standardize by, and one replicate."""
+    _fitted("ladder")(arguments)
+    _require(sigma2(arguments["model"]) != 0, "CLT distance needs sigma^2 != 0")
+    _require(arguments["replicates"] >= 1, "replicates must be at least 1")
+
+
 @_claim(
     "clt_distance",
     "The Kolmogorov distance from standardized S_N to the standard "
     "normal shrinks along the ladder and is small at the top.",
-    inputs=_fitted("ladder"),
+    inputs=_clt_inputs,
 )
 def check_clt_distance(
     model: FieldModel,
@@ -659,8 +668,6 @@ def check_clt_distance(
     workers: int = 1,
 ) -> VerificationReport:
     """Kolmogorov distance of standardized S_N to the normal on a ladder."""
-    if sigma2(model) == 0:
-        raise ValueError("CLT distance needs sigma^2 != 0")
     rows = []
     for size in ladder:
         V = _ladder_block(model.d, size)
@@ -779,8 +786,10 @@ def check_tail_bound(
 @_claim(
     "approximation_error",
     "log median|S_N - sigma W_N| grows with log[N] at slope below 1/2.",
-    inputs=lambda a: cpl.study_plans(a["model"], a["depths"], a["replicates"],
-                                     exact_phi=a["exact_phi"], m_cdf=a["m_cdf"]),
+    inputs=lambda a: cpl.study_plans(
+        a["model"], a["depths"], a["replicates"], exact_phi=a["exact_phi"],
+        m_cdf=a["m_cdf"], bootstrap=a["bootstrap"],
+    ),
 )
 def check_approximation_error(
     model: FieldModel,
@@ -820,10 +829,19 @@ def _loglog_scale(n: float) -> float:
     return math.log(inner)
 
 
+def _lil_inputs(arguments: Mapping) -> None:
+    """A d = 1 model with sigma^2 != 0 to normalize by, and one replicate."""
+    model = arguments["model"]
+    _require(model.d == 1, "the dyadic net is implemented for d = 1")
+    _require(sigma2(model) != 0, "the LIL normalization needs sigma^2 != 0")
+    _require(arguments["replicates"] >= 1, "replicates must be at least 1")
+
+
 @_claim(
     "iterated_logarithm",
     "Normalized partial sums R_N stay within the iterated-logarithm "
     "bands along a dyadic net.",
+    inputs=_lil_inputs,
 )
 def check_lil(
     model: FieldModel,
@@ -833,11 +851,7 @@ def check_lil(
     workers: int = 1,
 ) -> VerificationReport:
     """Iterated-logarithm bands for R_N along a dyadic net (d = 1)."""
-    if model.d != 1:
-        raise ValueError("the dyadic net is implemented for d = 1")
     s2 = sigma2(model)
-    if s2 == 0:
-        raise ValueError("the normalization needs sigma^2 != 0")
     ns = 2 ** np.arange(1, depth + 1)
     denom = np.sqrt(2.0 * s2 * ns * np.array([_loglog_scale(n) for n in ns]))
     V = Block((0,), (int(ns[-1]),))

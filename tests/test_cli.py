@@ -21,6 +21,12 @@ def write_config(tmp_path, **extra):
     return path
 
 
+NORMAL = {"kind": "linear_ma", "d": 1, "coeffs": {"0": 1.0, "1": -0.5}}
+EXPONENTIAL = {**NORMAL, "innovation": "exponential"}
+# sigma^2 = (1 - 1)^2 = 0, and theta_1 breaks the default decay envelope
+DEGENERATE = {"kind": "linear_ma", "d": 1, "coeffs": {"0": 1.0, "1": -1.0}}
+PLANE = {"kind": "iid", "d": 2}
+
 VERIFY_SECTION = {
     "claims": ["variance_defect", "second_moment_bound", "variance_ratio"],
     "overrides": {"variance_ratio": {"replicates": 1200}},
@@ -45,6 +51,10 @@ class TestTheory:
 
     def test_rejects_infeasible_decay(self):
         assert main(["theory", "--p", "5", "--lambda", "1.2"]) == 2
+
+    def test_rejects_infinite_tau(self, capsys):
+        assert main(["theory", "--p", "5", "--tau", "inf"]) == 2
+        assert "tau" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert main(["theory"]) == 2
@@ -98,9 +108,13 @@ class TestConfigValidation:
         {"tau": "abc"}, {"tau": -1}, {"tau": 0}, {"tau": True},
         {"exact_phi": "false"}, {"exact_phi": 0}, {"replicates": 1},
         {"exact_phi": True}, {"m_cdf": 50},
+        {"bootstrap": 0}, {"bootstrap": 20.5}, {"replicates": 2.5},
+        {"m_cdf": 150.5}, {"depths": []},
     ], ids=["tau-string", "tau-negative", "tau-zero", "tau-bool",
             "exact_phi-string", "exact_phi-int", "replicates-one",
-            "exact_phi-exponential", "m_cdf-50"])
+            "exact_phi-exponential", "m_cdf-50",
+            "bootstrap-zero", "bootstrap-float", "replicates-float",
+            "m_cdf-float", "depths-empty"])
     def test_bad_couple_values(self, tmp_path, capsys, bad):
         path = write_config(
             tmp_path,
@@ -148,24 +162,53 @@ class TestConfigValidation:
         assert "second_moment_bound" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("claim, bad, match, innovation", [
-        ("approximation_error", {"depths": [1]}, "corner", "normal"),
+    @pytest.mark.parametrize("claim, bad, match, model", [
+        ("approximation_error", {"depths": [1]}, "corner", NORMAL),
         ("approximation_error", {"depths": [6], "replicates": 1}, "two replicates",
-         "normal"),
+         NORMAL),
         ("approximation_error", {"depths": [6], "exact_phi": "false"}, "true or false",
-         "normal"),
+         NORMAL),
         ("approximation_error", {"depths": [6], "exact_phi": True}, "Gaussian",
-         "exponential"),
-        ("approximation_error", {"depths": [6], "m_cdf": 50}, "100 values", "normal"),
-        ("coupling_error_decay", {"m_cdf": 50}, "100 values", "normal"),
+         EXPONENTIAL),
+        ("approximation_error", {"depths": [6], "m_cdf": 50}, "100 values", NORMAL),
+        ("coupling_error_decay", {"m_cdf": 50}, "100 values", NORMAL),
+        ("approximation_error",
+         {"depths": [6], "replicates": 5, "exact_phi": True, "bootstrap": 0},
+         "bootstrap", NORMAL),
+        ("approximation_error",
+         {"depths": [6], "replicates": 5, "exact_phi": True, "bootstrap": 20.5},
+         "bootstrap must be an integer", NORMAL),
+        ("approximation_error",
+         {"depths": [6], "replicates": 2.5, "exact_phi": True, "bootstrap": 20},
+         "replicates must be an integer", NORMAL),
+        ("approximation_error",
+         {"depths": [6], "replicates": 5, "m_cdf": 150.5, "bootstrap": 20},
+         "m_cdf must be an integer", NORMAL),
+        ("approximation_error",
+         {"depths": [], "replicates": 5, "exact_phi": True, "bootstrap": 20},
+         "depths", NORMAL),
+        ("clt_distance", {"ladder": [16, 64], "replicates": 200}, "sigma^2", DEGENERATE),
+        ("clt_distance", {"ladder": [16, 64], "replicates": 0}, "replicates", NORMAL),
+        ("iterated_logarithm", {"depth": 6, "replicates": 20}, "sigma^2", DEGENERATE),
+        ("iterated_logarithm", {"depth": 6, "replicates": 20}, "d = 1", PLANE),
+        ("iterated_logarithm", {"depth": 6, "replicates": 0}, "replicates", NORMAL),
+        ("moment_growth", {"ladder": [16, 64], "replicates": 50}, "decay envelope",
+         DEGENERATE),
+        ("maximal_growth", {"ladder": [16, 64], "replicates": 50}, "decay envelope",
+         DEGENERATE),
+        ("second_moment_bound", {}, "decay envelope", DEGENERATE),
+        ("variance_ratio", {"replicates": 2}, "replicates", NORMAL),
     ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
-            "m_cdf-50", "decay-m_cdf-50"])
+            "m_cdf-50", "decay-m_cdf-50", "bootstrap-zero", "bootstrap-float",
+            "replicates-float", "m_cdf-float", "depths-empty", "clt-sigma2-zero",
+            "clt-replicates-zero", "lil-sigma2-zero", "lil-d2", "lil-replicates-zero",
+            "moment-envelope", "maximal-envelope", "second_moment-envelope",
+            "variance_ratio-two-replicates"])
     def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
-                                                   match, innovation):
+                                                   match, model):
         path = write_config(
             tmp_path,
-            model={"kind": "linear_ma", "d": 1, "innovation": innovation,
-                   "coeffs": {"0": 1.0, "1": -0.5}},
+            model=model,
             verify={"claims": ["variance_defect", claim], "overrides": {claim: bad}},
         )
         out = tmp_path / "out"
@@ -246,15 +289,12 @@ class TestVerify:
         assert resolved["verify"]["claims"] == ["second_moment_bound"]
 
     def test_runtime_error_exits_three(self, tmp_path, capsys):
-        # sigma^2 = 0 model reaches the checker, which raises mid-run
+        # a d = 2 model reaches the checker, whose default geometries are d = 1
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "seed": 1,
-            "model": {"kind": "linear_ma", "d": 1,
-                      "coeffs": {"0": 1.0, "1": -1.0}},
-            "verify": {"claims": ["clt_distance"],
-                       "overrides": {"clt_distance": {"ladder": [16, 64],
-                                                      "replicates": 200}}},
+            "model": {"kind": "iid", "d": 2},
+            "verify": {"claims": ["dependence_bound"]},
         }))
         assert main(["verify", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 3
@@ -305,6 +345,18 @@ class TestCoupleAndReport:
         lines = (out / "couple.csv").read_text().splitlines()
         assert lines[0] == "depth,card,median_abs_err"
         assert len(lines) > 1
+
+    def test_couple_exact_phi_ignores_m_cdf(self, tmp_path):
+        # exact Phi estimates no CDF, so m_cdf is not checked, as in verify
+        path = write_config(
+            tmp_path,
+            model={"kind": "iid", "d": 1},
+            couple={"depths": [6], "replicates": 5, "exact_phi": True, "m_cdf": 50,
+                    "bootstrap": 20},
+        )
+        out = tmp_path / "cpl"
+        assert main(["couple", "--config", str(path), "--output-dir", str(out)]) == 0
+        assert (out / "couple.json").exists()
 
     def test_couple_is_worker_invariant(self, tmp_path):
         written = []

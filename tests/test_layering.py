@@ -3,9 +3,12 @@
 fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing.
+The CLI's couple section is the S - sigma W study's parameters, and only
+coupling.study_plans checks their values.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,22 @@ def test_only_fields_touches_the_innovation_layout(module):
 
 def test_sums_draws_nothing():
     assert not used_names("sums") & SAMPLERS
+
+
+def test_couple_checks_no_values():
+    """coupling.study_plans is the one check of the study's values."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (couple,) = [n for n in ast.walk(tree)
+                 if isinstance(n, ast.FunctionDef) and n.name == "_cmd_couple"]
+    called = {n.func.id for n in ast.walk(couple)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "study_plans" in called
+    assert "_as_int" not in called
+
+
+def test_couple_keys_are_the_study_parameters():
+    from fieldlab import cli
+    from fieldlab.coupling import approximation_error_study
+
+    params = set(inspect.signature(approximation_error_study).parameters)
+    assert cli._COUPLE_KEYS == params - {"model", "seed", "workers"}
