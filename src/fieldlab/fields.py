@@ -1,4 +1,4 @@
-"""Stationary lattice random-field models and dependence diagnostics.
+"""Stationary lattice random-field models and their sampling.
 
 Two model kinds: "iid" cells, and finite-support linear moving averages
 X_j = sum_u a_u Z_{j-u} driven by iid innovations (standard normal, centered
@@ -9,14 +9,7 @@ Cox-Grimmett coefficients
     theta_r = sup_j sum_{||u-j|| >= r} |cov(X_u, X_j)|
             = sum_{||u|| >= r} |cov(X_0, X_u)|   (stationarity)
 
-are all exact finite sums over the support lags.  The empirical dependence
-test draws random clamped-linear Lipschitz pairs and checks the covariance
-inequality
-
-    |cov(f(X_I), g(X_J))| <= Lip(f) Lip(g) min(|I|, |J|) theta_r,
-
-r = dist(I, J), against Monte Carlo error; the noise test repeats it for
-X + Y with Y an independent iid field, reusing the theta of X alone.
+are all exact finite sums over the support lags.
 
 This module draws every field of the package and alone knows the
 innovation layout: sample_block draws one replicate on a block,
@@ -31,26 +24,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .lattice import Block, dist
+from .lattice import Block
 from .rng import stream, streams
 
 __all__ = [
     "FieldModel",
-    "ThetaSequence",
-    "DependencePair",
-    "DependenceReport",
     "iid_model",
     "linear_ma_model",
     "covariance",
     "sigma2",
     "cox_grimmett",
     "support_radius",
-    "theta_sequence",
     "innovations",
     "sample_block",
     "sample_block_batch",
     "line_segments",
-    "empirical_dependence_test",
 ]
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
@@ -160,25 +148,6 @@ def support_radius(model: FieldModel) -> int:
     return max(max(abs(x) for x in lag) for lag in lags)
 
 
-@dataclass(frozen=True)
-class ThetaSequence:
-    """Dependence coefficients theta_r for r = 0..r_max."""
-
-    values: tuple[float, ...]
-
-    def __getitem__(self, r: int) -> float:
-        if r < len(self.values):
-            return self.values[r]
-        return 0.0
-
-
-def theta_sequence(model: FieldModel, r_max: int) -> ThetaSequence:
-    vals = tuple(cox_grimmett(model, r) for r in range(r_max + 1))
-    if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
-        raise AssertionError("theta_r must be nonincreasing in r")
-    return ThetaSequence(values=vals)
-
-
 # --------------------------------------------------------------------------
 # sampling
 
@@ -282,120 +251,4 @@ def line_segments(model: FieldModel, seed: int, replicate: int, cuts: Sequence[i
     for a, b in zip(cuts, cuts[1:]):
         z = np.concatenate([z[len(z) - width :], innovations(gen, b - a, model.innovation)])
         yield _field_from_innovations(model, z, (b - a,))
-
-
-# --------------------------------------------------------------------------
-# dependence diagnostics
-
-
-@dataclass(frozen=True)
-class DependencePair:
-    """One random clamped-linear test pair and its measured covariance."""
-
-    cov_estimate: float
-    cov_se: float
-    bound: float
-    ratio: float | None  # None when the analytic bound is zero
-    passed: bool
-
-
-@dataclass(frozen=True)
-class DependenceReport:
-    r: int
-    theta_r: float
-    lip_product_scale: float
-    pairs: tuple[DependencePair, ...]
-    max_ratio: float | None
-    passed: bool
-
-
-def _clamped_linear(values: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    return np.clip(values @ coef, -1.0, 1.0)
-
-
-def _draw_coefficients(gen: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
-    """Uniform coefficients normalized to unit l1 mass; exact Lip = max |c_i|."""
-    c = gen.uniform(-1.0, 1.0, n)
-    s = np.abs(c).sum()
-    if s == 0.0:
-        c[0] = 1.0
-        s = 1.0
-    c = c / s
-    return c, float(np.abs(c).max())
-
-
-def empirical_dependence_test(
-    model: FieldModel,
-    I: Sequence[Sequence[int]],
-    J: Sequence[Sequence[int]],
-    pairs: int,
-    replicates: int,
-    seed: int,
-    noise: str | None = None,
-    theta: ThetaSequence | None = None,
-) -> DependenceReport:
-    """Monte Carlo check of the covariance inequality on (I, J).
-
-    Draws `pairs` random clamped-linear (f, g) couples, estimates
-    cov(f(X_I), g(X_J)) over `replicates` field draws, and compares to
-    Lip(f) Lip(g) min(|I|,|J|) theta_r at r = dist(I, J).  When noise is
-    given, an independent iid field of that innovation kind is added to X
-    while the bound keeps the theta of X alone.  A pair passes when its
-    ratio is at most 1 + 3 standard errors (or, for a zero bound, when the
-    estimate is within 3 standard errors of zero).
-    """
-    if isinstance(I, Block):
-        I = list(I.points())
-    if isinstance(J, Block):
-        J = list(J.points())
-    pts_i = np.asarray([tuple(p) for p in I], dtype=np.int64)
-    pts_j = np.asarray([tuple(p) for p in J], dtype=np.int64)
-    if pts_i.ndim == 1:
-        pts_i = pts_i[:, None]
-    if pts_j.ndim == 1:
-        pts_j = pts_j[:, None]
-    r = dist(pts_i, pts_j)
-    th = (theta if theta is not None else theta_sequence(model, r + 1))[r]
-
-    both = np.concatenate([pts_i, pts_j], axis=0)
-    low = both.min(axis=0)
-    box = Block(tuple(low - 1), tuple(both.max(axis=0)))
-    vals = sample_block_batch(model, box, seed, range(replicates), tag="dep-field")
-    if noise is not None:
-        noise_model = iid_model(model.d, innovation=noise)
-        vals = vals + sample_block_batch(
-            noise_model, box, seed, range(replicates), tag="dep-noise"
-        )
-    vals = vals[(slice(None),) + tuple(both.T - low[:, None])]
-    xi = vals[:, : len(pts_i)]
-    xj = vals[:, len(pts_i) :]
-
-    scale = float(min(len(pts_i), len(pts_j))) * th
-    out = []
-    for t in range(pairs):
-        cf, lip_f = _draw_coefficients(stream(seed, "dep-lip", 2 * t), len(pts_i))
-        cg, lip_g = _draw_coefficients(stream(seed, "dep-lip", 2 * t + 1), len(pts_j))
-        f = _clamped_linear(xi, cf)
-        g = _clamped_linear(xj, cg)
-        prod = (f - f.mean()) * (g - g.mean())
-        m = replicates
-        est = float(prod.sum() / (m - 1))
-        se = float(prod.std(ddof=1) / math.sqrt(m))
-        bound = lip_f * lip_g * scale
-        if bound > 0:
-            ratio = abs(est) / bound
-            ok = abs(est) <= bound + 3 * se
-        else:
-            ratio = None
-            ok = abs(est) <= 3 * se
-        out.append(DependencePair(est, se, bound, ratio, ok))
-    ratios = [p.ratio for p in out if p.ratio is not None]
-    return DependenceReport(
-        r=r,
-        theta_r=th,
-        lip_product_scale=scale,
-        pairs=tuple(out),
-        max_ratio=max(ratios) if ratios else None,
-        passed=all(p.passed for p in out),
-    )
 

@@ -10,6 +10,14 @@ Reports serialize to canonical JSON (sorted keys, repr floats) with the
 wall-clock field set to null, so a re-run with the same config and seed is
 byte-identical regardless of worker count.  Real timings live on the
 in-memory dataclass and in console logs only.
+
+The dependence claims check the covariance inequality
+
+    |cov(f(X_I), g(X_J))| <= Lip(f) Lip(g) min(|I|, |J|) theta_r,
+
+r = dist(I, J), for random clamped-linear Lipschitz pairs against Monte
+Carlo error; the noise claim repeats it for X + Y with Y an independent iid
+field, reusing the theta of X alone.
 """
 
 from __future__ import annotations
@@ -34,15 +42,15 @@ from .fields import (
     _BATCH_CELLS,
     FieldModel,
     cox_grimmett,
-    empirical_dependence_test,
+    iid_model,
     sample_block_batch,
     sigma2,
     support_radius,
 )
-from .lattice import Block, cardinality, inv_norm_sum, inv_norm_sum_bound
+from .lattice import Block, _as_points, cardinality, dist, inv_norm_sum, inv_norm_sum_bound
 from .rng import stream
 from .sums import block_var, line_prefix, sum_and_max, variance_defect
-from .theory import moricz_a
+from .theory import SchemeParams, moricz_a
 
 __all__ = [
     "VerificationReport",
@@ -257,8 +265,10 @@ def _envelope_inputs(arguments: Mapping) -> None:
 
 
 def _growth_inputs(arguments: Mapping) -> None:
-    """Two ladder points at least, under the decay envelope."""
+    """Two ladder points and two replicates at least, under the decay envelope."""
     _fitted("ladder")(arguments)
+    cpl._require_count(arguments["replicates"], "replicates", 2,
+                       "a standard error needs at least two replicates")
     _envelope_inputs(arguments)
 
 
@@ -278,6 +288,32 @@ def default_geometries(model: FieldModel) -> list[tuple[Block, Block]]:
     ]
 
 
+def _draw_coefficients(gen: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
+    """Uniform coefficients normalized to unit l1 mass; exact Lip = max |c_i|."""
+    c = gen.uniform(-1.0, 1.0, n)
+    s = np.abs(c).sum()
+    if s == 0.0:
+        c[0] = 1.0
+        s = 1.0
+    c = c / s
+    return c, float(np.abs(c).max())
+
+
+def _dependence_inputs(arguments: Mapping) -> None:
+    """One test pair, two replicates, a known noise kind, and nonempty index
+    sets in the model's dimension."""
+    cpl._require_count(arguments["pairs"], "pairs", 1, "the bound needs a test pair")
+    cpl._require_count(arguments["replicates"], "replicates", 2,
+                       "a covariance estimate needs at least two replicates")
+    d = arguments["model"].d
+    if arguments.get("noise") is not None:
+        iid_model(d, innovation=arguments["noise"])
+    for g, (I, J) in enumerate(arguments["geometries"] or ()):
+        for pts in (_as_points(I), _as_points(J)):
+            _require(pts.shape[1] == d,
+                     f"geometry {g} has an index set outside dimension {d}")
+
+
 def _dependence_report(
     model: FieldModel,
     geometries,
@@ -286,35 +322,57 @@ def _dependence_report(
     seed: int,
     noise: str | None,
 ) -> VerificationReport:
+    """One row per geometry g = (I, J), drawn from seed + g.
+
+    Draws `pairs` random clamped-linear (f, g) couples and estimates
+    cov(f(X_I), g(X_J)) over `replicates` draws of X, plus the noise field
+    when given.  A pair passes when |cov| is at most its bound plus 3
+    standard errors, and its ratio |cov| / bound counts when the bound is
+    positive.
+    """
     geometries = default_geometries(model) if geometries is None else geometries
     rows = []
-    all_pass = True
-    worst = None
     for g, (I, J) in enumerate(geometries):
-        rep = empirical_dependence_test(
-            model, I, J, pairs=pairs, replicates=replicates, seed=seed + g,
-            noise=noise,
-        )
-        all_pass &= rep.passed
-        if rep.max_ratio is not None:
-            worst = rep.max_ratio if worst is None else max(worst, rep.max_ratio)
-        rows.append(
-            {
-                "geometry": g,
-                "r": rep.r,
-                "theta_r": rep.theta_r,
-                "scale": rep.lip_product_scale,
-                "max_ratio": rep.max_ratio if rep.max_ratio is not None else "",
-                "passed": rep.passed,
-            }
-        )
+        pts_i, pts_j = _as_points(I), _as_points(J)
+        r = dist(pts_i, pts_j)
+        theta_r = cox_grimmett(model, r)
+        both = np.concatenate([pts_i, pts_j], axis=0)
+        low = both.min(axis=0)
+        box = Block(tuple(low - 1), tuple(both.max(axis=0)))
+        vals = sample_block_batch(model, box, seed + g, range(replicates), tag="dep-field")
+        if noise is not None:
+            vals = vals + sample_block_batch(
+                iid_model(model.d, innovation=noise), box, seed + g, range(replicates),
+                tag="dep-noise",
+            )
+        vals = vals[(slice(None),) + tuple(both.T - low[:, None])]
+        xi, xj = vals[:, : len(pts_i)], vals[:, len(pts_i) :]
+        scale = float(min(len(pts_i), len(pts_j))) * theta_r
+        ratios = []
+        passed = True
+        for t in range(pairs):
+            cf, lip_f = _draw_coefficients(stream(seed + g, "dep-lip", 2 * t), len(pts_i))
+            cg, lip_g = _draw_coefficients(stream(seed + g, "dep-lip", 2 * t + 1), len(pts_j))
+            f = np.clip(xi @ cf, -1.0, 1.0)
+            h = np.clip(xj @ cg, -1.0, 1.0)
+            prod = (f - f.mean()) * (h - h.mean())
+            est = abs(float(prod.sum() / (replicates - 1)))
+            se = float(prod.std(ddof=1) / math.sqrt(replicates))
+            bound = lip_f * lip_g * scale
+            passed &= est <= bound + 3 * se
+            if bound > 0:
+                ratios.append(est / bound)
+        rows.append({"geometry": g, "r": r, "theta_r": theta_r, "scale": scale,
+                     "max_ratio": max(ratios, default=""), "passed": passed})
+    tops = [row["max_ratio"] for row in rows if row["max_ratio"] != ""]
+    all_pass = all(row["passed"] for row in rows)
     return VerificationReport(
         inputs={
             "model": _model_inputs(model), "geometries": len(geometries),
             "pairs": pairs, "replicates": replicates, "seed": seed,
             "noise": noise,
         },
-        statistics={"max_ratio": worst, "all_geometries_pass": all_pass},
+        statistics={"max_ratio": max(tops, default=None), "all_geometries_pass": all_pass},
         oracle={"bound": "lip_f * lip_g * min(|I|,|J|) * theta_r"},
         tolerance={"ratio_allowance": "1 + 3 SE per pair"},
         passed=all_pass, rows=rows,
@@ -325,6 +383,7 @@ def _dependence_report(
     "dependence_bound",
     "Covariance of clamped-linear functionals on disjoint index sets is "
     "bounded by Lip(f) Lip(g) min(|I|,|J|) theta_r at r = dist(I, J).",
+    inputs=_dependence_inputs,
 )
 def check_dependence(
     model: FieldModel,
@@ -341,6 +400,7 @@ def check_dependence(
     "noise_stability",
     "Adding an independent iid field leaves the covariance bound with "
     "the original field's theta coefficients intact.",
+    inputs=_dependence_inputs,
 )
 def check_noise_stability(
     model: FieldModel,
@@ -583,11 +643,18 @@ def check_variance_defect(
 # index geometry
 
 
+def _invsum_inputs(arguments: Mapping) -> None:
+    """One block at least for the fitted and for the validated constant."""
+    for key in ("fit_blocks", "validate_blocks"):
+        cpl._require_count(arguments[key], key, 1, "a constant needs at least one block")
+
+
 @_claim(
     "inverse_distance_sum",
     "Sums of inverse sup-norm distances over a block obey the "
     "volume/log shape bound with one constant transferring from small "
     "to large blocks.",
+    inputs=_invsum_inputs,
 )
 def check_inverse_distance_sum(
     dims: Sequence[int] = (1, 2, 3),
@@ -697,9 +764,15 @@ def check_clt_distance(
 
 
 def _decay_inputs(arguments: Mapping) -> None:
-    """Two depths at least, and enough draws for each empirical CDF."""
+    """Two integer depths >= 1 at least, enough draws for each empirical CDF,
+    two evaluation draws, and alpha, beta and tau that SchemeParams takes."""
     _fitted("depths")(arguments)
+    for K in arguments["depths"]:
+        cpl._require_count(K, "depths", 1, "a scheme depth is at least 1")
     cpl.require_cdf_draws(arguments["m_cdf"])
+    cpl._require_count(arguments["m_eval"], "m_eval", 2,
+                       "a standard error needs at least two draws")
+    SchemeParams(alpha=arguments["alpha"], beta=arguments["beta"], tau=arguments["tau"])
 
 
 @_claim(
@@ -738,10 +811,19 @@ def check_coupling_error_decay(
     )
 
 
+def _tail_inputs(arguments: Mapping) -> None:
+    """One replicate at least, and a Block or ladder size V for the model."""
+    cpl._require_count(arguments["replicates"], "replicates", 1,
+                       "the tail needs at least one replicate")
+    if not isinstance(arguments["V"], Block):
+        _ladder_block(arguments["model"].d, arguments["V"])
+
+
 @_claim(
     "tail_bound",
     "P(M(V) >= x sqrt|V|) decays at least like x^-(2+delta) over the "
     "tested grid.",
+    inputs=_tail_inputs,
 )
 def check_tail_bound(
     model: FieldModel,
@@ -753,7 +835,7 @@ def check_tail_bound(
     workers: int = 1,
 ) -> VerificationReport:
     """Empirical tail of M(V)/sqrt|V| against the power-law envelope."""
-    if isinstance(V, int):
+    if not isinstance(V, Block):
         V = _ladder_block(model.d, V)
     _, maxima = _sum_max_samples(model, V, replicates, seed, "tail", workers, True)
     scale = math.sqrt(cardinality(V))
@@ -835,6 +917,7 @@ def _lil_inputs(arguments: Mapping) -> None:
     _require(model.d == 1, "the dyadic net is implemented for d = 1")
     _require(sigma2(model) != 0, "the LIL normalization needs sigma^2 != 0")
     _require(arguments["replicates"] >= 1, "replicates must be at least 1")
+    cpl._require_count(arguments["depth"], "depth", 1, "the dyadic net needs depth >= 1")
 
 
 @_claim(

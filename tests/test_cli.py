@@ -198,12 +198,42 @@ class TestConfigValidation:
          DEGENERATE),
         ("second_moment_bound", {}, "decay envelope", DEGENERATE),
         ("variance_ratio", {"replicates": 2}, "replicates", NORMAL),
+        ("dependence_bound", {"pairs": 0, "replicates": 50}, "test pair", NORMAL),
+        ("noise_stability", {"pairs": 2, "replicates": 1}, "two replicates", NORMAL),
+        ("dependence_bound", {"geometries": [[[], [[3]]]], "replicates": 50}, "empty",
+         NORMAL),
+        ("noise_stability", {"geometries": [[[[1, 1]], [[3, 3]]]], "replicates": 50},
+         "dimension 1", NORMAL),
+        ("noise_stability", {"noise": "cauchy", "replicates": 50}, "innovation", NORMAL),
+        ("moment_growth", {"ladder": [16, 64], "replicates": 0}, "two replicates", NORMAL),
+        ("moment_growth", {"ladder": [16, 64], "replicates": 1}, "two replicates", NORMAL),
+        ("maximal_growth", {"ladder": [16, 64], "replicates": 0}, "two replicates",
+         NORMAL),
+        ("maximal_growth", {"ladder": [16, 64], "replicates": 1}, "two replicates",
+         NORMAL),
+        ("tail_bound", {"V": 64, "replicates": 0}, "replicates", NORMAL),
+        ("tail_bound", {"V": [32], "replicates": 50}, "dimensions", PLANE),
+        ("coupling_error_decay", {"depths": [3, 5], "m_cdf": 100, "m_eval": 1}, "m_eval",
+         NORMAL),
+        ("coupling_error_decay", {"depths": [0, 3], "m_cdf": 100, "m_eval": 50},
+         "depth", NORMAL),
+        ("coupling_error_decay", {"depths": [3, 5], "m_cdf": 100, "m_eval": 50, "tau": 0},
+         "tau", NORMAL),
+        ("iterated_logarithm", {"depth": 0, "replicates": 20}, "depth", NORMAL),
+        ("inverse_distance_sum", {"fit_blocks": 0}, "fit_blocks", NORMAL),
+        ("inverse_distance_sum", {"validate_blocks": 0}, "validate_blocks", NORMAL),
     ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
             "m_cdf-50", "decay-m_cdf-50", "bootstrap-zero", "bootstrap-float",
             "replicates-float", "m_cdf-float", "depths-empty", "clt-sigma2-zero",
             "clt-replicates-zero", "lil-sigma2-zero", "lil-d2", "lil-replicates-zero",
             "moment-envelope", "maximal-envelope", "second_moment-envelope",
-            "variance_ratio-two-replicates"])
+            "variance_ratio-two-replicates", "dependence-pairs-zero",
+            "noise-replicates-one", "dependence-empty-geometry",
+            "noise-geometry-dimension", "noise-kind", "moment-replicates-zero",
+            "moment-replicates-one", "maximal-replicates-zero", "maximal-replicates-one",
+            "tail-replicates-zero", "tail-V-dimension", "decay-m_eval-one",
+            "decay-depth-zero", "decay-tau-zero", "lil-depth-zero",
+            "invsum-fit-zero", "invsum-validate-zero"])
     def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
                                                    match, model):
         path = write_config(

@@ -10,7 +10,6 @@ from fieldlab import fields
 from fieldlab.fields import (
     cox_grimmett,
     covariance,
-    empirical_dependence_test,
     iid_model,
     innovations,
     line_segments,
@@ -19,10 +18,10 @@ from fieldlab.fields import (
     sample_block_batch,
     sigma2,
     support_radius,
-    theta_sequence,
 )
 from fieldlab.lattice import Block
 from fieldlab.rng import stream
+from fieldlab.verify import check_dependence, check_noise_stability
 
 
 class TestModels:
@@ -47,9 +46,6 @@ class TestModels:
         assert cox_grimmett(ma_model, 0) == pytest.approx(2.25)
         assert cox_grimmett(ma_model, 1) == pytest.approx(1.0)
         assert cox_grimmett(ma_model, 2) == 0.0
-        seq = theta_sequence(ma_model, 3)
-        assert seq[0] == pytest.approx(2.25)
-        assert seq[10] == 0.0
 
 
 class TestInnovations:
@@ -158,35 +154,33 @@ class TestSampling:
 class TestDependenceBound:
     def test_blocks_and_point_lists_agree(self, ma_model):
         I, J = Block((0,), (2,)), Block((3,), (5,))
-        r1 = empirical_dependence_test(ma_model, I, J, pairs=5, replicates=4000, seed=2)
-        r2 = empirical_dependence_test(
-            ma_model, [(1,), (2,)], [(4,), (5,)], pairs=5, replicates=4000, seed=2
-        )
-        assert r1.max_ratio == r2.max_ratio
-        assert r1.r == r2.r == 2
+        (r1,) = check_dependence(ma_model, [(I, J)], pairs=5, replicates=4000, seed=2).rows
+        (r2,) = check_dependence(
+            ma_model, [([(1,), (2,)], [(4,), (5,)])], pairs=5, replicates=4000, seed=2
+        ).rows
+        assert r1["max_ratio"] == r2["max_ratio"]
+        assert r1["r"] == r2["r"] == 2
 
     def test_bound_holds_at_distance_one(self, ma_model):
-        rep = empirical_dependence_test(
-            ma_model, Block((0,), (3,)), Block((3,), (5,)),
+        rep = check_dependence(
+            ma_model, [(Block((0,), (3,)), Block((3,), (5,)))],
             pairs=20, replicates=20_000, seed=4,
         )
-        assert rep.r == 1
-        assert rep.theta_r == pytest.approx(1.0)
+        assert rep.rows[0]["r"] == 1
+        assert rep.rows[0]["theta_r"] == pytest.approx(1.0)
         assert rep.passed
-        assert len(rep.pairs) == 20
-        assert all(p.cov_se > 0 for p in rep.pairs)
 
     def test_zero_bound_beyond_support(self, ma_model):
-        rep = empirical_dependence_test(
-            ma_model, Block((0,), (2,)), Block((4,), (6,)),
+        rep = check_dependence(
+            ma_model, [(Block((0,), (2,)), Block((4,), (6,)))],
             pairs=10, replicates=20_000, seed=6,
         )
-        assert rep.theta_r == 0.0
+        assert rep.rows[0]["theta_r"] == 0.0
         assert rep.passed  # true covariance is exactly zero there
 
     def test_noise_stability(self, ma_model):
-        rep = empirical_dependence_test(
-            ma_model, Block((0,), (3,)), Block((3,), (5,)),
+        rep = check_noise_stability(
+            ma_model, [(Block((0,), (3,)), Block((3,), (5,)))],
             pairs=10, replicates=20_000, seed=8, noise="normal",
         )
         assert rep.passed

@@ -4,7 +4,8 @@ fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing.
 The CLI's couple section is the S - sigma W study's parameters, and only
-coupling.study_plans checks their values.
+coupling.study_plans checks their values.  src/ holds no API that only
+tests call.
 """
 
 import ast
@@ -21,6 +22,9 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 INNOVATION_LAYOUT = {"innovations", "_dilation", "_field_from_innovations"}
 SAMPLERS = {"sample_block", "sample_block_batch", "line_segments", "stream", "streams"}
 
+# reference implementations that tests compare the package's engines against
+REFERENCE_ORACLES = {("sums", "max_sub_block_naive"), ("coupling", "decomposition_terms")}
+
 
 def used_names(module: str) -> set[str]:
     """Names a module imports from another, or reads as an attribute."""
@@ -31,6 +35,30 @@ def used_names(module: str) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def reads_by_definition(module: str) -> dict[str | None, set[str]]:
+    """Names a module reads (loads, attributes, imports), keyed by the
+    top-level function or class they sit in, or None at module level."""
+    reads: dict[str | None, set[str]] = {}
+    for stmt in ast.parse((SRC / f"{module}.py").read_text()).body:
+        owner = getattr(stmt, "name", None)
+        names = reads.setdefault(owner, set())
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return reads
+
+
+def public_names(module: str) -> list[str]:
+    for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            return ast.literal_eval(node.value)
+    return []
 
 
 def test_modules_found():
@@ -63,3 +91,25 @@ def test_couple_keys_are_the_study_parameters():
 
     params = set(inspect.signature(approximation_error_study).parameters)
     assert cli._COUPLE_KEYS == params - {"model", "seed", "workers"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_src_holds_no_api_that_only_tests_call(module):
+    """Every public name is read in src/ outside its own definition.
+
+    The registered checkers are called through verify.CLAIMS, and the
+    reference oracles only by the tests that compare against them.  Dunder
+    names such as __version__ are package metadata, not an API.
+    """
+    from fieldlab.verify import CLAIMS
+
+    checkers = {("verify", fn.__name__) for fn in CLAIMS.values()}
+    reads = {m: reads_by_definition(m) for m in MODULES}
+    unread = [
+        name for name in public_names(module)
+        if not name.startswith("__")
+        and (module, name) not in checkers | REFERENCE_ORACLES
+        and not any(name in names for m in MODULES for owner, names in reads[m].items()
+                    if (m, owner) != (module, name))
+    ]
+    assert not unread

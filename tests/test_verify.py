@@ -182,6 +182,15 @@ class TestCheckers:
         probs = rep.statistics["tail_probabilities"]
         assert probs == sorted(probs, reverse=True)
 
+    def test_tail_bound_takes_a_ladder_size_list(self):
+        # a list, as a config override passes it, is the block (0, V]
+        model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): 0.5})
+        listed = check_tail_bound(model, 0.367, V=[8, 8], replicates=200, seed=5)
+        block = check_tail_bound(model, 0.367, V=Block((0, 0), (8, 8)), replicates=200,
+                                 seed=5)
+        assert listed.inputs["card"] == 64
+        assert listed.statistics == block.statistics
+
     def test_coupling_decay_smoke(self, exp_model):
         rep = check_coupling_error_decay(exp_model, depths=(3, 5), m_cdf=1500,
                                          m_eval=1500, seed=6)
