@@ -27,6 +27,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .coupling import approximation_error_study, study_plans
+from .domains import Natural, PositiveReal, Seed, check_value, domains
 from .fields import FieldModel, iid_model, linear_ma_model
 from .lattice import Block, cardinality
 from .sums import anchored_abs_max, make_grid, max_sub_block, partial_sum
@@ -62,10 +63,7 @@ _MODEL_KEYS = {"kind", "d", "innovation", "coeffs"}
 _SIM_KEYS = {"block", "replicates"}
 _BLOCK_KEYS = {"a", "b"}
 _VERIFY_KEYS = {"claims", "delta", "overrides"}
-_COUPLE_KEYS = {
-    "depths", "replicates", "exact_phi", "m_cdf", "bootstrap",
-    "alpha", "beta", "tau",
-}
+_COUPLE_KEYS = set(domains(study_plans))
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -76,11 +74,12 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _as_int(value, name: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}")
+def _config_value(kind, value, name: str):
+    """value, if it lies in the domain that the Annotated type kind declares."""
+    try:
+        check_value(kind, value, name)
+    except ValueError as e:
+        raise ConfigError(str(e))
     return value
 
 
@@ -95,9 +94,9 @@ def load_config(path: str) -> dict:
     _check_keys(cfg, _TOP_KEYS, "config")
     if "seed" not in cfg:
         raise ConfigError("config must set a seed")
-    _as_int(cfg["seed"], "seed", 0)
+    _config_value(Seed, cfg["seed"], "seed")
     if "workers" in cfg:
-        _as_int(cfg["workers"], "workers", 1)
+        _config_value(Natural, cfg["workers"], "workers")
     if "model" in cfg:
         _check_keys(cfg["model"], _MODEL_KEYS, "model")
     if "simulate" in cfg:
@@ -105,6 +104,8 @@ def load_config(path: str) -> dict:
         _check_keys(cfg["simulate"].get("block", {}), _BLOCK_KEYS, "simulate.block")
     if "verify" in cfg:
         _check_keys(cfg["verify"], _VERIFY_KEYS, "verify")
+        if "delta" in cfg["verify"]:
+            _config_value(PositiveReal, cfg["verify"]["delta"], "verify.delta")
         _check_keys(cfg["verify"].get("overrides") or {}, set(VERIFIERS),
                     "verify.overrides")
     if "couple" in cfg:
@@ -117,7 +118,7 @@ def build_model(cfg: dict) -> FieldModel:
     if section is None:
         raise ConfigError("this subcommand needs a model section")
     kind = section.get("kind")
-    d = _as_int(section.get("d", 1), "model.d", 1)
+    d = _config_value(Natural, section.get("d", 1), "model.d")
     innovation = section.get("innovation", "normal")
     try:
         if kind == "iid":
@@ -204,7 +205,7 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"bad simulate.block: {e}")
     if block.d != model.d:
         raise ConfigError("simulate.block dimension differs from the model")
-    replicates = _as_int(section.get("replicates", 1), "simulate.replicates", 1)
+    replicates = _config_value(Natural, section.get("replicates", 1), "simulate.replicates")
     outdir = _resolve_outdir(args, cfg)
 
     from .fields import sample_block
@@ -238,21 +239,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int):
-    sig = inspect.signature(fn)
-    kwargs = {}
-    if "model" in sig.parameters:
+    settings = {"seed": cfg["seed"], "workers": workers,
+                "delta": cfg.get("verify", {}).get("delta", 0.367)}
+    kwargs = {k: v for k, v in settings.items() if k in fn.domains}
+    if "model" in inspect.signature(fn).parameters:
         if "model" not in model_cache:
             model_cache["model"] = build_model(cfg)
         kwargs["model"] = model_cache["model"]
-    if "seed" in sig.parameters:
-        kwargs["seed"] = cfg["seed"]
-    if "workers" in sig.parameters:
-        kwargs["workers"] = workers
-    if "delta" in sig.parameters and sig.parameters["delta"].default is inspect.Parameter.empty:
-        kwargs["delta"] = cfg.get("verify", {}).get("delta", 0.367)
     overrides = cfg.get("verify", {}).get("overrides", {}) or {}
     extra = overrides.get(claim, {})
-    _check_keys(extra, set(sig.parameters) - {"model"}, f"verify.overrides.{claim}")
+    _check_keys(extra, set(fn.domains), f"verify.overrides.{claim}")
     for key, value in extra.items():
         if isinstance(value, list):
             value = tuple(value)
@@ -360,9 +356,9 @@ def _cmd_report(args) -> int:
 
 def _apply_common_flags(args, cfg: dict) -> None:
     if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+        cfg["seed"] = _config_value(Seed, args.seed, "seed")
     if getattr(args, "workers", None) is not None:
-        cfg["workers"] = _as_int(args.workers, "workers", 1)
+        cfg["workers"] = _config_value(Natural, args.workers, "workers")
     if getattr(args, "output_dir", None):
         cfg["output_dir"] = args.output_dir
 

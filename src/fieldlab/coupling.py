@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import domains as dom
 from .fields import (
     _BATCH_CELLS,
     FieldModel,
@@ -61,7 +61,6 @@ __all__ = [
     "block_sums",
     "xi",
     "EmpiricalCdf",
-    "require_cdf_draws",
     "estimate_cdf",
     "quantile_transform",
     "coupling_error",
@@ -239,22 +238,9 @@ class EmpiricalCdf:
         return np.interp(x, self.xs, fs)
 
 
-def _require_count(value, name: str, minimum: int, need: str) -> None:
-    """Reject a count that is not an integer (bools excluded) of at least minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer")
-    if value < minimum:
-        raise ValueError(f"{name}: {need}")
-
-
-def require_cdf_draws(m: int) -> None:
-    """Reject an empirical CDF of fewer than 100 draws, or a non-integer m_cdf."""
-    _require_count(m, "m_cdf", 100, "CDF estimation needs at least 100 values")
-
-
 def estimate_cdf(values: Sequence[float]) -> EmpiricalCdf:
     values = np.sort(np.asarray(values, dtype=np.float64))
-    require_cdf_draws(values.size)
+    dom.check_value(dom.CdfDraws, values.size, "m_cdf")
     return EmpiricalCdf(values)
 
 
@@ -677,37 +663,29 @@ _CI_LEVEL = 0.90
 
 def study_plans(
     model: FieldModel,
-    depths: Sequence[int],
-    replicates: int,
-    alpha: int = 3,
-    beta: int = 2,
-    tau: float = 1.0,
-    exact_phi: bool = False,
-    m_cdf: int = 10_000,
-    bootstrap: int = 1000,
+    depths: dom.Naturals,
+    replicates: dom.Replicates2,
+    alpha: dom.Exponent = 3,
+    beta: dom.Exponent = 2,
+    tau: dom.PositiveReal = 1.0,
+    exact_phi: dom.Flag = False,
+    m_cdf: dom.Natural = 10_000,
+    bootstrap: dom.Resamples = 1000,
 ) -> list[tuple]:
     """(depth, scheme, variances, coupled in-cone corners) for each depth.
 
     The one check of approximation_error_study's values, run by `fieldlab
     couple` and the approximation_error claim before any work.  Raises
-    TypeError or ValueError naming the argument unless: depths is a nonempty
-    list of integers >= 1, replicates an integer >= 2, bootstrap an integer
-    >= 10, exact_phi a bool (true only with Gaussian innovations), m_cdf an
-    integer >= 100 on the empirical-CDF path, sigma^2 != 0, alpha, beta and
-    tau pass SchemeParams, and every depth has two coupled in-cone corners.
+    ValueError naming the argument unless each argument lies in its declared
+    domain, exact_phi is true only with Gaussian innovations, m_cdf is a
+    CdfDraws on the empirical-CDF path, sigma^2 != 0, alpha, beta and tau
+    pass SchemeParams, and every depth has two coupled in-cone corners.
     """
-    if isinstance(depths, str) or not isinstance(depths, Sequence) or not depths:
-        raise ValueError("depths must be a nonempty list")
-    for K in depths:
-        _require_count(K, "depths", 1, "a scheme depth is at least 1")
-    _require_count(replicates, "replicates", 2, "the study needs at least two replicates")
-    _require_count(bootstrap, "bootstrap", 10, "the slope CI needs at least 10 resamples")
-    if not isinstance(exact_phi, bool):
-        raise ValueError("exact_phi must be true or false")
+    dom.check_arguments(dom.domains(study_plans), locals())
     if exact_phi and model.innovation != "normal":
         raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
     if not exact_phi:
-        require_cdf_draws(m_cdf)
+        dom.check_value(dom.CdfDraws, m_cdf, "m_cdf")
     if sigma2(model) == 0:
         raise ValueError("the study needs sigma^2 != 0")
     params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)

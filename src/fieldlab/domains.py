@@ -1,0 +1,170 @@
+"""Declared domains of the lab's parameters.
+
+A parameter declares its domain once, on itself, as Annotated[T, domain]
+through the aliases below (`replicates: Replicates2`).  A domain checks each
+value on its own, never an order between values or the work they cost, and
+raises ValueError naming the parameter; sizes and index sets must lie in
+the dimension of the call's model.
+"""
+
+from __future__ import annotations
+
+import inspect
+import math
+import numbers
+from dataclasses import dataclass
+from typing import Annotated, Mapping, Sequence
+
+import numpy as np
+
+from .fields import _INNOVATIONS
+from .lattice import Block
+
+__all__ = [
+    "Count", "Positive", "OneOf", "Seq", "Size", "Geometries", "Seed", "Natural",
+    "Pairs", "Replicates2", "Replicates3", "CdfDraws", "Resamples",
+    "Exponent", "PositiveReal", "Flag", "Innovation", "Naturals", "FittedDepths",
+    "PositiveReals", "BlockSize", "Ladder", "Edges", "Sizes", "IndexPairs",
+    "domains", "check_arguments", "check_value",
+]
+
+_LIST = (list, tuple)
+
+
+def _fail(name: str, what: str, need: str = "") -> None:
+    raise ValueError(f"{name} must be {what}" + (f": {need}" if need else ""))
+
+
+def _in_dimension(name: str, dims: int, d: int | None) -> None:
+    if d is not None and dims != d:
+        _fail(name, f"in the model's dimension {d}: its entries have other dimensions")
+
+
+@dataclass(frozen=True)
+class Count:
+    """An integer of at least `minimum`, bools excluded; `need` says why."""
+
+    minimum: int
+    need: str = ""
+
+    def check(self, value, name: str, d: int | None) -> None:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < self.minimum):
+            _fail(name, f"an integer >= {self.minimum}", self.need)
+
+
+@dataclass(frozen=True)
+class Positive:
+    """A finite real number above 0, bools excluded."""
+
+    def check(self, value, name: str, d: int | None) -> None:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 < value < math.inf):
+            _fail(name, "a positive finite number")
+
+
+@dataclass(frozen=True)
+class OneOf:
+    """One of `values`, of its type too (1 is not True)."""
+
+    values: tuple
+    what: str
+
+    def check(self, value, name: str, d: int | None) -> None:
+        if not any(type(value) is type(v) and value == v for v in self.values):
+            _fail(name, self.what)
+
+
+@dataclass(frozen=True)
+class Seq:
+    """A list of at least `points` values, each in the domain `item`."""
+
+    item: object
+    points: int = 1
+    need: str = ""
+
+    def check(self, value, name: str, d: int | None) -> None:
+        if not isinstance(value, _LIST) or len(value) < self.points:
+            _fail(name, f"a list of at least {self.points} value(s)", self.need)
+        for x in value:
+            self.item.check(x, name, d)
+
+
+@dataclass(frozen=True)
+class Size:
+    """The block (0, n] of n >= 1 cells in d = 1; unless `scalar`, also a
+    list of edges >= 1 or a Block, in the model's dimension."""
+
+    scalar: bool = False
+
+    def check(self, value, name: str, d: int | None) -> None:
+        edges = [value] if self.scalar or not isinstance(value, _LIST) else value
+        if isinstance(value, Block) and not self.scalar:
+            edges = value.lengths
+        for x in edges:
+            Count(1).check(x, name, d)
+        _in_dimension(name, len(edges), d)
+
+
+@dataclass(frozen=True)
+class Geometries:
+    """None (the default pairs), or a nonempty list of pairs (I, J) of index
+    sets: Blocks, or nonempty lists of integer points, in the model's dimension."""
+
+    def check(self, value, name: str, d: int | None) -> None:
+        if value is None:
+            return
+        if not (isinstance(value, _LIST) and value
+                and all(isinstance(pair, _LIST) and len(pair) == 2 for pair in value)):
+            _fail(name, "a nonempty list of index-set pairs")
+        for s in (s for pair in value for s in pair):
+            try:
+                pts = np.asarray([s.a] if isinstance(s, Block) else s)
+            except ValueError:  # ragged point lists
+                pts = np.asarray(None)
+            if pts.size == 0 or pts.dtype.kind not in "iu" or pts.ndim not in (1, 2):
+                _fail(name, "a list of pairs of nonempty integer point lists")
+            _in_dimension(name, pts.shape[1] if pts.ndim == 2 else 1, d)
+
+
+FIT = "a slope fit or decrease test needs at least two points"
+
+Seed = Annotated[int, Count(0)]
+Natural = Annotated[int, Count(1)]
+Pairs = Annotated[int, Count(1, "the bound needs a test pair")]
+Replicates2 = Annotated[int, Count(2, "a standard error needs two replicates")]
+Replicates3 = Annotated[int, Count(3, "the jackknife SE needs three replicates")]
+CdfDraws = Annotated[int, Count(100, "CDF estimation needs at least 100 values")]
+Resamples = Annotated[int, Count(10, "the slope CI needs at least 10 resamples")]
+Exponent = Annotated[int, Count(2, "the scheme needs alpha > beta > 1")]
+PositiveReal = Annotated[float, Positive()]
+Flag = Annotated[bool, OneOf((False, True), "true or false")]
+Innovation = Annotated[str, OneOf(_INNOVATIONS, f"an innovation kind in {_INNOVATIONS}")]
+Naturals = Annotated[Sequence[int], Seq(Count(1))]
+FittedDepths = Annotated[Sequence[int], Seq(Count(1), 2, FIT)]
+PositiveReals = Annotated[Sequence[float], Seq(Positive())]
+BlockSize = Annotated[object, Size()]
+Ladder = Annotated[Sequence, Seq(Size(), 2, FIT)]
+Edges = Annotated[Sequence[int], Seq(Size(scalar=True), 2, FIT)]
+Sizes = Annotated[Sequence[int], Seq(Size(scalar=True))]
+IndexPairs = Annotated[object, Geometries()]
+
+
+def domains(fn) -> dict:
+    """The declared domain of each annotated parameter of fn, by name."""
+    return {name: p.annotation.__metadata__[0]
+            for name, p in inspect.signature(fn, eval_str=True).parameters.items()
+            if hasattr(p.annotation, "__metadata__")}
+
+
+def check_arguments(declared: Mapping, arguments: Mapping) -> None:
+    """Check each argument that has a declared domain against it."""
+    d = getattr(arguments.get("model"), "d", None)
+    for name, domain in declared.items():
+        if name in arguments:
+            domain.check(arguments[name], name, d)
+
+
+def check_value(kind, value, name: str) -> None:
+    """Check one value against the domain of the Annotated type `kind`."""
+    kind.__metadata__[0].check(value, name, None)

@@ -38,6 +38,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import coupling as cpl
+from . import domains as dom
 from .fields import (
     _BATCH_CELLS,
     FieldModel,
@@ -110,10 +111,11 @@ def _claim(claim_id: str, statement: str,
     """Register a checker in CLAIMS and stamp its reports with the claim.
 
     functools.wraps keeps the checker's signature visible to inspect, which
-    the CLI uses to build the checker's arguments.  `inputs` raises on
-    arguments the checker would reject only mid-run, or would pass
-    vacuously.  Every call runs it through require_inputs before any work,
-    and a caller can run require_inputs alone before any claim runs.
+    the CLI uses to build the checker's arguments.  Every parameter but the
+    model declares its domain (see domains), resolved here once.  `inputs`
+    raises on the claim's own rules that no domain states.  Every call runs
+    both through require_inputs before any work, and a caller can run
+    require_inputs alone before any claim runs.
     """
 
     def register(check):
@@ -130,22 +132,12 @@ def _claim(claim_id: str, statement: str,
                 seconds=time.perf_counter() - t0,
             )
 
+        run.domains = dom.domains(check)
         run.inputs = inputs
         CLAIMS[claim_id] = run
         return run
 
     return register
-
-
-def _fitted(name: str) -> Callable[[Mapping], None]:
-    """Input check of a slope fit or decrease test over the sequence `name`.
-
-    With one point a slope fit has no data and a decrease test runs over an
-    empty range, so the checker would pass vacuously.
-    """
-
-    return lambda arguments: _require(len(arguments[name]) >= 2,
-                                      f"{name} needs at least two points")
 
 
 def _require(ok: bool, message: str) -> None:
@@ -154,12 +146,13 @@ def _require(ok: bool, message: str) -> None:
 
 
 def require_inputs(check: Callable, arguments: Mapping) -> None:
-    """Run the checker's registered input check on its arguments and defaults."""
-    inputs = getattr(check, "inputs", None)
-    if inputs is not None:
-        bound = inspect.signature(check).bind_partial(**arguments)
-        bound.apply_defaults()
-        inputs(bound.arguments)
+    """Check the checker's arguments and defaults against their domains, then
+    run its registered input check."""
+    bound = inspect.signature(check).bind_partial(**arguments)
+    bound.apply_defaults()
+    dom.check_arguments(check.domains, bound.arguments)
+    if check.inputs is not None:
+        check.inputs(bound.arguments)
 
 
 def kolmogorov_distance(sample: np.ndarray, cdf: Callable = ndtr) -> float:
@@ -202,11 +195,12 @@ def map_replicate_chunks(
     return np.concatenate(parts, axis=0)
 
 
-def _ladder_block(d: int, size) -> Block:
-    if isinstance(size, (tuple, list)):
-        return Block((0,) * d, tuple(int(x) for x in size))
-    _require(d == 1, "scalar ladder sizes require d = 1")
-    return Block((0,), (int(size),))
+def _ladder_block(size) -> Block:
+    """A Block as it is, else the block (0, size] of a size or edge list."""
+    if isinstance(size, Block):
+        return size
+    edges = size if isinstance(size, (tuple, list)) else (size,)
+    return Block((0,) * len(edges), tuple(int(x) for x in edges))
 
 
 def _sum_max_samples(
@@ -264,14 +258,6 @@ def _envelope_inputs(arguments: Mapping) -> None:
                  f"dependence coefficients violate the decay envelope at r={r}")
 
 
-def _growth_inputs(arguments: Mapping) -> None:
-    """Two ladder points and two replicates at least, under the decay envelope."""
-    _fitted("ladder")(arguments)
-    cpl._require_count(arguments["replicates"], "replicates", 2,
-                       "a standard error needs at least two replicates")
-    _envelope_inputs(arguments)
-
-
 # --------------------------------------------------------------------------
 # dependence
 
@@ -300,18 +286,9 @@ def _draw_coefficients(gen: np.random.Generator, n: int) -> tuple[np.ndarray, fl
 
 
 def _dependence_inputs(arguments: Mapping) -> None:
-    """One test pair, two replicates, a known noise kind, and nonempty index
-    sets in the model's dimension."""
-    cpl._require_count(arguments["pairs"], "pairs", 1, "the bound needs a test pair")
-    cpl._require_count(arguments["replicates"], "replicates", 2,
-                       "a covariance estimate needs at least two replicates")
-    d = arguments["model"].d
-    if arguments.get("noise") is not None:
-        iid_model(d, innovation=arguments["noise"])
-    for g, (I, J) in enumerate(arguments["geometries"] or ()):
-        for pts in (_as_points(I), _as_points(J)):
-            _require(pts.shape[1] == d,
-                     f"geometry {g} has an index set outside dimension {d}")
+    """Default geometries exist in d = 1 only."""
+    if arguments["geometries"] is None:
+        default_geometries(arguments["model"])
 
 
 def _dependence_report(
@@ -387,10 +364,10 @@ def _dependence_report(
 )
 def check_dependence(
     model: FieldModel,
-    geometries=None,
-    pairs: int = 50,
-    replicates: int = 100_000,
-    seed: int = 0,
+    geometries: dom.IndexPairs = None,
+    pairs: dom.Pairs = 50,
+    replicates: dom.Replicates2 = 100_000,
+    seed: dom.Seed = 0,
 ) -> VerificationReport:
     """Covariance bound for clamped-linear pairs across block geometries."""
     return _dependence_report(model, geometries, pairs, replicates, seed, noise=None)
@@ -404,11 +381,11 @@ def check_dependence(
 )
 def check_noise_stability(
     model: FieldModel,
-    geometries=None,
-    pairs: int = 50,
-    replicates: int = 100_000,
-    seed: int = 0,
-    noise: str = "normal",
+    geometries: dom.IndexPairs = None,
+    pairs: dom.Pairs = 50,
+    replicates: dom.Replicates2 = 100_000,
+    seed: dom.Seed = 0,
+    noise: dom.Innovation = "normal",
 ) -> VerificationReport:
     """Same bound for the field plus an independent iid noise field."""
     return _dependence_report(model, geometries, pairs, replicates, seed, noise=noise)
@@ -430,7 +407,7 @@ def _growth_report(
     rows = []
     dominated = True
     for size in ladder:
-        V = _ladder_block(model.d, size)
+        V = _ladder_block(size)
         card = cardinality(V)
         sums, maxima = _sum_max_samples(
             model, V, replicates, seed, f"moment:{card}", workers, want_max
@@ -483,17 +460,17 @@ def _growth_report(
     "moment_growth",
     "E|S(U)|^(2+delta) grows no faster than |U|^(1+delta/2) along a "
     "geometric ladder of blocks.",
-    inputs=_growth_inputs,
+    inputs=_envelope_inputs,
 )
 def check_moment_inequality(
     model: FieldModel,
-    delta: float,
-    ladder: Sequence = _DEFAULT_LADDER,
-    replicates: int = 2000,
-    seed: int = 0,
-    c0: float = 1.5,
-    lam: float = 2.0,
-    workers: int = 1,
+    delta: dom.PositiveReal,
+    ladder: dom.Ladder = _DEFAULT_LADDER,
+    replicates: dom.Replicates2 = 2000,
+    seed: dom.Seed = 0,
+    c0: dom.PositiveReal = 1.5,
+    lam: dom.PositiveReal = 2.0,
+    workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Volume-growth cap on E|S(U)|^(2+delta) along a geometric ladder."""
     return _growth_report(
@@ -505,17 +482,17 @@ def check_moment_inequality(
     "maximal_growth",
     "E M(U)^(2+delta) obeys the same volume growth with the sub-block "
     "maximal constant A(d, delta), and M >= |S| pathwise.",
-    inputs=_growth_inputs,
+    inputs=_envelope_inputs,
 )
 def check_maximal_inequality(
     model: FieldModel,
-    delta: float,
-    ladder: Sequence = _DEFAULT_LADDER,
-    replicates: int = 2000,
-    seed: int = 0,
-    c0: float = 1.5,
-    lam: float = 2.0,
-    workers: int = 1,
+    delta: dom.PositiveReal,
+    ladder: dom.Ladder = _DEFAULT_LADDER,
+    replicates: dom.Replicates2 = 2000,
+    seed: dom.Seed = 0,
+    c0: dom.PositiveReal = 1.5,
+    lam: dom.PositiveReal = 2.0,
+    workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Same growth cap for M(U), plus the maximal-constant ratio check."""
     return _growth_report(
@@ -531,19 +508,17 @@ def check_maximal_inequality(
     "variance_ratio",
     "var(S_N)/[N] approaches sigma^2 = sum of covariances, and the "
     "Monte Carlo estimate matches the exact ratio.",
-    inputs=lambda a: _require(a["replicates"] >= 3,
-                              "replicates must be at least 3 for the jackknife SE"),
 )
 def check_variance_ratio(
     model: FieldModel,
-    N: int = 200,
-    N_small: int = 50,
-    replicates: int = 2000,
-    seed: int = 0,
+    N: dom.BlockSize = 200,
+    N_small: dom.BlockSize = 50,
+    replicates: dom.Replicates3 = 2000,
+    seed: dom.Seed = 0,
 ) -> VerificationReport:
     """Monte Carlo var(S_N)/[N] against the exact ratio and its limit."""
-    V = _ladder_block(model.d, N)
-    Vs = _ladder_block(model.d, N_small)
+    V = _ladder_block(N)
+    Vs = _ladder_block(N_small)
     sums, _ = _sum_max_samples(model, V, replicates, seed, "var-ratio", 1, False)
     card = cardinality(V)
     est = float(np.var(sums, ddof=1) / card)
@@ -580,9 +555,9 @@ def check_variance_ratio(
 )
 def check_second_moment(
     model: FieldModel,
-    c0: float = 1.5,
-    lam: float = 2.0,
-    sizes: Sequence[int] = (10, 100, 1000, 10000),
+    c0: dom.PositiveReal = 1.5,
+    lam: dom.PositiveReal = 2.0,
+    sizes: dom.Sizes = (10, 100, 1000, 10000),
 ) -> VerificationReport:
     """Exact E S(U)^2 <= (c(0) + c0)|U| under the decay envelope."""
     from .fields import covariance
@@ -591,7 +566,7 @@ def check_second_moment(
     rows = []
     ok = True
     for n in sizes:
-        V = _ladder_block(model.d, n)
+        V = _ladder_block(n)
         var = block_var(model, V)
         bound = (d2 + c0) * cardinality(V)
         ok &= var <= bound + 1e-9
@@ -610,17 +585,16 @@ def check_second_moment(
     "variance_defect",
     "The per-cell variance defect sigma^2 - var(S(V))/|V| shrinks as "
     "the minimal block edge grows.",
-    inputs=_fitted("edges"),
 )
 def check_variance_defect(
     model: FieldModel,
-    edges: Sequence[int] = (10, 40, 160, 640),
+    edges: dom.Edges = (10, 40, 160, 640),
 ) -> VerificationReport:
     """Exact per-cell variance defect shrinking with the minimal edge."""
     rows = []
     scaled = []
     for l in edges:
-        V = _ladder_block(model.d, l)
+        V = _ladder_block(l)
         defect = variance_defect(model, V)
         scaled.append(abs(defect) * math.sqrt(l))
         rows.append(
@@ -643,24 +617,17 @@ def check_variance_defect(
 # index geometry
 
 
-def _invsum_inputs(arguments: Mapping) -> None:
-    """One block at least for the fitted and for the validated constant."""
-    for key in ("fit_blocks", "validate_blocks"):
-        cpl._require_count(arguments[key], key, 1, "a constant needs at least one block")
-
-
 @_claim(
     "inverse_distance_sum",
     "Sums of inverse sup-norm distances over a block obey the "
     "volume/log shape bound with one constant transferring from small "
     "to large blocks.",
-    inputs=_invsum_inputs,
 )
 def check_inverse_distance_sum(
-    dims: Sequence[int] = (1, 2, 3),
-    seed: int = 0,
-    fit_blocks: int = 24,
-    validate_blocks: int = 12,
+    dims: dom.Naturals = (1, 2, 3),
+    seed: dom.Seed = 0,
+    fit_blocks: dom.Natural = 24,
+    validate_blocks: dom.Natural = 12,
 ) -> VerificationReport:
     """One fitted constant per (d, nu) transfers from small to large blocks.
 
@@ -715,10 +682,8 @@ def check_inverse_distance_sum(
 
 
 def _clt_inputs(arguments: Mapping) -> None:
-    """Two ladder points, sigma^2 != 0 to standardize by, and one replicate."""
-    _fitted("ladder")(arguments)
+    """sigma^2 != 0 to standardize by."""
     _require(sigma2(arguments["model"]) != 0, "CLT distance needs sigma^2 != 0")
-    _require(arguments["replicates"] >= 1, "replicates must be at least 1")
 
 
 @_claim(
@@ -729,15 +694,15 @@ def _clt_inputs(arguments: Mapping) -> None:
 )
 def check_clt_distance(
     model: FieldModel,
-    ladder: Sequence = (100, 1000, 10000),
-    replicates: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
+    ladder: dom.Ladder = (100, 1000, 10000),
+    replicates: dom.Natural = 10_000,
+    seed: dom.Seed = 0,
+    workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Kolmogorov distance of standardized S_N to the normal on a ladder."""
     rows = []
     for size in ladder:
-        V = _ladder_block(model.d, size)
+        V = _ladder_block(size)
         sums, _ = _sum_max_samples(
             model, V, replicates, seed, f"clt:{cardinality(V)}", workers, False
         )
@@ -764,15 +729,14 @@ def check_clt_distance(
 
 
 def _decay_inputs(arguments: Mapping) -> None:
-    """Two integer depths >= 1 at least, enough draws for each empirical CDF,
-    two evaluation draws, and alpha, beta and tau that SchemeParams takes."""
-    _fitted("depths")(arguments)
+    """alpha, beta and tau that SchemeParams takes, and a good top block at
+    each depth, built as coupling_error_decay_study builds it."""
+    params = SchemeParams(alpha=arguments["alpha"], beta=arguments["beta"],
+                          tau=arguments["tau"], gamma0=1.0)
+    d = arguments["model"].d
     for K in arguments["depths"]:
-        cpl._require_count(K, "depths", 1, "a scheme depth is at least 1")
-    cpl.require_cdf_draws(arguments["m_cdf"])
-    cpl._require_count(arguments["m_eval"], "m_eval", 2,
-                       "a standard error needs at least two draws")
-    SchemeParams(alpha=arguments["alpha"], beta=arguments["beta"], tau=arguments["tau"])
+        _require((K,) * d in cpl.build_scheme(params, K, d).good,
+                 f"depths: the top block is not good at depth {K} in d = {d}")
 
 
 @_claim(
@@ -783,13 +747,13 @@ def _decay_inputs(arguments: Mapping) -> None:
 )
 def check_coupling_error_decay(
     model: FieldModel,
-    depths: Sequence[int] = (3, 5, 8),
-    m_cdf: int = 10_000,
-    m_eval: int = 10_000,
-    seed: int = 0,
-    alpha: int = 3,
-    beta: int = 2,
-    tau: float = 1.0,
+    depths: dom.FittedDepths = (3, 5, 8),
+    m_cdf: dom.CdfDraws = 10_000,
+    m_eval: dom.Replicates2 = 10_000,
+    seed: dom.Seed = 0,
+    alpha: dom.Exponent = 3,
+    beta: dom.Exponent = 2,
+    tau: dom.PositiveReal = 1.0,
 ) -> VerificationReport:
     """Per-cell E e^2 of the top scheme block falls as the scheme deepens."""
     rows = cpl.coupling_error_decay_study(
@@ -811,32 +775,22 @@ def check_coupling_error_decay(
     )
 
 
-def _tail_inputs(arguments: Mapping) -> None:
-    """One replicate at least, and a Block or ladder size V for the model."""
-    cpl._require_count(arguments["replicates"], "replicates", 1,
-                       "the tail needs at least one replicate")
-    if not isinstance(arguments["V"], Block):
-        _ladder_block(arguments["model"].d, arguments["V"])
-
-
 @_claim(
     "tail_bound",
     "P(M(V) >= x sqrt|V|) decays at least like x^-(2+delta) over the "
     "tested grid.",
-    inputs=_tail_inputs,
 )
 def check_tail_bound(
     model: FieldModel,
-    delta: float,
-    V: Block | int = 1024,
-    xs: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-    replicates: int = 10_000,
-    seed: int = 0,
-    workers: int = 1,
+    delta: dom.PositiveReal,
+    V: dom.BlockSize = 1024,
+    xs: dom.PositiveReals = (1.0, 2.0, 4.0, 8.0),
+    replicates: dom.Natural = 10_000,
+    seed: dom.Seed = 0,
+    workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Empirical tail of M(V)/sqrt|V| against the power-law envelope."""
-    if not isinstance(V, Block):
-        V = _ladder_block(model.d, V)
+    V = _ladder_block(V)
     _, maxima = _sum_max_samples(model, V, replicates, seed, "tail", workers, True)
     scale = math.sqrt(cardinality(V))
     rows = []
@@ -875,13 +829,13 @@ def check_tail_bound(
 )
 def check_approximation_error(
     model: FieldModel,
-    depths: Sequence[int] = (24,),
-    replicates: int = 200,
-    seed: int = 0,
-    exact_phi: bool = False,
-    m_cdf: int = 10_000,
-    bootstrap: int = 1000,
-    workers: int = 1,
+    depths: dom.Naturals = (24,),
+    replicates: dom.Replicates2 = 200,
+    seed: dom.Seed = 0,
+    exact_phi: dom.Flag = False,
+    m_cdf: dom.Natural = 10_000,
+    bootstrap: dom.Resamples = 1000,
+    workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Bootstrap CI of the S - sigma W decay slope stays below 1/2."""
     studies = cpl.approximation_error_study(
@@ -912,12 +866,10 @@ def _loglog_scale(n: float) -> float:
 
 
 def _lil_inputs(arguments: Mapping) -> None:
-    """A d = 1 model with sigma^2 != 0 to normalize by, and one replicate."""
+    """A d = 1 model with sigma^2 != 0 to normalize by."""
     model = arguments["model"]
     _require(model.d == 1, "the dyadic net is implemented for d = 1")
     _require(sigma2(model) != 0, "the LIL normalization needs sigma^2 != 0")
-    _require(arguments["replicates"] >= 1, "replicates must be at least 1")
-    cpl._require_count(arguments["depth"], "depth", 1, "the dyadic net needs depth >= 1")
 
 
 @_claim(
@@ -928,10 +880,10 @@ def _lil_inputs(arguments: Mapping) -> None:
 )
 def check_lil(
     model: FieldModel,
-    depth: int = 20,
-    replicates: int = 100,
-    seed: int = 0,
-    workers: int = 1,
+    depth: dom.Natural = 20,
+    replicates: dom.Natural = 100,
+    seed: dom.Seed = 0,
+    workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Iterated-logarithm bands for R_N along a dyadic net (d = 1)."""
     s2 = sigma2(model)

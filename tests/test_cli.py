@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fieldlab
+from fieldlab import verify as verify_mod
 from fieldlab.cli import main
+from fieldlab.domains import Count, Geometries, OneOf, Positive, Seq, Size
 
 
 def write_config(tmp_path, **extra):
@@ -31,6 +39,63 @@ VERIFY_SECTION = {
     "claims": ["variance_defect", "second_moment_bound", "variance_ratio"],
     "overrides": {"variance_ratio": {"replicates": 1200}},
 }
+
+
+def outside(domain) -> st.SearchStrategy:
+    """JSON values outside a declared domain, for a d = 1 model: a wrong type,
+    a bool, a value below the minimum, an empty or short list, NaN or +-inf,
+    or a size or index set in the wrong dimension."""
+    junk = st.one_of(st.text("ab", max_size=2), st.just({}))
+    below = st.one_of(junk, st.none(), st.booleans(), st.floats())
+    if isinstance(domain, Count):
+        return st.one_of(below, st.integers(max_value=domain.minimum - 1),
+                         st.just([domain.minimum]))
+    if isinstance(domain, Positive):
+        return st.one_of(junk, st.none(), st.booleans(), st.integers(max_value=0),
+                         st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+    if isinstance(domain, OneOf):
+        return st.one_of(junk, st.none(), st.integers(), st.just([domain.values[0]]),
+                         st.text("xyz", min_size=1, max_size=3))
+    if isinstance(domain, Seq):
+        fine = 1.0 if isinstance(domain.item, Positive) else 1
+        return st.one_of(
+            junk, st.none(), st.integers(),
+            st.lists(st.just(fine), max_size=domain.points - 1),
+            st.tuples(st.lists(st.just(fine), max_size=2), outside(domain.item)).map(
+                lambda t: t[0] + [t[1]]),
+        )
+    if isinstance(domain, Size):
+        wrong = [[], [4, 4], [4, 4, 4]] + ([[4]] if domain.scalar else [])
+        return st.one_of(below, st.integers(max_value=0), st.sampled_from(wrong))
+    assert isinstance(domain, Geometries)
+    return st.one_of(junk, st.integers(), st.sampled_from([
+        [], [[[1]]], [[[], [3]]], [[[[1, 1]], [[3, 3]]]], [[[1.5], [3]]], [[[True], [3]]],
+        [[[[1], [2, 3]], [3]]],
+    ]))
+
+
+@pytest.mark.parametrize("claim, name", [
+    (claim, name) for claim in sorted(verify_mod.CLAIMS)
+    for name in verify_mod.CLAIMS[claim].domains
+])
+@settings(max_examples=12)
+@given(data=st.data())
+def test_values_outside_a_domain_exit_two(claim, name, data):
+    """Every parameter of every claim rejects what lies outside its domain
+    before any claim runs: exit 2, naming it, with no output directory."""
+    bad = data.draw(outside(verify_mod.CLAIMS[claim].domains[name]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({
+            "seed": 1, "model": {"kind": "iid", "d": 1},
+            "verify": {"claims": [claim], "overrides": {claim: {name: bad}}},
+        }))
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["verify", "--config", str(path), "--output-dir", str(out)])
+        assert code == 2
+        assert f"{name} must be" in err.getvalue()
+        assert not out.exists()
 
 
 class TestTheory:
@@ -81,6 +146,15 @@ class TestConfigValidation:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"model": {"kind": "iid", "d": 1}}))
         assert main(["verify", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "0")])
+    def test_bad_flag_values(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path, verify={"claims": ["variance_defect"]})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out),
+                     flag, value]) == 2
+        assert f"{flag[2:]} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_claim(self, tmp_path):
         path = write_config(tmp_path, verify={"claims": ["not_a_claim"]})
@@ -222,6 +296,24 @@ class TestConfigValidation:
         ("iterated_logarithm", {"depth": 0, "replicates": 20}, "depth", NORMAL),
         ("inverse_distance_sum", {"fit_blocks": 0}, "fit_blocks", NORMAL),
         ("inverse_distance_sum", {"validate_blocks": 0}, "validate_blocks", NORMAL),
+        ("inverse_distance_sum", {"dims": [0]}, "dims", NORMAL),
+        ("clt_distance", {"replicates": 2.5}, "replicates", NORMAL),
+        ("iterated_logarithm", {"replicates": 2.5}, "replicates", NORMAL),
+        ("variance_ratio", {"replicates": 2.5}, "replicates", NORMAL),
+        ("moment_growth", {"ladder": [0, 16]}, "ladder", NORMAL),
+        ("variance_ratio", {"N": 0}, "N", NORMAL),
+        ("second_moment_bound", {"sizes": [0, 10]}, "sizes", NORMAL),
+        ("variance_defect", {"edges": [0, 10]}, "edges", NORMAL),
+        ("second_moment_bound", {"sizes": []}, "sizes", NORMAL),
+        ("inverse_distance_sum", {"dims": []}, "dims", NORMAL),
+        ("tail_bound", {"xs": []}, "xs", NORMAL),
+        ("moment_growth", {"delta": "abc"}, "delta", NORMAL),
+        ("coupling_error_decay", {"depths": [1, 3]}, "top block", PLANE),
+        ("dependence_bound", {}, "d = 1", PLANE),
+        ("variance_defect", {"edges": [10.5, 20]}, "edges", NORMAL),
+        ("maximal_growth", {"delta": -5.0}, "delta", NORMAL),
+        ("clt_distance", {"replicates": True}, "replicates", NORMAL),
+        ("variance_ratio", {"N_small": -3}, "N_small", NORMAL),
     ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
             "m_cdf-50", "decay-m_cdf-50", "bootstrap-zero", "bootstrap-float",
             "replicates-float", "m_cdf-float", "depths-empty", "clt-sigma2-zero",
@@ -233,19 +325,51 @@ class TestConfigValidation:
             "moment-replicates-one", "maximal-replicates-zero", "maximal-replicates-one",
             "tail-replicates-zero", "tail-V-dimension", "decay-m_eval-one",
             "decay-depth-zero", "decay-tau-zero", "lil-depth-zero",
-            "invsum-fit-zero", "invsum-validate-zero"])
+            "invsum-fit-zero", "invsum-validate-zero", "invsum-dims-zero",
+            "clt-replicates-float", "lil-replicates-float", "variance_ratio-replicates-float",
+            "moment-ladder-zero", "variance_ratio-N-zero", "second_moment-sizes-zero",
+            "variance_defect-edges-zero", "second_moment-sizes-empty", "invsum-dims-empty",
+            "tail-xs-empty", "moment-delta-string", "decay-d2-top-block",
+            "dependence-default-geometries-d2", "variance_defect-edges-float",
+            "maximal-delta-negative", "clt-replicates-bool", "variance_ratio-N_small-negative"])
     def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
                                                    match, model):
+        # the valid claim listed first takes no model, so it is valid on every one
+        first = "variance_defect" if claim == "inverse_distance_sum" else "inverse_distance_sum"
         path = write_config(
             tmp_path,
             model=model,
-            verify={"claims": ["variance_defect", claim], "overrides": {claim: bad}},
+            verify={"claims": [first, claim], "overrides": {claim: bad}},
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and match in err
-        assert "variance_defect" not in err
+        assert first not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dims", [[0], []], ids=["zero", "empty"])
+    def test_inverse_distance_dims_rejected_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch, dims):
+        # dims [0] drew random blocks forever, and dims [] failed after the draws
+        def drawn(*args, **kwargs):
+            raise AssertionError("the checker drew blocks before rejecting its input")
+
+        monkeypatch.setattr(verify_mod, "stream", drawn)
+        path = write_config(tmp_path, verify={
+            "claims": ["inverse_distance_sum"],
+            "overrides": {"inverse_distance_sum": {"dims": dims}}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "dims must be a" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("delta", ["abc", -5.0, 0, float("nan"), True])
+    def test_bad_verify_delta(self, tmp_path, capsys, delta):
+        path = write_config(tmp_path, verify={"claims": ["moment_growth"], "delta": delta})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "verify.delta must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_json(self, tmp_path):
@@ -318,17 +442,16 @@ class TestVerify:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["verify"]["claims"] == ["second_moment_bound"]
 
-    def test_runtime_error_exits_three(self, tmp_path, capsys):
-        # a d = 2 model reaches the checker, whose default geometries are d = 1
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "seed": 1,
-            "model": {"kind": "iid", "d": 2},
-            "verify": {"claims": ["dependence_bound"]},
-        }))
+    def test_runtime_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        # valid inputs reach the checker, whose inner study then fails
+        def broken(*args, **kwargs):
+            raise RuntimeError("study failed")
+
+        monkeypatch.setattr(verify_mod, "variance_defect", broken)
+        path = write_config(tmp_path, verify={"claims": ["variance_defect"]})
         assert main(["verify", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 3
-        assert "runtime error" in capsys.readouterr().err
+        assert "runtime error: RuntimeError: study failed" in capsys.readouterr().err
 
     def test_seed_flag_changes_resolved_config(self, tmp_path):
         path = write_config(tmp_path, verify={"claims": ["second_moment_bound"]})

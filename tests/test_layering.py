@@ -82,7 +82,7 @@ def test_couple_checks_no_values():
     called = {n.func.id for n in ast.walk(couple)
               if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert "study_plans" in called
-    assert "_as_int" not in called
+    assert "_config_value" not in called
 
 
 def test_couple_keys_are_the_study_parameters():

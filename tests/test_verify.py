@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -215,6 +216,11 @@ class TestCheckers:
         rep = check_variance_defect(ma_model)
         assert CLAIMS[rep.claim_id] is check_variance_defect
         assert rep.statement
+
+    @pytest.mark.parametrize("claim", sorted(ALL_CLAIM_IDS))
+    def test_every_parameter_declares_a_domain(self, claim):
+        fn = CLAIMS[claim]
+        assert set(fn.domains) == set(inspect.signature(fn).parameters) - {"model"}
 
 
 MA_2D = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
