@@ -23,12 +23,10 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import verify as verify_mod
-from .coupling import approximation_error_study, study_plans
-from .domains import Natural, PositiveReal, Seed, check_value, domains
-from .fields import FieldModel, iid_model, linear_ma_model
+from .coupling import study_plans
+from .domains import Margin, Natural, Seed, check_value, domains
+from .fields import FieldModel, iid_model, linear_ma_model, sample_block
 from .lattice import Block, cardinality
 from .sums import anchored_abs_max, make_grid, max_sub_block, partial_sum
 from .theory import (
@@ -105,7 +103,7 @@ def load_config(path: str) -> dict:
     if "verify" in cfg:
         _check_keys(cfg["verify"], _VERIFY_KEYS, "verify")
         if "delta" in cfg["verify"]:
-            _config_value(PositiveReal, cfg["verify"]["delta"], "verify.delta")
+            _config_value(Margin, cfg["verify"]["delta"], "verify.delta")
         _check_keys(cfg["verify"].get("overrides") or {}, set(VERIFIERS),
                     "verify.overrides")
     if "couple" in cfg:
@@ -207,9 +205,6 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("simulate.block dimension differs from the model")
     replicates = _config_value(Natural, section.get("replicates", 1), "simulate.replicates")
     outdir = _resolve_outdir(args, cfg)
-
-    from .fields import sample_block
-
     rows = []
     for r in range(replicates):
         values = sample_block(model, block, cfg["seed"], replicate=r)
@@ -311,7 +306,7 @@ def _cmd_couple(args) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"couple: {e}")
     outdir = _resolve_outdir(args, cfg)
-    studies = approximation_error_study(
+    studies = verify_mod.approximation_error_study(
         model, seed=cfg["seed"], workers=_workers(cfg), **study
     )
     doc = {"model": verify_mod._model_inputs(model), "seed": cfg["seed"],

@@ -73,9 +73,7 @@ __all__ = [
     "decomposition_terms",
     "BlockCouplingSample",
     "block_coupling_samples",
-    "coupling_error_decay_study",
     "study_plans",
-    "approximation_error_study",
 ]
 
 
@@ -611,56 +609,6 @@ def block_coupling_samples(
     )
 
 
-def coupling_error_decay_study(
-    model: FieldModel,
-    depths: Sequence[int],
-    m_cdf: int,
-    m_eval: int,
-    seed: int,
-    alpha: int = 3,
-    beta: int = 2,
-    tau: float = 1.0,
-) -> list[dict]:
-    """Mean squared coupling error of the top block across scheme depths.
-
-    Returns one row per depth with E e^2 normalized by the block volume;
-    the normalized value should fall as blocks grow.
-    """
-    params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
-    rows = []
-    for K in depths:
-        scheme = build_scheme(params, K, model.d)
-        top = (K,) * model.d
-        if top not in scheme.good:
-            raise ValueError(f"top block is not good at depth {K}")
-        sample = block_coupling_samples(
-            model,
-            scheme.head(top).lengths,
-            scheme.block(top).lengths,
-            m_cdf,
-            m_eval,
-            seed,
-        )
-        e2 = sample.e**2
-        mean_e2 = float(e2.mean())
-        rows.append(
-            {
-                "depth": K,
-                "card": sample.card,
-                "sigma2": sample.sigma2,
-                "tau2": sample.tau2,
-                "mean_e2": mean_e2,
-                "se_e2": float(e2.std(ddof=1) / math.sqrt(m_eval)),
-                "mean_e2_per_cell": mean_e2 / sample.card,
-            }
-        )
-    return rows
-
-
-# coverage of the bootstrap confidence interval of each fitted slope
-_CI_LEVEL = 0.90
-
-
 def study_plans(
     model: FieldModel,
     depths: dom.Naturals,
@@ -674,12 +622,12 @@ def study_plans(
 ) -> list[tuple]:
     """(depth, scheme, variances, coupled in-cone corners) for each depth.
 
-    The one check of approximation_error_study's values, run by `fieldlab
-    couple` and the approximation_error claim before any work.  Raises
-    ValueError naming the argument unless each argument lies in its declared
-    domain, exact_phi is true only with Gaussian innovations, m_cdf is a
-    CdfDraws on the empirical-CDF path, sigma^2 != 0, alpha, beta and tau
-    pass SchemeParams, and every depth has two coupled in-cone corners.
+    The one check of verify.approximation_error_study's values, run by
+    `fieldlab couple` and the approximation_error claim before any work.
+    Raises ValueError naming the argument unless each argument lies in its
+    declared domain, exact_phi is true only with Gaussian innovations, m_cdf
+    is a CdfDraws on the empirical-CDF path, sigma^2 != 0, alpha, beta and
+    tau pass SchemeParams, and every depth has two coupled in-cone corners.
     """
     dom.check_arguments(dom.domains(study_plans), locals())
     if exact_phi and model.innovation != "normal":
@@ -706,77 +654,3 @@ def study_plans(
         plans.append((K, scheme, variances, corners))
     return plans
 
-
-def approximation_error_study(
-    model: FieldModel,
-    depths: Sequence[int],
-    replicates: int,
-    seed: int,
-    alpha: int = 3,
-    beta: int = 2,
-    tau: float = 1.0,
-    exact_phi: bool = False,
-    m_cdf: int = 10_000,
-    bootstrap: int = 1000,
-    workers: int = 1,
-) -> list[dict]:
-    """Log-log decay rate of the partial-sum vs Wiener discrepancy.
-
-    For each depth, couples `replicates` independent runs, measures
-    err = S(0, N] - sigma W(0, N] at every good in-cone corner N, and
-    regresses log median|err| on log volume.  The slope's bootstrap
-    confidence interval (over replicates) is attached per depth.
-
-    Replicates are coupled one per task on `workers` threads through
-    corner_errors, so each thread holds one coupled replicate at a time: in
-    d = 1 one slab of it, in d >= 2 its whole domain.  The result does not
-    depend on the worker count.
-    """
-    from .verify import map_replicate_chunks
-
-    out = []
-    for K, scheme, variances, corners in study_plans(
-        model, depths, replicates, alpha, beta, tau, exact_phi, m_cdf, bootstrap
-    ):
-        cdfs = None if exact_phi else cdf_table(model, scheme, variances, m_cdf, seed)
-        cards = np.array([math.prod(scheme.corner(k)) for k in corners], dtype=np.float64)
-
-        # a coupled replicate runs on its own, so a task of several would
-        # stack nothing and only idle the other threads: each one claims a
-        # whole task's cells, which makes it one task at every depth
-        errs = np.abs(map_replicate_chunks(
-            lambda s, e: np.array([
-                corner_errors(model, scheme, seed, rep, variances, cdfs, exact_phi, corners)
-                for rep in range(s, e)
-            ]),
-            replicates, _BATCH_CELLS, workers,
-        ))
-
-        logn = np.log(cards)
-        med = np.median(errs, axis=0)
-        slope = float(np.polyfit(logn, np.log(med), 1)[0])
-
-        gen = stream(seed, "bootstrap", 0)
-        draws = gen.integers(0, replicates, size=(bootstrap, replicates))
-        slopes = np.empty(bootstrap)
-        # medians of 100 draws at a time, bitwise those of one draw at a time;
-        # the fits stay one per draw, as a stacked fit rounds differently
-        for b0 in range(0, bootstrap, 100):
-            meds = np.median(errs[draws[b0 : b0 + 100]], axis=1)
-            for b, m_b in enumerate(meds, b0):
-                slopes[b] = np.polyfit(logn, np.log(m_b), 1)[0]
-        lo, hi = np.quantile(slopes, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
-        out.append(
-            {
-                "depth": K,
-                "corners": [scheme.corner(k) for k in corners],
-                "cards": cards.tolist(),
-                "median_abs_err": med.tolist(),
-                "slope": slope,
-                "ci_low": float(lo),
-                "ci_high": float(hi),
-                "level": _CI_LEVEL,
-                "replicates": replicates,
-            }
-        )
-    return out

@@ -23,8 +23,8 @@ from .lattice import Block
 __all__ = [
     "Count", "Positive", "OneOf", "Seq", "Size", "Geometries", "Seed", "Natural",
     "Pairs", "Replicates2", "Replicates3", "CdfDraws", "Resamples",
-    "Exponent", "PositiveReal", "Flag", "Innovation", "Naturals", "FittedDepths",
-    "PositiveReals", "BlockSize", "Ladder", "Edges", "Sizes", "IndexPairs",
+    "Exponent", "PositiveReal", "Margin", "Flag", "Innovation", "Naturals", "Dimensions",
+    "FittedDepths", "PositiveReals", "BlockSize", "Ladder", "Edges", "Sizes", "IndexPairs",
     "domains", "check_arguments", "check_value",
 ]
 
@@ -42,25 +42,30 @@ def _in_dimension(name: str, dims: int, d: int | None) -> None:
 
 @dataclass(frozen=True)
 class Count:
-    """An integer of at least `minimum`, bools excluded; `need` says why."""
+    """An integer from `minimum` to `maximum`, bools excluded; `need` says why."""
 
     minimum: int
     need: str = ""
+    maximum: float = math.inf
 
     def check(self, value, name: str, d: int | None) -> None:
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < self.minimum):
-            _fail(name, f"an integer >= {self.minimum}", self.need)
+                or not self.minimum <= value <= self.maximum):
+            cap = f" and <= {self.maximum}" if self.maximum < math.inf else ""
+            _fail(name, f"an integer >= {self.minimum}{cap}", self.need)
 
 
 @dataclass(frozen=True)
 class Positive:
-    """A finite real number above 0, bools excluded."""
+    """A finite real number above 0 and at most `maximum`, bools excluded."""
+
+    maximum: float = math.inf
 
     def check(self, value, name: str, d: int | None) -> None:
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0 < value < math.inf):
-            _fail(name, "a positive finite number")
+                or not 0 < value < math.inf or value > self.maximum):
+            _fail(name, "a positive finite number"
+                  + (f" <= {self.maximum}" if self.maximum < math.inf else ""))
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,14 @@ CdfDraws = Annotated[int, Count(100, "CDF estimation needs at least 100 values")
 Resamples = Annotated[int, Count(10, "the slope CI needs at least 10 resamples")]
 Exponent = Annotated[int, Count(2, "the scheme needs alpha > beta > 1")]
 PositiveReal = Annotated[float, Positive()]
+# the margin delta of the moment order 2 + delta: theory.choose_delta picks it
+# in (0, 1], and theory.tau0 and theory.moricz_a take no other
+Margin = Annotated[float, Positive(1)]
 Flag = Annotated[bool, OneOf((False, True), "true or false")]
 Innovation = Annotated[str, OneOf(_INNOVATIONS, f"an innovation kind in {_INNOVATIONS}")]
 Naturals = Annotated[Sequence[int], Seq(Count(1))]
+Dimensions = Annotated[Sequence[int],
+                       Seq(Count(1, "numpy arrays have at most 32 axes", maximum=32))]
 FittedDepths = Annotated[Sequence[int], Seq(Count(1), 2, FIT)]
 PositiveReals = Annotated[Sequence[float], Seq(Positive())]
 BlockSize = Annotated[object, Size()]

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "MomentParams",
@@ -80,10 +78,9 @@ class SchemeParams:
         return self.tau / 8.0
 
 
-@lru_cache(maxsize=1)
 def t0() -> float:
     """Largest real root of t^3 + 2t^2 - 7t - 4; psi changes form at t0^2."""
-    return float(brentq(lambda t: t**3 + 2 * t**2 - 7 * t - 4, 2.0, 3.0, xtol=1e-14))
+    return 2.141336115655364
 
 
 def psi(x: float) -> float:

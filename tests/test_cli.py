@@ -43,16 +43,21 @@ VERIFY_SECTION = {
 
 def outside(domain) -> st.SearchStrategy:
     """JSON values outside a declared domain, for a d = 1 model: a wrong type,
-    a bool, a value below the minimum, an empty or short list, NaN or +-inf,
-    or a size or index set in the wrong dimension."""
+    a bool, a value below the minimum or above a finite maximum, an empty or
+    short list, NaN or +-inf, or a size or index set in the wrong dimension."""
     junk = st.one_of(st.text("ab", max_size=2), st.just({}))
     below = st.one_of(junk, st.none(), st.booleans(), st.floats())
     if isinstance(domain, Count):
+        above = ([st.integers(min_value=domain.maximum + 1)]
+                 if domain.maximum < math.inf else [])
         return st.one_of(below, st.integers(max_value=domain.minimum - 1),
-                         st.just([domain.minimum]))
+                         st.just([domain.minimum]), *above)
     if isinstance(domain, Positive):
+        above = ([st.floats(min_value=domain.maximum, exclude_min=True,
+                            allow_infinity=False)] if domain.maximum < math.inf else [])
         return st.one_of(junk, st.none(), st.booleans(), st.integers(max_value=0),
-                         st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]))
+                         st.floats(max_value=0.0), st.sampled_from([math.nan, math.inf]),
+                         *above)
     if isinstance(domain, OneOf):
         return st.one_of(junk, st.none(), st.integers(), st.just([domain.values[0]]),
                          st.text("xyz", min_size=1, max_size=3))
@@ -348,10 +353,11 @@ class TestConfigValidation:
         assert first not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("dims", [[0], []], ids=["zero", "empty"])
+    @pytest.mark.parametrize("dims", [[0], [], [33]], ids=["zero", "empty", "33"])
     def test_inverse_distance_dims_rejected_before_any_work(self, tmp_path, capsys,
                                                             monkeypatch, dims):
-        # dims [0] drew random blocks forever, and dims [] failed after the draws
+        # dims [0] drew random blocks forever, dims [] failed after the draws,
+        # and dims [33] failed in numpy, whose arrays have at most 32 axes
         def drawn(*args, **kwargs):
             raise AssertionError("the checker drew blocks before rejecting its input")
 
@@ -364,7 +370,17 @@ class TestConfigValidation:
         assert "dims must be a" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("delta", ["abc", -5.0, 0, float("nan"), True])
+    def test_inverse_distance_dims_32_runs(self, tmp_path):
+        path = write_config(tmp_path, verify={
+            "claims": ["inverse_distance_sum"],
+            "overrides": {"inverse_distance_sum": {
+                "dims": [32], "fit_blocks": 1, "validate_blocks": 1}}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) in (0, 1)
+        assert (out / "summary.json").exists()
+
+    # delta 1.5 failed in theory.moricz_a after sampling, and 1000 wrote NaN
+    @pytest.mark.parametrize("delta", ["abc", -5.0, 0, float("nan"), True, 1.5, 1000])
     def test_bad_verify_delta(self, tmp_path, capsys, delta):
         path = write_config(tmp_path, verify={"claims": ["moment_growth"], "delta": delta})
         out = tmp_path / "out"

@@ -9,14 +9,12 @@ from fieldlab import coupling
 from fieldlab.coupling import (
     BlockVariance,
     EmpiricalCdf,
-    approximation_error_study,
     block_coupling_samples,
     block_sums,
     build_scheme,
     build_wiener,
     cdf_table,
     coupling_error,
-    coupling_error_decay_study,
     corner_errors,
     decomposition_terms,
     estimate_cdf,
@@ -32,7 +30,12 @@ from fieldlab.lattice import Block, cardinality
 from fieldlab.rng import stream
 from fieldlab.sums import block_var, make_grid, partial_sum
 from fieldlab.theory import SchemeParams
-from fieldlab.verify import dkw_bound, kolmogorov_distance
+from fieldlab.verify import (
+    approximation_error_study,
+    check_coupling_error_decay,
+    dkw_bound,
+    kolmogorov_distance,
+)
 
 PARAMS = SchemeParams(alpha=3, beta=2, tau=1.0)
 
@@ -212,9 +215,9 @@ class TestStudies:
         assert bs.xi.shape == (300,)
 
     def test_error_decay(self, exp_model):
-        rows = coupling_error_decay_study(
+        rows = check_coupling_error_decay(
             exp_model, depths=(3, 5), m_cdf=2000, m_eval=2000, seed=4
-        )
+        ).rows
         assert [r["depth"] for r in rows] == [3, 5]
         assert rows[0]["card"] < rows[1]["card"]
         assert rows[1]["mean_e2_per_cell"] < rows[0]["mean_e2_per_cell"]

@@ -1,5 +1,8 @@
 """Module boundaries of the package, read from its source.
 
+Each module imports only modules below it in LAYERS, so the graph has no
+cycle and no upward edge: coupling builds the construction, and verify
+holds the statistics of every study.
 fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing.
@@ -10,6 +13,9 @@ tests call.
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,9 @@ import fieldlab
 
 SRC = Path(fieldlab.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+# bottom to top; __init__ and __main__ are the package's entry points
+LAYERS = ["lattice", "rng", "theory", "fields", "sums", "domains", "coupling", "verify",
+          "cli"]
 
 INNOVATION_LAYOUT = {"innovations", "_dilation", "_field_from_innovations"}
 SAMPLERS = {"sample_block", "sample_block_batch", "line_segments", "stream", "streams"}
@@ -35,6 +44,22 @@ def used_names(module: str) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def imported_modules(module: str) -> set[str]:
+    """Package modules a module imports, at module level or inside a function."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0 and not base.startswith("fieldlab"):
+                continue
+            base = base.removeprefix("fieldlab").lstrip(".")
+            found.update([base.split(".")[0]] if base else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("fieldlab."))
+    return found
 
 
 def reads_by_definition(module: str) -> dict[str | None, set[str]]:
@@ -62,7 +87,24 @@ def public_names(module: str) -> list[str]:
 
 
 def test_modules_found():
-    assert {"fields", "sums", "coupling", "verify"} <= set(MODULES)
+    assert set(MODULES) == set(LAYERS) | {"__init__", "__main__"}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_only_lower_layers(module):
+    assert imported_modules(module) <= set(LAYERS[: LAYERS.index(module)])
+
+
+def test_cli_import_loads_no_root_finder():
+    """theory's constants are closed forms: the CLI needs no scipy.optimize."""
+    src = str(SRC.resolve().parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, fieldlab.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "fields"])
@@ -87,7 +129,7 @@ def test_couple_checks_no_values():
 
 def test_couple_keys_are_the_study_parameters():
     from fieldlab import cli
-    from fieldlab.coupling import approximation_error_study
+    from fieldlab.verify import approximation_error_study
 
     params = set(inspect.signature(approximation_error_study).parameters)
     assert cli._COUPLE_KEYS == params - {"model", "seed", "workers"}

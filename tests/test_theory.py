@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from fieldlab.theory import (
     DecayTooSlowError,
@@ -25,6 +26,9 @@ T0 = 2.141336115655364
 class TestT0:
     def test_frozen_value(self):
         assert t0() == pytest.approx(T0, abs=1e-12)
+
+    def test_is_the_bracketed_root(self):
+        assert t0() == brentq(lambda t: t**3 + 2 * t**2 - 7 * t - 4, 2.0, 3.0, xtol=1e-14)
 
     def test_is_cubic_root(self):
         t = t0()

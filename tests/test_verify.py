@@ -145,7 +145,7 @@ class TestCheckers:
 
         for name in ("sample_block_batch", "variance_defect", "block_var"):
             monkeypatch.setattr(verify_mod, name, sampled)
-        monkeypatch.setattr(verify_mod.cpl, "coupling_error_decay_study", sampled)
+        monkeypatch.setattr(verify_mod.cpl, "block_coupling_samples", sampled)
         with pytest.raises(ValueError, match="at least two points"):
             check(exp_model, **one_point)
 
