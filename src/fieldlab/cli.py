@@ -187,12 +187,23 @@ def _cmd_theory(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _load(args, name: str) -> tuple[dict, dict]:
+    """The config with the command-line flags applied, and its `name` section."""
     cfg = load_config(args.config)
-    _apply_common_flags(args, cfg)
-    section = cfg.get("simulate")
+    if args.seed is not None:
+        cfg["seed"] = _config_value(Seed, args.seed, "seed")
+    if getattr(args, "workers", None) is not None:
+        cfg["workers"] = _config_value(Natural, args.workers, "workers")
+    if args.output_dir:
+        cfg["output_dir"] = args.output_dir
+    section = cfg.get(name)
     if section is None:
-        raise ConfigError("config needs a simulate section")
+        raise ConfigError(f"config needs a {name} section")
+    return cfg, section
+
+
+def _cmd_simulate(args) -> int:
+    cfg, section = _load(args, "simulate")
     block_cfg = section.get("block")
     if block_cfg is None or "a" not in block_cfg or "b" not in block_cfg:
         raise ConfigError("simulate.block needs integer lists a and b")
@@ -256,15 +267,11 @@ def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int)
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    _apply_common_flags(args, cfg)
-    section = cfg.get("verify")
-    if section is None:
-        raise ConfigError("config needs a verify section")
+    cfg, section = _load(args, "verify")
     claims = section.get("claims")
     if args.claims:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
-        cfg.setdefault("verify", {})["claims"] = claims
+        section["claims"] = claims
     if not claims or not isinstance(claims, list):
         raise ConfigError("verify.claims must be a nonempty list")
     unknown = sorted(set(claims) - set(VERIFIERS))
@@ -294,11 +301,7 @@ def _cmd_verify(args) -> int:
 def _cmd_couple(args) -> int:
     """The S - sigma W study on the couple section: load_config checks its keys,
     and coupling.study_plans alone its values, before the output directory."""
-    cfg = load_config(args.config)
-    _apply_common_flags(args, cfg)
-    section = cfg.get("couple")
-    if section is None:
-        raise ConfigError("config needs a couple section")
+    cfg, section = _load(args, "couple")
     model = build_model(cfg)
     study = {"depths": [8], "replicates": 100, **section}
     try:
@@ -347,15 +350,6 @@ def _cmd_report(args) -> int:
         _log(f"{r.get('claim_id')}: {'PASS' if r.get('passed') else 'FAIL'}")
     _log(f"wrote {out}")
     return 0 if passed else 1
-
-
-def _apply_common_flags(args, cfg: dict) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = _config_value(Seed, args.seed, "seed")
-    if getattr(args, "workers", None) is not None:
-        cfg["workers"] = _config_value(Natural, args.workers, "workers")
-    if getattr(args, "output_dir", None):
-        cfg["output_dir"] = args.output_dir
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,11 @@ Per good block the head sum u_k gets an independent Gaussian companion
 w_k ~ N(0, tau_k^2); the standardized xi_k = (u_k + w_k)/sqrt(s_k^2+t_k^2)
 is pushed through its own quantile transform eta_k = PhiInv(F_k(xi_k)),
 leaving the coupling error e_k = sqrt(s_k^2+t_k^2)(xi_k - eta_k).  F_k is
-an empirical CDF estimated once per block shape.  The Wiener grid holds
-standard normal unit-cell increments, conditioned inside good blocks so
-that W(B_k) = sqrt(|B_k|) eta_k exactly.
+the entry of the block's shape in cdf_table, the one place that chooses
+it: an empirical CDF estimated once per shape, or None for exact Phi
+(eta_k = xi_k, Gaussian innovations only).  The Wiener grid holds standard
+normal unit-cell increments, conditioned inside coupled blocks so that
+W(B_k) = sqrt(|B_k|) eta_k exactly.
 
 All randomness is drawn from counter-based streams keyed by (seed, tag,
 replicate), so a run is a pure function of (model, scheme, seed, replicate)
@@ -68,7 +70,6 @@ __all__ = [
     "CouplingRun",
     "run_coupling",
     "build_wiener",
-    "wiener_sum",
     "corner_errors",
     "decomposition_terms",
     "BlockCouplingSample",
@@ -251,8 +252,9 @@ def coupling_error(xi_val, eta_val, s2: float, t2: float):
     return math.sqrt(s2 + t2) * (np.asarray(xi_val) - np.asarray(eta_val))
 
 
-def _shape_key(scheme: BlockScheme, k) -> tuple:
-    return (scheme.head(k).lengths, scheme.block(k).lengths)
+def _shape_key(H: Block, B: Block) -> tuple:
+    """The cdf_table key of a block B with head H."""
+    return (H.lengths, B.lengths)
 
 
 def _shape_tag(prefix: str, h_lengths, b_lengths) -> str:
@@ -282,7 +284,7 @@ def _anchored_xi_batch(
         (gen.standard_normal() for gen in streams(seed, companion_tag, replicates)),
         dtype=np.float64, count=len(replicates),
     )
-    return (u + w * math.sqrt(t2)) / math.sqrt(s2 + t2)
+    return xi(u, w * math.sqrt(t2), s2, t2)
 
 
 def _shape_cdf(model: FieldModel, h_lengths, b_lengths, bv: BlockVariance, m: int,
@@ -296,36 +298,45 @@ def _shape_cdf(model: FieldModel, h_lengths, b_lengths, bv: BlockVariance, m: in
     return estimate_cdf(xs)
 
 
+def _coupled(scheme: BlockScheme, variances: Mapping) -> list:
+    """The coupled blocks: the good blocks with tau^2 > 0, in index order."""
+    return [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
+
+
+def _check_gaussian(model: FieldModel) -> None:
+    """Exact Phi is the law of xi only when the innovations are Gaussian."""
+    if model.innovation != "normal":
+        raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
+
+
 def cdf_table(
     model: FieldModel,
     scheme: BlockScheme,
     variances: Mapping,
     m: int,
     seed: int,
+    exact_phi: bool = False,
 ) -> dict:
-    """Empirical xi CDFs keyed by block shape, one table per distinct shape.
+    """The xi distribution function of each coupled block shape.
 
-    Estimation samples are origin-anchored congruent blocks, so the table
-    depends only on (model, shape, m, seed) and is shared across schemes.
-    Blocks with tau^2 <= 0 are skipped.
+    An entry is the shape's empirical CDF from m origin-anchored congruent
+    draws, so it depends only on (model, shape, m, seed); with exact_phi it
+    is None, exact Phi (eta = xi), and nothing is drawn.
     """
+    if exact_phi:
+        _check_gaussian(model)
     out = {}
-    for k in scheme.indices():
-        key = _shape_key(scheme, k)
-        if key in out:
-            continue
-        bv = variances[k]
-        if bv.tau2 <= 0:
-            continue
-        out[key] = _shape_cdf(model, key[0], key[1], bv, m, seed)
+    for k in _coupled(scheme, variances):
+        key = _shape_key(scheme.head(k), scheme.block(k))
+        if key not in out:
+            out[key] = None if exact_phi else _shape_cdf(model, *key, variances[k], m, seed)
     return out
 
 
 def _couple_block(u: float, z: float, bv: BlockVariance, cdf) -> tuple:
     """(w, xi, eta, e) of one block from its head sum u and companion draw z.
 
-    cdf is the block shape's empirical CDF, or None for the exact-Phi
-    shortcut eta = xi.
+    cdf is the block shape's entry of cdf_table.
     """
     w = z * math.sqrt(bv.tau2)
     x = xi(u, w, bv.sigma2, bv.tau2)
@@ -348,7 +359,6 @@ class CouplingRun:
     wiener: SampleGrid
     variances: Mapping
     coupled: tuple
-    low_variance: tuple
     v: dict
     w: dict
     xi: dict
@@ -360,44 +370,29 @@ def run_coupling(
     model: FieldModel,
     scheme: BlockScheme,
     seed: int,
-    replicate: int = 0,
-    variances: Mapping | None = None,
-    cdfs: Mapping | None = None,
-    m_cdf: int = 10_000,
-    exact_phi: bool = False,
+    replicate: int,
+    variances: Mapping,
+    cdfs: Mapping,
 ) -> CouplingRun:
-    """Sample one replicate and couple every good block.
+    """Sample one replicate and couple every good block with tau^2 > 0.
 
-    With exact_phi the quantile transform is skipped (eta = xi), valid when
-    xi is exactly standard normal, which requires Gaussian innovations.
-    Otherwise per-shape empirical CDFs are taken from cdfs or estimated from
-    m_cdf dedicated replicates.  Good blocks whose tail variance is
-    nonpositive are left uncoupled and reported in low_variance.
+    variances is scheme_variances(model, scheme), and cdfs the cdf_table
+    of the scheme, through whose entries each block's xi is mapped.
     """
     if model.d != scheme.d:
         raise ValueError("model dimension does not match the scheme")
-    if exact_phi and model.innovation != "normal":
-        raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
-    if variances is None:
-        variances = scheme_variances(model, scheme)
-    if cdfs is None and not exact_phi:
-        cdfs = cdf_table(model, scheme, variances, m_cdf, seed)
-
     grid = make_grid(scheme.domain, sample_block(model, scheme.domain, seed, replicate))
     u, v = block_sums(grid, scheme)
 
-    good = sorted(scheme.good)
-    coupled = tuple(k for k in good if variances[k].tau2 > 0)
-    low_variance = tuple(k for k in good if variances[k].tau2 <= 0)
-
+    coupled = tuple(_coupled(scheme, variances))
     gen = stream(seed, "companion", replicate)
     draws = gen.standard_normal(len(coupled))
     w, xis, etas, errs = {}, {}, {}, {}
     for k, z in zip(coupled, draws):
-        cdf = None if exact_phi else cdfs[_shape_key(scheme, k)]
+        cdf = cdfs[_shape_key(scheme.head(k), scheme.block(k))]
         w[k], xis[k], etas[k], errs[k] = _couple_block(u[k], z, variances[k], cdf)
 
-    Z = build_wiener(scheme, etas, seed, replicate, coupled=coupled)
+    Z = build_wiener(scheme, etas, seed, replicate)
     return CouplingRun(
         scheme=scheme,
         sigma=math.sqrt(sigma2(model)),
@@ -405,7 +400,6 @@ def run_coupling(
         wiener=make_grid(scheme.domain, Z),
         variances=variances,
         coupled=coupled,
-        low_variance=low_variance,
         v=v,
         w=w,
         xi=xis,
@@ -414,34 +408,20 @@ def run_coupling(
     )
 
 
-def build_wiener(
-    scheme: BlockScheme,
-    etas: Mapping,
-    seed: int,
-    replicate: int = 0,
-    coupled: Sequence | None = None,
-) -> np.ndarray:
-    """Unit-cell standard normal increments, conditioned on good blocks.
+def build_wiener(scheme: BlockScheme, etas: Mapping, seed: int, replicate: int) -> np.ndarray:
+    """Unit-cell standard normal increments, conditioned on the blocks of etas.
 
-    Cells start as iid N(0,1).  Inside each coupled block the increments
+    Cells start as iid N(0,1).  Inside each block k of etas the increments
     are recentered and shifted, Z = eta/sqrt(|B|) + (zeta - mean(zeta)), so
     the block total is sqrt(|B|) eta exactly while, for exactly normal eta,
     cell variances and covariances stay those of white noise.
     """
-    coupled = sorted(etas) if coupled is None else coupled
-    missing = [k for k in coupled if k not in etas]
-    if missing:
-        raise ValueError(f"missing eta for blocks {missing}")
     gen = stream(seed, "wiener", replicate)
     Z = gen.standard_normal(scheme.domain.lengths)
-    for k in coupled:
+    for k, eta in etas.items():
         B = scheme.block(k)
-        _condition(Z[tuple(slice(a, b) for a, b in zip(B.a, B.b))], etas[k])
+        _condition(Z[tuple(slice(a, b) for a, b in zip(B.a, B.b))], eta)
     return Z
-
-
-def wiener_sum(run: CouplingRun, V: Block) -> float:
-    return partial_sum(run.wiener, V)
 
 
 def _slabs(scheme: BlockScheme):
@@ -465,31 +445,27 @@ def corner_errors(
     seed: int,
     replicate: int,
     variances: Mapping,
-    cdfs: Mapping | None,
-    exact_phi: bool,
+    cdfs: Mapping,
     corners: Sequence,
 ) -> list[float]:
     """S(0, N] - sigma W(0, N] at the upper corner N of each block in corners.
 
     Bit for bit the numbers partial_sum(run.field, V) - run.sigma *
-    wiener_sum(run, V), V = (0, N], of run = run_coupling(model, scheme,
-    seed, replicate, variances, cdfs, exact_phi=exact_phi).  In d >= 2 they
-    are read from that run.  In d = 1 the replicate is coupled slab by slab
+    partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model,
+    scheme, seed, replicate, variances, cdfs).  In d >= 2 they are read
+    from that run.  In d = 1 the replicate is coupled slab by slab
     (see _slabs): fields.line_segments yields the field on each slab, the
     Wiener stream is drawn on in order, and only the two running longdouble
     prefix totals carry to the next slab, so memory is set by the largest
     slab, not by the domain.
     """
-    if exact_phi and model.innovation != "normal":
-        raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
     sigma = math.sqrt(sigma2(model))
     if model.d != 1:
-        run = run_coupling(model, scheme, seed, replicate, variances=variances,
-                           cdfs=cdfs, exact_phi=exact_phi)
-        return [partial_sum(run.field, V) - sigma * wiener_sum(run, V)
+        run = run_coupling(model, scheme, seed, replicate, variances, cdfs)
+        return [partial_sum(run.field, V) - sigma * partial_sum(run.wiener, V)
                 for V in (Block((0,) * model.d, scheme.corner(k)) for k in corners)]
 
-    coupled = [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
+    coupled = _coupled(scheme, variances)
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
     companions = dict(zip(coupled, draws))
     wiener_gen = stream(seed, "wiener", replicate)
@@ -508,9 +484,9 @@ def corner_errors(
         blocks = [(j,) for j in range(first, last + 1)]
         for k in blocks:
             if k in companions:
-                B = scheme.block(k)
-                u = at(P, field_total, scheme.head(k).b[0]) - at(P, field_total, B.a[0])
-                cdf = None if exact_phi else cdfs[_shape_key(scheme, k)]
+                B, H = scheme.block(k), scheme.head(k)
+                u = at(P, field_total, H.b[0]) - at(P, field_total, B.a[0])
+                cdf = cdfs[_shape_key(H, B)]
                 _, _, eta, _ = _couple_block(u, companions[k], variances[k], cdf)
                 _condition(Z[B.a[0] - s0 : B.b[0] - s0], eta)
         PW = line_prefix(Z, wiener_total)
@@ -560,8 +536,6 @@ def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float
 class BlockCouplingSample:
     """Fresh-replicate coupling draws for one block shape."""
 
-    h_lengths: tuple[int, ...]
-    b_lengths: tuple[int, ...]
     card: int
     sigma2: float
     tau2: float
@@ -604,9 +578,7 @@ def block_coupling_samples(
     )
     eta = quantile_transform(xs_eval, cdf)
     e = coupling_error(xs_eval, eta, s2, t2)
-    return BlockCouplingSample(
-        h_lengths, b_lengths, cardinality(B0), s2, t2, xs_eval, eta, e
-    )
+    return BlockCouplingSample(cardinality(B0), s2, t2, xs_eval, eta, e)
 
 
 def study_plans(
@@ -630,9 +602,9 @@ def study_plans(
     tau pass SchemeParams, and every depth has two coupled in-cone corners.
     """
     dom.check_arguments(dom.domains(study_plans), locals())
-    if exact_phi and model.innovation != "normal":
-        raise ValueError("the exact-CDF shortcut requires Gaussian innovations")
-    if not exact_phi:
+    if exact_phi:
+        _check_gaussian(model)
+    else:
         dom.check_value(dom.CdfDraws, m_cdf, "m_cdf")
     if sigma2(model) == 0:
         raise ValueError("the study needs sigma^2 != 0")
@@ -641,11 +613,8 @@ def study_plans(
     for K in depths:
         scheme = build_scheme(params, K, model.d)
         variances = scheme_variances(model, scheme)
-        corners = [
-            k
-            for k in sorted(scheme.good)
-            if variances[k].tau2 > 0 and in_balanced_cone(scheme.corner(k), tau)
-        ]
+        corners = [k for k in _coupled(scheme, variances)
+                   if in_balanced_cone(scheme.corner(k), tau)]
         if len(corners) < 2:
             raise ValueError(
                 f"depth {K} has {len(corners)} coupled in-cone corner(s); "

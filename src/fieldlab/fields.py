@@ -82,6 +82,8 @@ class FieldModel:
                 if not math.isfinite(a):
                     raise ValueError("coefficients must be finite")
                 seen.add(lag)
+            if not any(a for _, a in self.coeffs):
+                raise ValueError("linear_ma coefficients must not all be zero")
 
     @property
     def support(self) -> list[tuple[int, ...]]:

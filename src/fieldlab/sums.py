@@ -144,14 +144,9 @@ def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d >= 2 it is the float64 sum of the replicate's cells.  Callers hand it
     one task of replicates or one replicate, which bounds its buffers.
     """
-    if values.ndim == 2:
-        # prefix sums P_1..P_n accumulated in longdouble, with P_0 = 0;
-        # rounding to float64 is monotone, so the rounded extremes are the
-        # extremes of the rounded prefix
-        P = line_prefix(values).astype(np.float64)
-        return P[:, -1], np.maximum(P.max(axis=1), 0) - np.minimum(P.min(axis=1), 0)
     P = _prefix_array(values, lead=1)
-    return values.reshape(len(values), -1).sum(axis=1), _max_abs_over_subrects(P)
+    S = P[:, -1] if values.ndim == 2 else values.reshape(len(values), -1).sum(axis=1)
+    return S, _max_abs_over_subrects(P)
 
 
 def max_sub_block(grid: SampleGrid) -> float:

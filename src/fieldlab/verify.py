@@ -526,17 +526,17 @@ def check_variance_ratio(
     V = _ladder_block(N)
     Vs = _ladder_block(N_small)
     sums, _ = _sum_max_samples(model, V, replicates, seed, "var-ratio", 1, False)
-    card = cardinality(V)
+    card, card_small = cardinality(V), cardinality(Vs)
     est = float(np.var(sums, ddof=1) / card)
     se = _jackknife_var_se(sums) / card
     exact_big = block_var(model, V) / card
-    exact_small = block_var(model, Vs) / cardinality(Vs)
+    exact_small = block_var(model, Vs) / card_small
     s2 = sigma2(model)
     agree = abs(est - exact_big) <= 3.0 * se
     approach = abs(exact_big - s2) <= abs(exact_small - s2) + 1e-12
     return VerificationReport(
         inputs={
-            "model": _model_inputs(model), "N": N, "N_small": N_small,
+            "model": _model_inputs(model), "N": card, "N_small": card_small,
             "replicates": replicates, "seed": seed,
         },
         statistics={"mc_ratio": est, "se": se},
@@ -547,8 +547,8 @@ def check_variance_ratio(
         tolerance={"agreement": "3 SE", "approach": "monotone toward sigma^2"},
         passed=agree and approach,
         rows=[
-            {"N": N_small, "exact_ratio": exact_small},
-            {"N": N, "exact_ratio": exact_big, "mc_ratio": est, "se": se},
+            {"N": card_small, "exact_ratio": exact_small},
+            {"N": card, "exact_ratio": exact_big, "mc_ratio": est, "se": se},
         ],
     )
 
@@ -872,7 +872,7 @@ def approximation_error_study(
     for K, scheme, variances, corners in cpl.study_plans(
         model, depths, replicates, alpha, beta, tau, exact_phi, m_cdf, bootstrap
     ):
-        cdfs = None if exact_phi else cpl.cdf_table(model, scheme, variances, m_cdf, seed)
+        cdfs = cpl.cdf_table(model, scheme, variances, m_cdf, seed, exact_phi)
         cards = np.array([math.prod(scheme.corner(k)) for k in corners], dtype=np.float64)
 
         # a coupled replicate runs on its own, so a task of several would
@@ -880,8 +880,7 @@ def approximation_error_study(
         # whole task's cells, which makes it one task at every depth
         errs = np.abs(map_replicate_chunks(
             lambda s, e: np.array([
-                cpl.corner_errors(model, scheme, seed, rep, variances, cdfs, exact_phi,
-                                  corners)
+                cpl.corner_errors(model, scheme, seed, rep, variances, cdfs, corners)
                 for rep in range(s, e)
             ]),
             replicates, _BATCH_CELLS, workers,

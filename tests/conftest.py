@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+from fieldlab.coupling import cdf_table, run_coupling, scheme_variances
 from fieldlab.fields import iid_model, linear_ma_model
 
 settings.register_profile(
@@ -34,3 +35,11 @@ def exp_model():
 @pytest.fixture(scope="session")
 def gauss_model():
     return iid_model(1)
+
+
+def couple_run(model, scheme, seed, replicate=0, m_cdf=10_000, exact_phi=False):
+    """One coupled replicate on the variances and CDF table that the
+    S - sigma W study builds for the scheme."""
+    variances = scheme_variances(model, scheme)
+    cdfs = cdf_table(model, scheme, variances, m_cdf, seed, exact_phi)
+    return run_coupling(model, scheme, seed, replicate, variances, cdfs)

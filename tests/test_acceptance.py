@@ -20,8 +20,6 @@ from fieldlab.coupling import (
     build_scheme,
     decomposition_terms,
     good_span,
-    run_coupling,
-    wiener_sum,
 )
 from fieldlab.fields import linear_ma_model
 from fieldlab.lattice import Block, cardinality
@@ -58,6 +56,8 @@ from fieldlab.verify import (
     kolmogorov_distance,
     report_record,
 )
+
+from conftest import couple_run
 
 # frozen optimum of the moment-exponent problem at d=1, p=5, lam=2
 _DELTA = 0.36700683814454804
@@ -306,13 +306,13 @@ def test_criterion_07_coupling_decomposition(exp_model, gauss_model):
     runs = []
     for K in (3, 5, 8):
         scheme = build_scheme(params, K=K, d=1)
-        runs.append((scheme, run_coupling(exp_model, scheme, seed=19, m_cdf=10_000)))
+        runs.append((scheme, couple_run(exp_model, scheme, 19, m_cdf=10_000)))
     scheme5 = build_scheme(params, K=5, d=1)
-    exact_run = run_coupling(gauss_model, scheme5, seed=23, exact_phi=True)
+    exact_run = couple_run(gauss_model, scheme5, 23, exact_phi=True)
     runs.append((scheme5, exact_run))
     scheme2d = build_scheme(params, K=3, d=2)
     model2d = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
-    run2d = run_coupling(model2d, scheme2d, seed=29, m_cdf=2000)
+    run2d = couple_run(model2d, scheme2d, 29, m_cdf=2000)
     runs.append((scheme2d, run2d))
 
     coupled_total = 0
@@ -330,7 +330,7 @@ def test_criterion_07_coupling_decomposition(exp_model, gauss_model):
             target = math.sqrt(cardinality(B)) * run.eta[k]
             worst_wiener = max(
                 worst_wiener,
-                abs(wiener_sum(run, B) - target) / max(1.0, abs(target)))
+                abs(partial_sum(run.wiener, B) - target) / max(1.0, abs(target)))
     ok_resid = worst_resid <= 1e-9 and worst_wiener <= 1e-9
 
     # an exact normal transform couples with zero error, so T1 vanishes

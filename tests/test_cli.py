@@ -393,6 +393,24 @@ class TestConfigValidation:
         path.write_text("{nope")
         assert main(["verify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("claim, overrides", [
+        ("coupling_error_decay", {"depths": [3, 5], "m_cdf": 100, "m_eval": 50}),
+        ("maximal_growth", {"ladder": [16, 64], "replicates": 50}),
+        ("moment_growth", {"ladder": [16, 64], "replicates": 50}),
+    ])
+    def test_zero_kernel_rejected_before_any_work(self, tmp_path, capsys, claim,
+                                                  overrides):
+        # a zero kernel made coupling_error_decay and maximal_growth exit 3 and
+        # moment_growth write NaN
+        path = write_config(
+            tmp_path, model={"kind": "linear_ma", "d": 1, "coeffs": {"0": 0.0}},
+            verify={"claims": [claim], "overrides": {claim: overrides}},
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "all be zero" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 

@@ -12,7 +12,6 @@ from fieldlab.coupling import (
     block_coupling_samples,
     block_sums,
     build_scheme,
-    build_wiener,
     cdf_table,
     coupling_error,
     corner_errors,
@@ -22,7 +21,6 @@ from fieldlab.coupling import (
     quantile_transform,
     run_coupling,
     scheme_variances,
-    wiener_sum,
     xi,
 )
 from fieldlab.fields import iid_model, linear_ma_model, sample_block
@@ -36,6 +34,8 @@ from fieldlab.verify import (
     dkw_bound,
     kolmogorov_distance,
 )
+
+from conftest import couple_run
 
 PARAMS = SchemeParams(alpha=3, beta=2, tau=1.0)
 
@@ -137,43 +137,58 @@ class TestTransforms:
 class TestCouplingRun:
     def test_exact_phi_gaussian(self, gauss_model):
         s = build_scheme(PARAMS, K=4, d=1)
-        run = run_coupling(gauss_model, s, seed=5, exact_phi=True)
-        assert run.low_variance == ()
+        run = couple_run(gauss_model, s, 5, exact_phi=True)
+        assert run.coupled == tuple(sorted(s.good))
         for k in run.coupled:
             assert run.e[k] == 0.0
             assert run.eta[k] == run.xi[k]
             B = s.block(k)
-            assert wiener_sum(run, B) == pytest.approx(
+            assert partial_sum(run.wiener, B) == pytest.approx(
                 math.sqrt(cardinality(B)) * run.eta[k], rel=1e-12, abs=1e-12
             )
 
     def test_exact_phi_requires_normal(self, exp_model):
         s = build_scheme(PARAMS, K=3, d=1)
-        with pytest.raises(ValueError):
-            run_coupling(exp_model, s, seed=1, exact_phi=True)
+        with pytest.raises(ValueError, match="Gaussian"):
+            cdf_table(exp_model, s, scheme_variances(exp_model, s), 500, 1, exact_phi=True)
 
     def test_deterministic(self, ma_model):
         s = build_scheme(PARAMS, K=3, d=1)
-        a = run_coupling(ma_model, s, seed=9, m_cdf=500)
-        b = run_coupling(ma_model, s, seed=9, m_cdf=500)
+        a = couple_run(ma_model, s, 9, m_cdf=500)
+        b = couple_run(ma_model, s, 9, m_cdf=500)
         assert a.eta == b.eta and a.e == b.e
-        c = run_coupling(ma_model, s, seed=9, replicate=1, m_cdf=500)
+        c = couple_run(ma_model, s, 9, replicate=1, m_cdf=500)
         assert a.eta != c.eta
 
     def test_cdf_table_covers_coupled_shapes(self, ma_model):
         s = build_scheme(PARAMS, K=3, d=1)
         var = scheme_variances(ma_model, s)
         cdfs = cdf_table(ma_model, s, var, m=500, seed=2)
-        run = run_coupling(ma_model, s, seed=2, variances=var, cdfs=cdfs)
+        run = run_coupling(ma_model, s, 2, 0, var, cdfs)
         shapes = {(s.head(k).lengths, s.block(k).lengths) for k in run.coupled}
-        assert shapes <= set(cdfs)
+        assert shapes == set(cdfs)
         for F in cdfs.values():
             assert F.m == 500
+
+    def test_cdf_table_skips_uncoupled_shapes(self):
+        # at K = 3 in d = 2 five of the nine block shapes belong to no good block
+        model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
+        s = build_scheme(PARAMS, K=3, d=2)
+        cdfs = cdf_table(model, s, scheme_variances(model, s), m=100, seed=2)
+        assert set(cdfs) == {(s.head(k).lengths, s.block(k).lengths) for k in s.good}
+        assert len(cdfs) == 4
+
+    def test_exact_phi_table_draws_nothing(self, monkeypatch, gauss_model):
+        s = build_scheme(PARAMS, K=4, d=1)
+        var = scheme_variances(gauss_model, s)
+        monkeypatch.setattr(coupling, "_shape_cdf", None)  # a draw would raise
+        cdfs = cdf_table(gauss_model, s, var, m=1, seed=2, exact_phi=True)
+        assert cdfs == {(s.head(k).lengths, s.block(k).lengths): None for k in s.good}
 
     def test_decomposition_identity_and_terms(self, ma_model, exp_model):
         for model in (ma_model, exp_model):
             s = build_scheme(PARAMS, K=4, d=1)
-            run = run_coupling(model, s, seed=13, m_cdf=800)
+            run = couple_run(model, s, 13, m_cdf=800)
             for k in run.coupled:
                 terms = decomposition_terms(run, k)  # raises if residual > 1e-9
                 span = good_span(s, k)
@@ -183,14 +198,14 @@ class TestCouplingRun:
 
     def test_exact_phi_kills_t1(self, gauss_model):
         s = build_scheme(PARAMS, K=4, d=1)
-        run = run_coupling(gauss_model, s, seed=3, exact_phi=True)
+        run = couple_run(gauss_model, s, 3, exact_phi=True)
         t1 = decomposition_terms(run, (4,))[0]
         assert t1 == 0.0
 
     def test_wiener_untouched_outside_good_blocks(self):
         model = linear_ma_model(2, {(0, 0): 1.0, (0, 1): 0.5})
         s = build_scheme(PARAMS, K=3, d=2)
-        run = run_coupling(model, s, seed=7, exact_phi=True)
+        run = couple_run(model, s, 7, exact_phi=True)
         raw = stream(7, "wiener", 0).standard_normal(s.domain.lengths)
         Z = np.asarray(run.wiener.values)
         touched = np.zeros(s.domain.lengths, dtype=bool)
@@ -199,11 +214,6 @@ class TestCouplingRun:
             touched[tuple(slice(a, b) for a, b in zip(B.a, B.b))] = True
         assert np.array_equal(Z[~touched], raw[~touched])
         assert not np.array_equal(Z[touched], raw[touched])
-
-    def test_build_wiener_rejects_missing_eta(self):
-        s = build_scheme(PARAMS, K=3, d=1)
-        with pytest.raises(ValueError):
-            build_wiener(s, {}, seed=1, coupled=[(1,)])
 
 
 class TestStudies:
@@ -248,11 +258,11 @@ class TestCornerErrors:
     }
 
     @staticmethod
-    def _reference(model, scheme, seed, rep, variances, cdfs, exact_phi, corners):
-        run = run_coupling(model, scheme, seed, rep, variances=variances, cdfs=cdfs,
-                           exact_phi=exact_phi)
+    def _reference(model, scheme, seed, rep, variances, cdfs, corners):
+        run = run_coupling(model, scheme, seed, rep, variances, cdfs)
         prefixes = [Block((0,) * model.d, scheme.corner(k)) for k in corners]
-        return [partial_sum(run.field, V) - run.sigma * wiener_sum(run, V) for V in prefixes]
+        return [partial_sum(run.field, V) - run.sigma * partial_sum(run.wiener, V)
+                for V in prefixes]
 
     @pytest.mark.parametrize("budget", [2**16, 300, 1], ids=["one_slab", "slabs", "blocks"])
     @pytest.mark.parametrize("alpha", [3, 4])
@@ -264,11 +274,11 @@ class TestCornerErrors:
         scheme = build_scheme(SchemeParams(alpha=alpha, beta=2, tau=1.0),
                               K=9 if model.d == 1 else 4, d=model.d)
         variances = scheme_variances(model, scheme)
-        cdfs = None if exact_phi else cdf_table(model, scheme, variances, 100, seed=2)
+        cdfs = cdf_table(model, scheme, variances, 100, seed=2, exact_phi=exact_phi)
         corners = [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
         monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
         for rep in (0, 5):
-            args = (model, scheme, 2, rep, variances, cdfs, exact_phi, corners)
+            args = (model, scheme, 2, rep, variances, cdfs, corners)
             assert corner_errors(*args) == self._reference(*args)
 
     @pytest.mark.parametrize("budget", [1, 49, 50, 300, 2**16])  # blocks 1-3 hold 50 cells
@@ -288,7 +298,7 @@ class TestCornerErrors:
         scheme = build_scheme(PARAMS, K=3, d=1)
         variances = scheme_variances(exp_model, scheme)
         with pytest.raises(ValueError, match="Gaussian"):
-            corner_errors(exp_model, scheme, 0, 0, variances, None, True, [(2,), (3,)])
+            cdf_table(exp_model, scheme, variances, 100, 0, exact_phi=True)
 
     def test_study_memory_is_set_by_the_slab(self, gauss_model):
         # depth 48 has 1,421,000 cells; holding the whole domain, as

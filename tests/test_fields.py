@@ -34,6 +34,12 @@ class TestModels:
         with pytest.raises(ValueError):
             iid_model(1, "cauchy")
 
+    @pytest.mark.parametrize("coeffs", [{(0,): 0.0}, {(0,): 0.0, (1,): -0.0}])
+    def test_zero_kernel_rejected(self, coeffs):
+        # a zero field has no nonzero variance to standardize or couple by
+        with pytest.raises(ValueError, match="all be zero"):
+            linear_ma_model(1, coeffs)
+
     def test_ma_covariances(self, ma_model):
         assert covariance(ma_model, (0,)) == pytest.approx(1.25)
         assert covariance(ma_model, (1,)) == pytest.approx(-0.5)

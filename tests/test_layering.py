@@ -7,8 +7,9 @@ fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing.
 The CLI's couple section is the S - sigma W study's parameters, and only
-coupling.study_plans checks their values.  src/ holds no API that only
-tests call.
+coupling.study_plans checks their values.  Below that gate only
+coupling.cdf_table chooses how a coupled block's xi is mapped.  src/ holds
+no API that only tests call.
 """
 
 import ast
@@ -133,6 +134,15 @@ def test_couple_keys_are_the_study_parameters():
 
     params = set(inspect.signature(approximation_error_study).parameters)
     assert cli._COUPLE_KEYS == params - {"model", "seed", "workers"}
+
+
+def test_only_the_cdf_table_and_the_gate_read_exact_phi():
+    """A coupled block's xi is mapped through its entry of coupling.cdf_table,
+    so below study_plans, which checks the study's values, only cdf_table
+    chooses between an empirical CDF and exact Phi."""
+    readers = {owner for owner, names in reads_by_definition("coupling").items()
+               if "exact_phi" in names}
+    assert readers == {"cdf_table", "study_plans"}
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -338,6 +338,18 @@ class TestReports:
         }
         assert len(records) == 1
 
+    def test_variance_ratio_records_sizes_as_cardinalities(self, tmp_path, ma_model):
+        forms = [(200, 50), ([200], [50]), (Block((0,), (200,)), Block((3,), (53,)))]
+        reports = [check_variance_ratio(ma_model, N=N, N_small=Ns, replicates=300, seed=2)
+                   for N, Ns in forms]
+        records = [json.dumps(report_record(r), sort_keys=True) for r in reports]
+        assert records[0] == records[1] == records[2]
+        assert json.loads(records[0])["inputs"]["N"] == 200
+        written = [emit_report([r], tmp_path / str(i)) for i, r in enumerate(reports)]
+        assert len({p.read_bytes() for p in written}) == 1
+        csvs = {(p.parent / "variance_ratio.csv").read_bytes() for p in written}
+        assert len(csvs) == 1
+
     def test_emit_report_round_trip(self, tmp_path, ma_model):
         reports = [check_variance_defect(ma_model), check_second_moment(ma_model)]
         path = emit_report(reports, tmp_path / "out")
