@@ -26,7 +26,9 @@ per block corner, and in d = 1 the blocks are consecutive segments, so
 corner_errors couples a d = 1 replicate slab by slab, with the same draws
 and the same float operations: fields.line_segments draws the field of
 each slab, and only the running prefix totals carry from one slab to the
-next.  Every field is drawn through fields.
+next; the slab's Wiener increments and both prefixes sit in reused buffers
+of the thread's workspace (fields._workspace).  Every field is drawn
+through fields.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from . import domains as dom
 from .fields import (
     _BATCH_CELLS,
     FieldModel,
+    _workspace,
     line_segments,
     sample_block,
     sample_block_batch,
@@ -274,12 +277,20 @@ def _anchored_xi_batch(
     field_tag: str,
     companion_tag: str,
 ) -> np.ndarray:
-    """xi draws for a block shape, sampled at the origin (stationarity)."""
+    """xi draws for a block shape, sampled at the origin (stationarity).
+
+    The head sums are taken one batch of at most _BATCH_CELLS block cells
+    at a time, so only one batch of the draws is held.
+    """
     d = len(b_lengths)
     B0 = Block((0,) * d, tuple(b_lengths))
-    vals = sample_block_batch(model, B0, seed, replicates, tag=field_tag)
     head = (slice(None),) + tuple(slice(0, h) for h in h_lengths)
-    u = vals[head].reshape(len(replicates), -1).sum(axis=1)
+    batch = max(1, _BATCH_CELLS // cardinality(B0))
+    u = np.empty(len(replicates))
+    for s in range(0, len(replicates), batch):
+        reps = replicates[s : s + batch]
+        vals = sample_block_batch(model, B0, seed, reps, tag=field_tag)
+        u[s : s + len(reps)] = vals[head].reshape(len(reps), -1).sum(axis=1)
     w = np.fromiter(
         (gen.standard_normal() for gen in streams(seed, companion_tag, replicates)),
         dtype=np.float64, count=len(replicates),
@@ -346,7 +357,8 @@ def _couple_block(u: float, z: float, bv: BlockVariance, cdf) -> tuple:
 
 def _condition(zeta: np.ndarray, eta: float) -> None:
     """Recenter a coupled block's increments in place to total sqrt(|B|) eta."""
-    zeta[...] = eta / math.sqrt(zeta.size) + (zeta - zeta.mean())
+    zeta -= zeta.mean()
+    zeta += eta / math.sqrt(zeta.size)
 
 
 @dataclass(frozen=True)
@@ -471,12 +483,18 @@ def corner_errors(
     wiener_gen = stream(seed, "wiener", replicate)
     slabs = list(_slabs(scheme))
     cuts = [scheme.boundaries[first - 1] for first, _ in slabs] + [scheme.boundaries[-1]]
+    # the slab's Wiener increments and its two prefixes, which are read
+    # together, each in its own buffer sized once for the largest slab
+    longest = max(b - a for a, b in zip(cuts, cuts[1:]))
+    wiener = _workspace("wiener", (longest,))
+    field_prefix = _workspace("field-prefix", (longest,), np.longdouble)
+    wiener_prefix = _workspace("wiener-prefix", (longest,), np.longdouble)
     field_total = wiener_total = 0
     errs = {}
     for (first, last), X in zip(slabs, line_segments(model, seed, replicate, cuts)):
-        s0 = scheme.boundaries[first - 1]
-        P = line_prefix(X, field_total)
-        Z = wiener_gen.standard_normal(len(X))
+        s0, n = scheme.boundaries[first - 1], len(X)
+        P = line_prefix(X, field_total, out=field_prefix[:n])
+        Z = wiener_gen.standard_normal(out=wiener[:n])
 
         def at(prefix, total, i):  # S(0, i] rounded to float64, i in the slab or s0
             return float(prefix[i - s0 - 1] if i > s0 else total)
@@ -489,7 +507,7 @@ def corner_errors(
                 cdf = cdfs[_shape_key(H, B)]
                 _, _, eta, _ = _couple_block(u, companions[k], variances[k], cdf)
                 _condition(Z[B.a[0] - s0 : B.b[0] - s0], eta)
-        PW = line_prefix(Z, wiener_total)
+        PW = line_prefix(Z, wiener_total, out=wiener_prefix[:n])
         for k in blocks:
             N = scheme.boundaries[k[0]]
             errs[k] = at(P, field_total, N) - sigma * at(PW, wiener_total, N)

@@ -14,11 +14,16 @@ are all exact finite sums over the support lags.
 This module draws every field of the package and alone knows the
 innovation layout: sample_block draws one replicate on a block,
 sample_block_batch a stack of them, line_segments a d = 1 line by segments.
+The batched draws and the prefixes of sums and coupling run in one
+per-thread workspace (_workspace): grow-only scratch arrays of at most a
+batch of _BATCH_CELLS cells, or of one replicate when that is larger, which
+a thread reuses from task to task instead of allocating them anew.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -43,11 +48,30 @@ __all__ = [
 
 _INNOVATIONS = ("normal", "exponential", "rademacher")
 
-# block cells per stacked batch of sample_block_batch, per task of
-# verify.map_replicate_chunks and per slab of coupling.corner_errors, which
-# line_segments draws (512 KiB of float64): keeps each thread's buffers small
-# on large blocks, and a task is one batch
+# the most block cells of one batch (512 KiB of float64): a stacked batch of
+# sample_block_batch, a task of verify.map_replicate_chunks, a head-sum batch
+# of the CDF draws, and a segment that line_segments draws for a slab of
+# coupling.corner_errors or a line of verify.check_lil.  It bounds each
+# thread's workspace on large blocks, and a task is one batch.
 _BATCH_CELLS = 1 << 16
+
+_scratch = threading.local()
+
+
+def _workspace(slot: str, shape, dtype=np.float64) -> np.ndarray:
+    """This thread's scratch array of a slot, viewed at the given shape.
+
+    Each slot holds one flat buffer per thread that only grows, so the
+    array is reused by the next request of the slot on the same thread:
+    its contents last until then.  Callers ask for a batch or one
+    replicate at a time, which bounds every buffer.
+    """
+    n = math.prod(shape)
+    buf = getattr(_scratch, slot, None)
+    if buf is None or buf.size < n or buf.dtype != dtype:
+        buf = np.empty(n, dtype=dtype)
+        setattr(_scratch, slot, buf)
+    return buf[:n].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -154,14 +178,24 @@ def support_radius(model: FieldModel) -> int:
 # sampling
 
 
-def innovations(gen: np.random.Generator, shape, kind: str) -> np.ndarray:
-    """Mean-zero unit-variance iid draws of the requested kind."""
+def innovations(gen: np.random.Generator, shape, kind: str, out=None) -> np.ndarray:
+    """Mean-zero unit-variance iid draws of the requested kind.
+
+    With `out` (a C-contiguous float64 array of the shape) the draws are
+    written into it, with the values and stream use of a fresh draw.
+    """
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
     if kind == "normal":
-        return gen.standard_normal(shape)
+        return gen.standard_normal(out=out)
     if kind == "exponential":
-        return gen.standard_exponential(shape) - 1.0
+        gen.standard_exponential(out=out)
+        out -= 1.0
+        return out
     if kind == "rademacher":
-        return gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
+        np.multiply(gen.integers(0, 2, size=out.shape), 2.0, out=out)
+        out -= 1.0
+        return out
     raise ValueError(f"unknown innovation kind {kind!r}")
 
 
@@ -173,21 +207,32 @@ def _dilation(model: FieldModel):
     return lo, hi
 
 
-def _field_from_innovations(model: FieldModel, z: np.ndarray, lengths) -> np.ndarray:
-    """Evaluate the moving average on a block given the dilated innovation grid.
+def _field_from_innovations(model: FieldModel, z: np.ndarray, lengths, *, out) -> np.ndarray:
+    """Evaluate the moving average on a block into out, given the dilated grid.
 
     z has shape lengths + (hi - lo) per axis and is anchored so that grid
     offset 0 holds the innovation for the lowest index the largest lag can
-    reach; cell offset o then reads z at o + (hi - u) for each lag u.
+    reach; cell offset o then reads z at o + (hi - u) for each lag u.  The
+    first lag is written straight into out and each further one is added
+    through one reused temporary; the closing + 0.0 turns a -0.0 into +0.0,
+    which gives the bits of zeros + sum_u a_u z, as a sum started from +0.0
+    never rounds to -0.0.
     """
     _, hi = _dilation(model)
-    out = np.zeros(z.shape[: z.ndim - model.d] + tuple(lengths), dtype=np.float64)
     lead = (slice(None),) * (z.ndim - model.d)
-    for u, a in model.kernel.items():
-        sl = tuple(
+
+    def lagged(u):
+        return z[lead + tuple(
             slice(hi[s] - u[s], hi[s] - u[s] + lengths[s]) for s in range(model.d)
-        )
-        out += a * z[lead + sl]
+        )]
+
+    (u0, a0), *rest = model.kernel.items()
+    np.multiply(a0, lagged(u0), out=out)
+    if rest:
+        tmp = _workspace("lag", out.shape)
+        for u, a in rest:
+            out += np.multiply(a, lagged(u), out=tmp)
+    out += 0.0
     return out
 
 
@@ -205,7 +250,7 @@ def sample_block(
     lens = block.lengths
     gen = stream(seed, tag, replicate)
     z = innovations(gen, _innovation_shape(model, lens), model.innovation)
-    return _field_from_innovations(model, z, lens)
+    return _field_from_innovations(model, z, lens, out=np.empty(lens))
 
 
 def sample_block_batch(
@@ -219,38 +264,48 @@ def sample_block_batch(
 
     Row r is bitwise identical to sample_block(..., replicate=r) regardless
     of batching, so any chunking of the replicate range is equivalent.
-    Innovations are drawn per replicate into a stacked grid, and the moving
-    average is evaluated once per batch of at most _BATCH_CELLS block cells
-    (never less than one replicate).
+    Each replicate's innovations are drawn straight into its row of the
+    thread's stacked innovation grid, and the moving average is evaluated
+    into the returned stack once per batch of at most _BATCH_CELLS block
+    cells (never less than one replicate).  The stack is a new array.
     """
     lens = block.lengths
     zshape = _innovation_shape(model, lens)
     n = len(replicates)
     out = np.empty((n,) + tuple(lens), dtype=np.float64)
-    batch = max(1, _BATCH_CELLS // math.prod(lens))
+    batch = max(1, min(n, _BATCH_CELLS // math.prod(lens)))
+    z = _workspace("innovations", (batch,) + zshape)
     gens = streams(seed, tag, replicates)
     for s in range(0, n, batch):
-        z = np.empty((min(batch, n - s),) + zshape, dtype=np.float64)
-        for i, gen in zip(range(len(z)), gens):
-            z[i] = innovations(gen, zshape, model.innovation)
-        out[s : s + len(z)] = _field_from_innovations(model, z, lens)
+        k = min(batch, n - s)
+        for i, gen in zip(range(k), gens):
+            innovations(gen, zshape, model.innovation, out=z[i])
+        _field_from_innovations(model, z[:k], lens, out=out[s : s + k])
     return out
 
 
-def line_segments(model: FieldModel, seed: int, replicate: int, cuts: Sequence[int]):
+def line_segments(
+    model: FieldModel, seed: int, replicate: int, cuts: Sequence[int], tag: str = "field"
+):
     """One d = 1 replicate of the field, yielded segment by segment.
 
     Segment i is the field on (cuts[i], cuts[i+1]], bitwise the slice of
-    sample_block(model, Block((cuts[0],), (cuts[-1],)), seed, replicate)
+    sample_block(model, Block((cuts[0],), (cuts[-1],)), seed, replicate, tag)
     over it: the innovations are drawn from the same stream in order, and
     only their moving-average overlap carries to the next segment, so memory
-    is set by the longest segment, not by the line.
+    is set by the longest segment, not by the line.  The segments share one
+    reused buffer of the thread: a yielded segment is valid only until the
+    next one is yielded, and a thread draws one line at a time.
     """
-    gen = stream(seed, "field", replicate)
+    gen = stream(seed, tag, replicate)
     lo, hi = _dilation(model)
     width = hi[0] - lo[0]
-    z = innovations(gen, width, model.innovation)
+    longest = max(b - a for a, b in zip(cuts, cuts[1:]))
+    z = _workspace("segment", (longest + width,))
+    x = _workspace("line", (longest,))
+    innovations(gen, width, model.innovation, out=z[:width])
     for a, b in zip(cuts, cuts[1:]):
-        z = np.concatenate([z[len(z) - width :], innovations(gen, b - a, model.innovation)])
-        yield _field_from_innovations(model, z, (b - a,))
-
+        n = b - a
+        innovations(gen, n, model.innovation, out=z[width : width + n])
+        yield _field_from_innovations(model, z[: width + n], (n,), out=x[:n])
+        z[:width] = z[n : n + width]

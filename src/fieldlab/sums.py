@@ -11,8 +11,9 @@ its callers sampled, and it owns every prefix accumulation: it always
 accumulates in longdouble, and a stored prefix array is always rounded to
 float64.  line_prefix hands the longdouble prefix of a d = 1 stack,
 optionally carried on from a running total, to a caller that reads and
-rounds only a few of its entries.  The corner-anchored variant
-max_{n <= N} |S_n| is a separate, cheaper statistic.
+rounds only a few of its entries; it accumulates in a reused buffer of the
+thread's workspace, and sum_and_max reads it in d = 1.  The corner-anchored
+variant max_{n <= N} |S_n| is a separate, cheaper statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
 finite sum of covariances weighted by rectangle-overlap counts, which also
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldModel, sigma2, _cov_lags
+from .fields import FieldModel, sigma2, _cov_lags, _workspace
 from .lattice import Block, cardinality
 
 __all__ = [
@@ -121,16 +122,18 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
-def line_prefix(values: np.ndarray, start=0) -> np.ndarray:
+def line_prefix(values: np.ndarray, start=0, out=None) -> np.ndarray:
     """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values.
 
-    The values are cast into one longdouble buffer that is then accumulated
-    in place, which gives the bits of cumsum(dtype=longdouble) at half its
-    time.  The sums run on from `start`, so the prefix of a long line taken
-    segment by segment, each starting from the last total of the one before,
-    has the bits of the prefix of the whole line.
+    The values are cast into a longdouble buffer, `out` or else the
+    thread's reused one (see fields._workspace), which is then accumulated
+    in place: the bits of cumsum(dtype=longdouble) at half its time.
+    Without `out` the result is valid until the thread's next call.  The
+    sums run on from `start`, so the prefix of a long line taken segment by
+    segment, each starting from the last total of the one before, has the
+    bits of the prefix of the whole line.
     """
-    P = np.empty(values.shape, dtype=np.longdouble)
+    P = _workspace("prefix", values.shape, np.longdouble) if out is None else out
     P[...] = values
     if start:
         P[..., 0] += start
@@ -140,13 +143,19 @@ def line_prefix(values: np.ndarray, start=0) -> np.ndarray:
 def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S(V), M(V)) for each replicate of a stack of shape (n,) + V.lengths.
 
-    In d = 1, S is the longdouble prefix corner rounded to float64; in
-    d >= 2 it is the float64 sum of the replicate's cells.  Callers hand it
-    one task of replicates or one replicate, which bounds its buffers.
+    In d = 1, S is the longdouble prefix corner rounded to float64, and M
+    is max - min of the rounded line_prefix with the zero slab entering as
+    the bound 0: the numbers of the zero-padded prefix array.  In d >= 2, S
+    is the float64 sum of the replicate's cells.  Callers hand it one task
+    of replicates or one replicate, which bounds its buffers.
     """
+    if values.ndim == 2:
+        R = _workspace("rounded", values.shape)
+        R[...] = line_prefix(values)
+        hi = np.maximum(R.max(axis=1), 0.0)
+        return R[:, -1].copy(), hi - np.minimum(R.min(axis=1), 0.0)
     P = _prefix_array(values, lead=1)
-    S = P[:, -1] if values.ndim == 2 else values.reshape(len(values), -1).sum(axis=1)
-    return S, _max_abs_over_subrects(P)
+    return values.reshape(len(values), -1).sum(axis=1), _max_abs_over_subrects(P)
 
 
 def max_sub_block(grid: SampleGrid) -> float:

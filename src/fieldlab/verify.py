@@ -49,6 +49,7 @@ from .fields import (
     covariance,
     cox_grimmett,
     iid_model,
+    line_segments,
     sample_block_batch,
     sigma2,
     support_radius,
@@ -87,6 +88,10 @@ __all__ = [
 # the most replicates in one task of map_replicate_chunks: tasks of small
 # blocks stay short enough to spread over the workers
 CHUNK = 256
+
+# cells per segment of a check_lil line: one fields batch, bound here once so
+# that the segments stay that long whatever the task size
+_LINE_CELLS = _BATCH_CELLS
 
 
 @dataclass(frozen=True)
@@ -185,11 +190,15 @@ def map_replicate_chunks(
 
     A task holds at most fields._BATCH_CELLS cells of `cells` per replicate
     and at most CHUNK replicates, and never less than one replicate, so each
-    thread's stacked buffers stay that small whatever the block.  The task
-    length is a function of `cells` alone, never of the worker count, and
-    kernels draw from per-replicate streams and reduce each replicate on its
-    own; results are concatenated in replicate order, so the output is
-    bitwise identical for any number of workers.
+    thread's stacked buffers stay that small whatever the block.  Those
+    buffers are the thread's workspace (fields._workspace): the innovation
+    grid, the moving-average temporary and the longdouble prefix are
+    allocated by a thread's first task and reused by the rest, and only the
+    drawn stack and the task's result are new arrays.  The task length is a
+    function of `cells` alone, never of the worker count, and kernels draw
+    from per-replicate streams and reduce each replicate on its own; results
+    are concatenated in replicate order, so the output is bitwise identical
+    for any number of workers.
     """
     chunk = min(CHUNK, max(1, _BATCH_CELLS // cells))
     spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
@@ -893,10 +902,14 @@ def approximation_error_study(
         gen = stream(seed, "bootstrap", 0)
         draws = gen.integers(0, replicates, size=(bootstrap, replicates))
         slopes = np.empty(bootstrap)
-        # medians of 100 draws at a time, bitwise those of one draw at a time;
-        # the fits stay one per draw, as a stacked fit rounds differently
+        # medians of 100 draws at a time, bitwise those of one draw at a time,
+        # gathered into one buffer and partitioned in place; the fits stay one
+        # per draw, as a stacked fit rounds differently
+        picked = np.empty((min(100, bootstrap),) + errs.shape)
         for b0 in range(0, bootstrap, 100):
-            meds = np.median(errs[draws[b0 : b0 + 100]], axis=1)
+            idx = draws[b0 : b0 + 100]
+            rows = np.take(errs, idx, axis=0, out=picked[: len(idx)], mode="clip")
+            meds = np.median(rows, axis=1, overwrite_input=True)
             for b, m_b in enumerate(meds, b0):
                 slopes[b] = np.polyfit(logn, np.log(m_b), 1)[0]
         lo, hi = np.quantile(slopes, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
@@ -986,13 +999,23 @@ def check_lil(
     s2 = sigma2(model)
     ns = 2 ** np.arange(1, depth + 1)
     denom = np.sqrt(2.0 * s2 * ns * np.array([_loglog_scale(n) for n in ns]))
-    V = Block((0,), (int(ns[-1]),))
+    top = int(ns[-1])
+    cuts = [*range(0, top, _LINE_CELLS), top]
 
     def kernel(s: int, e: int) -> np.ndarray:
-        P = line_prefix(sample_block_batch(model, V, seed, range(s, e), tag="lil"))
-        return P[:, ns - 1].astype(np.float64) / denom
+        # each line is drawn and summed segment by segment, carrying the
+        # longdouble total; only the prefix entries at the net are kept
+        out = np.empty((e - s, depth), dtype=np.longdouble)
+        for row, rep in zip(out, range(s, e)):
+            total = 0
+            for a, X in zip(cuts, line_segments(model, seed, rep, cuts, tag="lil")):
+                P = line_prefix(X, total)
+                at = (ns > a) & (ns <= a + len(X))
+                row[at] = P[ns[at] - a - 1]
+                total = P[-1]
+        return out.astype(np.float64) / denom
 
-    R = map_replicate_chunks(kernel, replicates, cardinality(V), workers)
+    R = map_replicate_chunks(kernel, replicates, top, workers)
     max_med = float(np.median(R.max(axis=1)))
     min_med = float(np.median(R.min(axis=1)))
     exceed = float(np.mean(np.abs(R[:, -1]) > 1.5))

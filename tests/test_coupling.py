@@ -3,11 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from fieldlab import coupling
 from fieldlab.coupling import (
-    BlockVariance,
     EmpiricalCdf,
     block_coupling_samples,
     block_sums,
@@ -26,7 +25,7 @@ from fieldlab.coupling import (
 from fieldlab.fields import iid_model, linear_ma_model, sample_block
 from fieldlab.lattice import Block, cardinality
 from fieldlab.rng import stream
-from fieldlab.sums import block_var, make_grid, partial_sum
+from fieldlab.sums import block_var, line_prefix, make_grid, partial_sum
 from fieldlab.theory import SchemeParams
 from fieldlab.verify import (
     approximation_error_study,
@@ -148,6 +147,8 @@ class TestCouplingRun:
             )
 
     def test_exact_phi_requires_normal(self, exp_model):
+        # the one Gaussian guard below study_plans, for run_coupling and
+        # corner_errors alike: both read their xi maps from this table
         s = build_scheme(PARAMS, K=3, d=1)
         with pytest.raises(ValueError, match="Gaussian"):
             cdf_table(exp_model, s, scheme_variances(exp_model, s), 500, 1, exact_phi=True)
@@ -217,6 +218,23 @@ class TestCouplingRun:
 
 
 class TestStudies:
+    @pytest.mark.parametrize("budget", [1, 700])
+    @pytest.mark.parametrize("model, head, block", [
+        (linear_ma_model(1, {(0,): 1.0, (1,): 0.5}, "exponential"), (4,), (20,)),
+        (linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3}), (2, 3), (4, 5)),
+    ], ids=["d1", "d2"])
+    def test_cdf_draws_do_not_depend_on_the_batch(self, monkeypatch, model, head, block,
+                                                  budget):
+        # the head sums are taken batch by batch; one replicate per batch
+        # (budget 1) and uneven batches give the bits of one batch
+        def draws():
+            return coupling._anchored_xi_batch(model, head, block, 1.0, 0.5, 3, range(50),
+                                               field_tag="f", companion_tag="c")
+
+        whole = draws()
+        monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
+        assert draws().tobytes() == whole.tobytes()
+
     def test_block_coupling_samples_exact_phi(self, gauss_model):
         # the empirical-CDF path, which is the only one; eta = xi under exact
         # Phi is covered by TestCouplingRun.test_exact_phi_gaussian
@@ -299,6 +317,25 @@ class TestCornerErrors:
         variances = scheme_variances(exp_model, scheme)
         with pytest.raises(ValueError, match="Gaussian"):
             cdf_table(exp_model, scheme, variances, 100, 0, exact_phi=True)
+
+    def test_slab_prefixes_share_no_memory(self, monkeypatch, gauss_model):
+        # each slab reads its field and Wiener prefixes together, so they sit
+        # in two different buffers of the thread's workspace
+        prefixes = []
+
+        def recorded(*args, **kwargs):
+            prefixes.append(line_prefix(*args, **kwargs))
+            return prefixes[-1]
+
+        monkeypatch.setattr(coupling, "line_prefix", recorded)
+        monkeypatch.setattr(coupling, "_BATCH_CELLS", 300)
+        scheme = build_scheme(PARAMS, K=9, d=1)
+        variances = scheme_variances(gauss_model, scheme)
+        cdfs = cdf_table(gauss_model, scheme, variances, 100, 0, exact_phi=True)
+        corner_errors(gauss_model, scheme, 0, 0, variances, cdfs, [(9,)])
+        assert len(prefixes) == 2 * len(list(coupling._slabs(scheme))) >= 4
+        for field, wiener in zip(prefixes[::2], prefixes[1::2]):
+            assert not np.shares_memory(field, wiener)
 
     def test_study_memory_is_set_by_the_slab(self, gauss_model):
         # depth 48 has 1,421,000 cells; holding the whole domain, as

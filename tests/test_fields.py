@@ -137,17 +137,29 @@ class TestSampling:
         start=st.integers(-50, 50),
         lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
         replicate=st.integers(0, 1000),
+        tag=st.sampled_from(["field", "lil"]),
     )
     def test_line_segments_are_slices_of_sample_block(self, kind, start, lengths,
-                                                       replicate):
+                                                       replicate, tag):
         # lags on both sides of 0, so each segment carries an overlap of 4
         # innovations; one-cell segments are shorter than the overlap
         model = linear_ma_model(1, {(-1,): 0.4, (0,): 1.0, (3,): -0.5}, kind)
         cuts = [start + sum(lengths[:i]) for i in range(len(lengths) + 1)]
-        segments = list(line_segments(model, 9, replicate, cuts))
+        # a segment is valid until the next one is yielded
+        segments = [x.copy() for x in line_segments(model, 9, replicate, cuts, tag=tag)]
         assert [len(x) for x in segments] == lengths
-        whole = sample_block(model, Block((cuts[0],), (cuts[-1],)), 9, replicate)
-        assert np.concatenate(segments).tobytes() == whole.tobytes()
+        line = Block((cuts[0],), (cuts[-1],))
+        whole = sample_block(model, line, 9, replicate, tag=tag)
+        row = sample_block_batch(model, line, 9, range(replicate, replicate + 2), tag=tag)[0]
+        assert np.concatenate(segments).tobytes() == whole.tobytes() == row.tobytes()
+
+    def test_batches_share_no_memory(self, ma_model):
+        # callers keep and add results (the noise field of dependence_bound),
+        # so each stack is a new array, not the thread's workspace
+        block = Block((0,), (64,))
+        a = sample_block_batch(ma_model, block, 1, range(3))
+        b = sample_block_batch(ma_model, block, 1, range(3), tag="noise")
+        assert not np.shares_memory(a, b)
 
     def test_d2_shape_and_determinism(self):
         model = linear_ma_model(2, {(0, 0): 1.0, (1, 1): 0.5})
@@ -155,6 +167,42 @@ class TestSampling:
         x = sample_block(model, b, seed=1)
         assert x.shape == (4, 6)
         assert np.array_equal(x, sample_block(model, b, seed=1))
+
+
+# zeros of both signs are the cases where the order of a sum shows
+_CELLS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3e-300])
+_LAGS = {1: [(-1,), (0,), (2,)], 2: [(0, 0), (1, 0), (0, -1)]}
+
+
+def _zeros_plus_lags(model, z, lengths):
+    """The moving average as zeros + sum_u a_u z, one temporary per lag."""
+    _, hi = fields._dilation(model)
+    lead = (slice(None),) * (z.ndim - model.d)
+    out = np.zeros(z.shape[: z.ndim - model.d] + tuple(lengths))
+    for u, a in model.kernel.items():
+        out += a * z[lead + tuple(slice(hi[s] - u[s], hi[s] - u[s] + lengths[s])
+                                  for s in range(model.d))]
+    return out
+
+
+class TestFieldEvaluation:
+    @given(d=st.sampled_from([1, 2]), data=st.data())
+    def test_bits_of_zeros_plus_lags(self, d, data):
+        lags = data.draw(st.lists(st.sampled_from(_LAGS[d]), min_size=1, unique=True))
+        coeffs = data.draw(st.lists(st.sampled_from([1.0, -0.5, 2.0, 0.0, -0.0]),
+                                    min_size=len(lags), max_size=len(lags)))
+        if not any(coeffs):
+            coeffs[0] = -1.0
+        model = linear_ma_model(d, dict(zip(lags, coeffs)))
+        lengths = tuple(data.draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+        n = data.draw(st.integers(1, 3))
+        shape = (n,) + fields._innovation_shape(model, lengths)
+        z = np.array(data.draw(st.lists(_CELLS, min_size=math.prod(shape),
+                                        max_size=math.prod(shape)))).reshape(shape)
+        out = np.empty((n,) + lengths)
+        got = fields._field_from_innovations(model, z, lengths, out=out)
+        assert got is out
+        assert got.tobytes() == _zeros_plus_lags(model, z, lengths).tobytes()
 
 
 class TestDependenceBound:

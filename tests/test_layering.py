@@ -6,6 +6,9 @@ holds the statistics of every study.
 fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing.
+fields owns the per-thread workspace of reused buffers; sums and coupling
+fill it through fields._workspace, and verify and cli reach it only
+through the public kernels.
 The CLI's couple section is the S - sigma W study's parameters, and only
 coupling.study_plans checks their values.  Below that gate only
 coupling.cdf_table chooses how a coupled block's xi is mapped.  src/ holds
@@ -31,6 +34,8 @@ LAYERS = ["lattice", "rng", "theory", "fields", "sums", "domains", "coupling", "
 
 INNOVATION_LAYOUT = {"innovations", "_dilation", "_field_from_innovations"}
 SAMPLERS = {"sample_block", "sample_block_batch", "line_segments", "stream", "streams"}
+
+WORKSPACE = {"_workspace", "_scratch"}
 
 # reference implementations that tests compare the package's engines against
 REFERENCE_ORACLES = {("sums", "max_sub_block_naive"), ("coupling", "decomposition_terms")}
@@ -111,6 +116,14 @@ def test_cli_import_loads_no_root_finder():
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "fields"])
 def test_only_fields_touches_the_innovation_layout(module):
     assert not used_names(module) & INNOVATION_LAYOUT
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_kernels_touch_the_workspace(module):
+    names = set().union(*reads_by_definition(module).values())
+    assert bool(names & WORKSPACE) == (module in {"fields", "sums", "coupling"})
+    # the thread-local state is fields' own
+    assert ("local" in names) == (module == "fields")
 
 
 def test_sums_draws_nothing():

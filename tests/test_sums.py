@@ -145,6 +145,20 @@ class TestMaxSubBlock:
             else:  # the float64 sum of the cells
                 assert s == row.sum()
 
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 40)).flatmap(
+        lambda shape: st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False, width=32)),
+            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+        ).map(lambda v: np.array(v).reshape(shape))
+    ))
+    def test_d1_bits_of_the_zero_padded_prefix(self, values):
+        # the reference: max - min over the prefix array with its zero slab
+        P = sums._prefix_array(values, lead=1)
+        S, M = sum_and_max(values)
+        assert S.tobytes() == P[:, -1].tobytes()
+        assert M.tobytes() == (P.max(axis=1) - P.min(axis=1)).tobytes()
+
     def test_longdouble_rule_counts_one_replicate(self):
         # every prefix is stored rounded to float64; the stacks hold more cells
         # than the 10^6 per replicate above which a prefix once stayed longdouble

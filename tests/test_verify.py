@@ -10,8 +10,10 @@ from scipy.special import ndtri
 from fieldlab import fields
 from fieldlab import verify as verify_mod
 from fieldlab.cli import VERIFIERS
-from fieldlab.fields import linear_ma_model
+from fieldlab.coupling import block_coupling_samples
+from fieldlab.fields import linear_ma_model, sample_block_batch
 from fieldlab.lattice import Block
+from fieldlab.sums import line_prefix
 from fieldlab.verify import (
     CLAIMS,
     check_approximation_error,
@@ -257,6 +259,23 @@ def test_reports_do_not_depend_on_task_size(monkeypatch, assoc_model, call):
     assert all(r == records[0] for r in records[1:])
 
 
+@pytest.mark.parametrize("cells", [1, 1000, 2**16])
+def test_lil_reads_the_prefix_of_the_whole_line(monkeypatch, assoc_model, cells):
+    # R at the net from segments of `cells` cells is, bit for bit, the
+    # rounded longdouble prefix of the whole line over the normalization
+    found = []
+    chunks = verify_mod.map_replicate_chunks
+    monkeypatch.setattr(verify_mod, "map_replicate_chunks",
+                        lambda *args: found.append(chunks(*args)) or found[-1])
+    monkeypatch.setattr(verify_mod, "_LINE_CELLS", cells)
+    check_lil(assoc_model, depth=12, replicates=3, seed=3, workers=1)
+    ns = 2 ** np.arange(1, 13)
+    denom = np.sqrt(2.0 * 2.25 * ns * np.array([verify_mod._loglog_scale(n) for n in ns]))
+    line = sample_block_batch(assoc_model, Block((0,), (4096,)), 3, range(3), tag="lil")
+    expected = line_prefix(line)[:, ns - 1].astype(np.float64) / denom
+    assert found[0].tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("model, ladder, replicates", [
     (None, (8192, 16384), 512),
     (MA_2D, ((32, 32), (64, 64)), 256),
@@ -272,6 +291,30 @@ def test_maximal_growth_memory_is_bounded(assoc_model, model, ladder, replicates
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lil_memory_is_bounded(assoc_model):
+    # each 262,144-cell line is drawn and summed in segments of at most
+    # _BATCH_CELLS cells; the whole line with its longdouble prefix peaked
+    # at 8.0 MiB
+    peak = _peak_bytes(lambda: check_lil(assoc_model, depth=18, replicates=4, workers=1))
+    assert peak < 4 * 2**20
+
+
+def test_cdf_draws_memory_is_bounded(exp_model):
+    # the head sums are taken one batch at a time; the whole 4000 x 576
+    # stack of draws peaked at 19.2 MiB
+    peak = _peak_bytes(lambda: block_coupling_samples(exp_model, (8,), (576,), 4000, 4000, 0))
+    assert peak < 4 * 2**20
 
 
 def test_variance_ratio_memory_is_bounded(ma_model):
@@ -292,9 +335,9 @@ def test_one_sampling_batch_per_task(monkeypatch, assoc_model):
     calls = []
     evaluate = fields._field_from_innovations
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return evaluate(*args)
+        return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(fields, "_field_from_innovations", counted)
     check_moment_inequality(assoc_model, 0.367, ladder=(8192, 16384), replicates=512,
