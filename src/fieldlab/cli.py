@@ -130,6 +130,8 @@ def build_model(cfg: dict) -> FieldModel:
                 lag = tuple(int(t) for t in str(key).split(","))
                 if len(lag) != d:
                     raise ConfigError(f"coeff lag '{key}' does not have {d} entries")
+                if isinstance(a, bool) or not isinstance(a, (int, float)):
+                    raise ConfigError(f"coeff '{key}' must be a number")
                 coeffs[lag] = float(a)
             return linear_ma_model(d, coeffs, innovation)
     except ValueError as e:
@@ -204,13 +206,14 @@ def _load(args, name: str) -> tuple[dict, dict]:
 
 def _cmd_simulate(args) -> int:
     cfg, section = _load(args, "simulate")
-    block_cfg = section.get("block")
-    if block_cfg is None or "a" not in block_cfg or "b" not in block_cfg:
+    block_cfg = section.get("block") or {}
+    if not all(isinstance(block_cfg.get(c), list)
+               and all(type(x) is int for x in block_cfg[c]) for c in "ab"):
         raise ConfigError("simulate.block needs integer lists a and b")
     model = build_model(cfg)
     try:
         block = Block(tuple(block_cfg["a"]), tuple(block_cfg["b"]))
-    except (TypeError, ValueError) as e:
+    except (OverflowError, ValueError) as e:
         raise ConfigError(f"bad simulate.block: {e}")
     if block.d != model.d:
         raise ConfigError("simulate.block dimension differs from the model")
@@ -337,7 +340,11 @@ def _cmd_report(args) -> int:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path} is not valid JSON: {e}")
-        records.extend(data.get("reports", []))
+        reports = data.get("reports", []) if isinstance(data, dict) else None
+        if not isinstance(reports, list) or not all(
+                type(r) is dict and type(r.get("claim_id", "")) is str for r in reports):
+            raise ConfigError(f"{path} is not a verify summary: reports with string claim ids")
+        records.extend(reports)
     records.sort(key=lambda r: r.get("claim_id", ""))
     passed = all(r.get("passed") for r in records)
     outdir = _resolve_outdir(args, {})

@@ -21,14 +21,13 @@ replicate), so a run is a pure function of (model, scheme, seed, replicate)
 and any batching of replicates is equivalent.
 
 run_coupling holds a replicate's whole domain: the field, the Wiener grid
-and both prefix arrays.  The S - sigma W study reads only one prefix value
-per block corner, and in d = 1 the blocks are consecutive segments, so
-corner_errors couples a d = 1 replicate slab by slab, with the same draws
-and the same float operations: fields.line_segments draws the field of
-each slab, and only the running prefix totals carry from one slab to the
-next; the slab's Wiener increments and both prefixes sit in reused buffers
-of the thread's workspace (fields._workspace).  Every field is drawn
-through fields.
+and both prefix arrays.  The S - sigma W study reads only a few prefix
+values per block, and in d = 1 the blocks are consecutive segments, so
+corner_errors runs a d = 1 replicate in two passes over slabs, with the
+same draws and the same float operations: sums.prefix_at reads the field
+of fields.line_segments at the head ends and corners, the blocks are
+coupled, and then it reads the Wiener increments of _wiener_slabs, the
+one Wiener builder, at the corners.  Only a slab is held at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .fields import (
 )
 from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
 from .rng import stream, streams
-from .sums import SampleGrid, block_cov, block_var, line_prefix, make_grid, partial_sum
+from .sums import SampleGrid, block_cov, block_var, make_grid, partial_sum, prefix_at
 from .theory import SchemeParams, block_boundary
 
 __all__ = [
@@ -355,12 +354,6 @@ def _couple_block(u: float, z: float, bv: BlockVariance, cdf) -> tuple:
     return w, x, eta, float(coupling_error(x, eta, bv.sigma2, bv.tau2))
 
 
-def _condition(zeta: np.ndarray, eta: float) -> None:
-    """Recenter a coupled block's increments in place to total sqrt(|B|) eta."""
-    zeta -= zeta.mean()
-    zeta += eta / math.sqrt(zeta.size)
-
-
 @dataclass(frozen=True)
 class CouplingRun:
     """One replicate of the full coupling pipeline on a scheme domain."""
@@ -397,8 +390,7 @@ def run_coupling(
     u, v = block_sums(grid, scheme)
 
     coupled = tuple(_coupled(scheme, variances))
-    gen = stream(seed, "companion", replicate)
-    draws = gen.standard_normal(len(coupled))
+    draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
     w, xis, etas, errs = {}, {}, {}, {}
     for k, z in zip(coupled, draws):
         cdf = cdfs[_shape_key(scheme.head(k), scheme.block(k))]
@@ -420,6 +412,24 @@ def run_coupling(
     )
 
 
+def _wiener_slabs(blocks: Sequence, seed: int, replicate: int, cuts: Sequence[int],
+                  buf: np.ndarray):
+    """The Wiener increments of each axis-0 slab (cuts[i], cuts[i+1]], drawn
+    in stream order into buf, with each (block, eta) of blocks conditioned
+    in its slab: the bits of one draw on the whole domain.  The cuts fall on
+    block boundaries; a slab is valid until the next one is drawn."""
+    gen = stream(seed, "wiener", replicate)
+    for a, b in zip(cuts, cuts[1:]):
+        Z = gen.standard_normal(out=buf[: b - a])
+        for B, eta in blocks:
+            if a <= B.a[0] < b:  # recenter the block's cells to total sqrt(|B|) eta
+                zeta = Z[(slice(B.a[0] - a, B.b[0] - a),) + tuple(
+                    slice(lo, hi) for lo, hi in zip(B.a[1:], B.b[1:]))]
+                zeta -= zeta.mean()
+                zeta += eta / math.sqrt(zeta.size)
+        yield Z
+
+
 def build_wiener(scheme: BlockScheme, etas: Mapping, seed: int, replicate: int) -> np.ndarray:
     """Unit-cell standard normal increments, conditioned on the blocks of etas.
 
@@ -428,12 +438,9 @@ def build_wiener(scheme: BlockScheme, etas: Mapping, seed: int, replicate: int) 
     the block total is sqrt(|B|) eta exactly while, for exactly normal eta,
     cell variances and covariances stay those of white noise.
     """
-    gen = stream(seed, "wiener", replicate)
-    Z = gen.standard_normal(scheme.domain.lengths)
-    for k, eta in etas.items():
-        B = scheme.block(k)
-        _condition(Z[tuple(slice(a, b) for a, b in zip(B.a, B.b))], eta)
-    return Z
+    blocks = [(scheme.block(k), eta) for k, eta in etas.items()]
+    Z = np.empty(scheme.domain.lengths)
+    return next(_wiener_slabs(blocks, seed, replicate, (0, len(Z)), Z))  # one slab
 
 
 def _slabs(scheme: BlockScheme):
@@ -465,11 +472,8 @@ def corner_errors(
     Bit for bit the numbers partial_sum(run.field, V) - run.sigma *
     partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model,
     scheme, seed, replicate, variances, cdfs).  In d >= 2 they are read
-    from that run.  In d = 1 the replicate is coupled slab by slab
-    (see _slabs): fields.line_segments yields the field on each slab, the
-    Wiener stream is drawn on in order, and only the two running longdouble
-    prefix totals carry to the next slab, so memory is set by the largest
-    slab, not by the domain.
+    from that run.  In d = 1 two passes run over the slabs of _slabs (see
+    the module docstring), so memory follows the largest slab, not the domain.
     """
     sigma = math.sqrt(sigma2(model))
     if model.d != 1:
@@ -479,40 +483,20 @@ def corner_errors(
 
     coupled = _coupled(scheme, variances)
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
-    companions = dict(zip(coupled, draws))
-    wiener_gen = stream(seed, "wiener", replicate)
-    slabs = list(_slabs(scheme))
-    cuts = [scheme.boundaries[first - 1] for first, _ in slabs] + [scheme.boundaries[-1]]
-    # the slab's Wiener increments and its two prefixes, which are read
-    # together, each in its own buffer sized once for the largest slab
-    longest = max(b - a for a, b in zip(cuts, cuts[1:]))
-    wiener = _workspace("wiener", (longest,))
-    field_prefix = _workspace("field-prefix", (longest,), np.longdouble)
-    wiener_prefix = _workspace("wiener-prefix", (longest,), np.longdouble)
-    field_total = wiener_total = 0
-    errs = {}
-    for (first, last), X in zip(slabs, line_segments(model, seed, replicate, cuts)):
-        s0, n = scheme.boundaries[first - 1], len(X)
-        P = line_prefix(X, field_total, out=field_prefix[:n])
-        Z = wiener_gen.standard_normal(out=wiener[:n])
-
-        def at(prefix, total, i):  # S(0, i] rounded to float64, i in the slab or s0
-            return float(prefix[i - s0 - 1] if i > s0 else total)
-
-        blocks = [(j,) for j in range(first, last + 1)]
-        for k in blocks:
-            if k in companions:
-                B, H = scheme.block(k), scheme.head(k)
-                u = at(P, field_total, H.b[0]) - at(P, field_total, B.a[0])
-                cdf = cdfs[_shape_key(H, B)]
-                _, _, eta, _ = _couple_block(u, companions[k], variances[k], cdf)
-                _condition(Z[B.a[0] - s0 : B.b[0] - s0], eta)
-        PW = line_prefix(Z, wiener_total, out=wiener_prefix[:n])
-        for k in blocks:
-            N = scheme.boundaries[k[0]]
-            errs[k] = at(P, field_total, N) - sigma * at(PW, wiener_total, N)
-        field_total, wiener_total = P[-1], PW[-1]
-    return [errs[k] for k in corners]
+    cuts = [scheme.boundaries[f - 1] for f, _ in _slabs(scheme)] + [scheme.boundaries[-1]]
+    heads = [scheme.head(k) for k in coupled]
+    tops = [scheme.boundaries[k[0]] for k in corners]
+    n = len(coupled)
+    S = prefix_at(line_segments(model, seed, replicate, cuts), cuts,
+                  [H.a[0] for H in heads] + [H.b[0] for H in heads] + tops)
+    blocks = []
+    for k, H, u, z in zip(coupled, heads, (S[n : 2 * n] - S[:n]).tolist(), draws):
+        B = scheme.block(k)
+        _, _, eta, _ = _couple_block(u, z, variances[k], cdfs[_shape_key(H, B)])
+        blocks.append((B, eta))
+    buf = _workspace("wiener", (np.diff(cuts).max(),))  # sized once for the longest slab
+    slabs = _wiener_slabs(blocks, seed, replicate, cuts, buf)
+    return (S[2 * n :] - sigma * prefix_at(slabs, cuts, tops)).tolist()
 
 
 def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float, float]:

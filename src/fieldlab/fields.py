@@ -12,8 +12,8 @@ Cox-Grimmett coefficients
 are all exact finite sums over the support lags.
 
 This module draws every field of the package and alone knows the
-innovation layout: sample_block draws one replicate on a block,
-sample_block_batch a stack of them, line_segments a d = 1 line by segments.
+innovation layout: sample_block_batch draws a stack of replicates on a
+block (sample_block is one row), line_segments a d = 1 line by segments.
 The batched draws and the prefixes of sums and coupling run in one
 per-thread workspace (_workspace): grow-only scratch arrays of at most a
 batch of _BATCH_CELLS cells, or of one replicate when that is larger, which
@@ -244,13 +244,8 @@ def _innovation_shape(model: FieldModel, lengths) -> tuple[int, ...]:
 def sample_block(
     model: FieldModel, block: Block, seed: int, replicate: int = 0, tag: str = "field"
 ) -> np.ndarray:
-    """One replicate of the field on a block, shape = block.lengths."""
-    if block.d != model.d:
-        raise ValueError("block dimension does not match the model")
-    lens = block.lengths
-    gen = stream(seed, tag, replicate)
-    z = innovations(gen, _innovation_shape(model, lens), model.innovation)
-    return _field_from_innovations(model, z, lens, out=np.empty(lens))
+    """One replicate of the field on a block: row 0 of sample_block_batch."""
+    return sample_block_batch(model, block, seed, range(replicate, replicate + 1), tag)[0]
 
 
 def sample_block_batch(
@@ -262,13 +257,15 @@ def sample_block_batch(
 ) -> np.ndarray:
     """Stack of replicates, shape (len(replicates),) + block.lengths.
 
-    Row r is bitwise identical to sample_block(..., replicate=r) regardless
-    of batching, so any chunking of the replicate range is equivalent.
-    Each replicate's innovations are drawn straight into its row of the
-    thread's stacked innovation grid, and the moving average is evaluated
-    into the returned stack once per batch of at most _BATCH_CELLS block
-    cells (never less than one replicate).  The stack is a new array.
+    Replicate r is drawn from its own stream (seed, tag, r), so any chunking
+    of the replicate range is equivalent.  Each replicate's innovations are
+    drawn straight into its row of the thread's stacked innovation grid,
+    and the moving average is evaluated into the returned stack once per
+    batch of at most _BATCH_CELLS block cells (never less than one
+    replicate).  The stack is a new array.
     """
+    if block.d != model.d:
+        raise ValueError("block dimension does not match the model")
     lens = block.lengths
     zshape = _innovation_shape(model, lens)
     n = len(replicates)

@@ -9,11 +9,11 @@ contributes max - min of a difference profile.  sum_and_max reduces a whole
 stack of replicates at once.  This module draws nothing: it reduces what
 its callers sampled, and it owns every prefix accumulation: it always
 accumulates in longdouble, and a stored prefix array is always rounded to
-float64.  line_prefix hands the longdouble prefix of a d = 1 stack,
-optionally carried on from a running total, to a caller that reads and
-rounds only a few of its entries; it accumulates in a reused buffer of the
-thread's workspace, and sum_and_max reads it in d = 1.  The corner-anchored
-variant max_{n <= N} |S_n| is a separate, cheaper statistic.
+float64.  In d = 1 the longdouble prefix sits in one reused buffer of the
+thread's workspace: line_prefix hands it to sum_and_max for a stack, and
+prefix_at reads it at given positions of a line that arrives in segments
+(the LIL net, the S - sigma W corners).  The corner-anchored variant
+max_{n <= N} |S_n| is a separate, cheaper statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
 finite sum of covariances weighted by rectangle-overlap counts, which also
@@ -37,6 +37,7 @@ __all__ = [
     "make_grid",
     "partial_sum",
     "line_prefix",
+    "prefix_at",
     "sum_and_max",
     "max_sub_block",
     "max_sub_block_naive",
@@ -122,22 +123,37 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
-def line_prefix(values: np.ndarray, start=0, out=None) -> np.ndarray:
-    """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values.
-
-    The values are cast into a longdouble buffer, `out` or else the
-    thread's reused one (see fields._workspace), which is then accumulated
-    in place: the bits of cumsum(dtype=longdouble) at half its time.
-    Without `out` the result is valid until the thread's next call.  The
-    sums run on from `start`, so the prefix of a long line taken segment by
-    segment, each starting from the last total of the one before, has the
-    bits of the prefix of the whole line.
-    """
-    P = _workspace("prefix", values.shape, np.longdouble) if out is None else out
-    P[...] = values
+def _accumulate(values: np.ndarray, start, out: np.ndarray) -> np.ndarray:
+    """Cast values into the longdouble out and sum its last axis in place from
+    `start`: the bits of cumsum(dtype=longdouble) at half its time, so a line
+    summed by segments, each from the last total, has the whole line's bits."""
+    out[...] = values
     if start:
-        P[..., 0] += start
-    return np.cumsum(P, axis=-1, out=P)
+        out[..., 0] += start
+    return np.cumsum(out, axis=-1, out=out)
+
+
+def line_prefix(values: np.ndarray) -> np.ndarray:
+    """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values,
+    in the thread's reused buffer: valid until the thread's next prefix."""
+    return _accumulate(values, 0, _workspace("prefix", values.shape, np.longdouble))
+
+
+def prefix_at(segments, cuts: Sequence[int], positions: Sequence[int]) -> np.ndarray:
+    """S(cuts[0], i] rounded to float64 at each position i of a d = 1 line
+    whose segment j holds its values on (cuts[j], cuts[j+1]]: the prefix
+    accumulates a segment at a time in a reused buffer sized for the longest,
+    so the line is never held.  A position cuts[0] reads 0."""
+    pos = np.asarray(positions, dtype=np.int64)
+    out = np.zeros(len(pos))
+    buf = _workspace("prefix", (np.diff(cuts).max(),), np.longdouble)
+    total = 0
+    for a, b, X in zip(cuts, cuts[1:], segments):
+        P = _accumulate(X, total, buf[: b - a])
+        at = (pos > a) & (pos <= b)
+        out[at] = P[pos[at] - a - 1]
+        total = P[-1]
+    return out
 
 
 def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -56,7 +56,7 @@ from .fields import (
 )
 from .lattice import Block, _as_points, cardinality, dist, inv_norm_sum, inv_norm_sum_bound
 from .rng import stream
-from .sums import block_var, line_prefix, sum_and_max, variance_defect
+from .sums import block_var, prefix_at, sum_and_max, variance_defect
 from .theory import SchemeParams, moricz_a
 
 __all__ = [
@@ -1003,17 +1003,12 @@ def check_lil(
     cuts = [*range(0, top, _LINE_CELLS), top]
 
     def kernel(s: int, e: int) -> np.ndarray:
-        # each line is drawn and summed segment by segment, carrying the
-        # longdouble total; only the prefix entries at the net are kept
-        out = np.empty((e - s, depth), dtype=np.longdouble)
-        for row, rep in zip(out, range(s, e)):
-            total = 0
-            for a, X in zip(cuts, line_segments(model, seed, rep, cuts, tag="lil")):
-                P = line_prefix(X, total)
-                at = (ns > a) & (ns <= a + len(X))
-                row[at] = P[ns[at] - a - 1]
-                total = P[-1]
-        return out.astype(np.float64) / denom
+        # each line is drawn and summed segment by segment; only the prefix
+        # entries at the net are kept
+        return np.array([
+            prefix_at(line_segments(model, seed, rep, cuts, tag="lil"), cuts, ns)
+            for rep in range(s, e)
+        ]) / denom
 
     R = map_replicate_chunks(kernel, replicates, top, workers)
     max_med = float(np.median(R.max(axis=1)))

@@ -414,6 +414,23 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("coeff", [[1], "1.5", True, None, {}])
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", {"block": {"a": [0], "b": [8]}}),
+        ("verify", {"claims": ["second_moment_bound"]}),
+    ])
+    def test_non_number_coefficient(self, tmp_path, capsys, command, section, coeff):
+        # a list coefficient exited 3 with a TypeError; a string or a bool
+        # was converted by float()
+        path = write_config(
+            tmp_path, model={"kind": "linear_ma", "d": 1, "coeffs": {"0": coeff}},
+            **{command: section},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "coeff '0' must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_model_kind(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
@@ -517,6 +534,26 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path),
                      "--output-dir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("block", [
+        {"a": [0.5], "b": [8]}, {"a": [True], "b": [8]}, {"a": ["5"], "b": [8]},
+        {"a": [0], "b": [8.0]}, {"a": 0, "b": [8]}, {"a": [0]},
+    ])
+    def test_non_integer_corners(self, tmp_path, capsys, block):
+        # Block's int() ran these on a different block, with exit 0
+        path = write_config(tmp_path, simulate={"block": block})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "simulate.block needs integer lists a and b" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oversized_block(self, tmp_path, capsys):
+        path = write_config(tmp_path, model={"kind": "iid", "d": 2},
+                            simulate={"block": {"a": [0, 0], "b": [2**40, 2**40]}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "bad simulate.block" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCoupleAndReport:
     def test_couple_study(self, tmp_path):
@@ -587,6 +624,21 @@ class TestCoupleAndReport:
     def test_report_missing_input(self, tmp_path):
         assert main(["report", "--inputs", str(tmp_path / "ghost"),
                      "--output-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("summary", [
+        [1, 2], "text", 3, {"reports": [1]}, {"reports": [{}, "x"]}, {"reports": "ab"},
+        {"reports": [{"claim_id": 1}, {"claim_id": "a"}]},
+    ])
+    def test_report_rejects_a_summary_of_another_shape(self, tmp_path, capsys, summary):
+        # a list summary, or a report that is not an object, exited 3 with an
+        # AttributeError; claim ids of two types, with a TypeError
+        folder = tmp_path / "in"
+        folder.mkdir()
+        (folder / "summary.json").write_text(json.dumps(summary))
+        out = tmp_path / "out"
+        assert main(["report", "--inputs", str(folder), "--output-dir", str(out)]) == 2
+        assert "is not a verify summary" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputDirEnv:

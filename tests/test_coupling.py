@@ -11,6 +11,7 @@ from fieldlab.coupling import (
     block_coupling_samples,
     block_sums,
     build_scheme,
+    build_wiener,
     cdf_table,
     coupling_error,
     corner_errors,
@@ -25,7 +26,7 @@ from fieldlab.coupling import (
 from fieldlab.fields import iid_model, linear_ma_model, sample_block
 from fieldlab.lattice import Block, cardinality
 from fieldlab.rng import stream
-from fieldlab.sums import block_var, line_prefix, make_grid, partial_sum
+from fieldlab.sums import block_var, make_grid, partial_sum
 from fieldlab.theory import SchemeParams
 from fieldlab.verify import (
     approximation_error_study,
@@ -312,30 +313,30 @@ class TestCornerErrors:
         for (first, _), (nxt, _) in zip(slabs, slabs[1:]):
             assert bounds[nxt] - bounds[first - 1] > budget  # no slab could take more
 
-    def test_exact_phi_requires_normal(self, exp_model):
-        scheme = build_scheme(PARAMS, K=3, d=1)
-        variances = scheme_variances(exp_model, scheme)
-        with pytest.raises(ValueError, match="Gaussian"):
-            cdf_table(exp_model, scheme, variances, 100, 0, exact_phi=True)
-
-    def test_slab_prefixes_share_no_memory(self, monkeypatch, gauss_model):
-        # each slab reads its field and Wiener prefixes together, so they sit
-        # in two different buffers of the thread's workspace
-        prefixes = []
-
-        def recorded(*args, **kwargs):
-            prefixes.append(line_prefix(*args, **kwargs))
-            return prefixes[-1]
-
-        monkeypatch.setattr(coupling, "line_prefix", recorded)
+    def test_wiener_slabs_are_slices_of_build_wiener(self, monkeypatch, gauss_model):
+        # the Wiener pass of corner_errors draws slab by slab what build_wiener
+        # draws on the whole domain; blocks outside etas keep the raw stream
         monkeypatch.setattr(coupling, "_BATCH_CELLS", 300)
         scheme = build_scheme(PARAMS, K=9, d=1)
-        variances = scheme_variances(gauss_model, scheme)
-        cdfs = cdf_table(gauss_model, scheme, variances, 100, 0, exact_phi=True)
-        corner_errors(gauss_model, scheme, 0, 0, variances, cdfs, [(9,)])
-        assert len(prefixes) == 2 * len(list(coupling._slabs(scheme))) >= 4
-        for field, wiener in zip(prefixes[::2], prefixes[1::2]):
-            assert not np.shares_memory(field, wiener)
+        blocks = sorted(scheme.good)
+        etas = {k: 0.7 * i - 2.0 for i, k in enumerate(blocks) if i % 2}
+        cuts = [scheme.boundaries[first - 1] for first, _ in coupling._slabs(scheme)]
+        cuts.append(scheme.boundaries[-1])
+        assert len(cuts) >= 4
+        buf = np.empty(max(b - a for a, b in zip(cuts, cuts[1:])))
+        conditioned = [(scheme.block(k), eta) for k, eta in etas.items()]
+        slabs = [Z.copy() for Z in coupling._wiener_slabs(conditioned, 3, 1, cuts, buf)]
+        whole = build_wiener(scheme, etas, 3, 1)
+        assert np.array_equal(np.concatenate(slabs), whole)
+        raw = stream(3, "wiener", 1).standard_normal(scheme.boundaries[-1])
+        for k in blocks:
+            B = scheme.block(k)
+            cells = whole[B.a[0] : B.b[0]]
+            if k in etas:
+                assert cells.sum() == pytest.approx(
+                    math.sqrt(cardinality(B)) * etas[k], rel=1e-12, abs=1e-12)
+            else:
+                assert np.array_equal(cells, raw[B.a[0] : B.b[0]])
 
     def test_study_memory_is_set_by_the_slab(self, gauss_model):
         # depth 48 has 1,421,000 cells; holding the whole domain, as

@@ -84,6 +84,13 @@ class TestSampling:
         for row, rep in zip(batch, range(2, 6)):
             assert np.array_equal(row, sample_block(ma_model, b, seed=3, replicate=rep))
 
+    def test_block_in_another_dimension(self, ma_model):
+        plane = Block((0, 0), (3, 3))
+        with pytest.raises(ValueError, match="block dimension"):
+            sample_block(ma_model, plane, seed=1)
+        with pytest.raises(ValueError, match="block dimension"):
+            sample_block_batch(ma_model, plane, seed=1, replicates=range(2))
+
     def test_ma_is_kernel_convolution(self, ma_model):
         # reproduce one sample by hand from the innovation stream
         b = Block((0,), (10,))

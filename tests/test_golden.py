@@ -21,13 +21,15 @@ prefixes were then kept in longdouble, and an empirical-CDF call on the
 exponential model, whose threads share one table of CDFs.
 
 Since then replicates are mapped in tasks of at most 2^16 cells, and
-check_lil no longer builds a SampleGrid per replicate: it draws its stack
-through sample_block_batch and reads the dyadic net from sums.line_prefix,
-rounded to float64 at the net.  The digests were kept unchanged.
+check_lil no longer builds a SampleGrid per replicate: it draws each line
+in segments through fields.line_segments and reads the dyadic net from
+sums.prefix_at, rounded to float64 at the net.  The digests were kept
+unchanged.
 
 The last digests were recorded while every S - sigma W replicate was still
 coupled on its whole domain through run_coupling.  They pin the d = 1 study
-coupled slab by slab through coupling.corner_errors: an empirical-CDF call
+coupled over slabs through coupling.corner_errors, now in two passes, one
+for the field and one for the Wiener increments: an empirical-CDF call
 on a Rademacher kernel with a negative lag whose depth-24 domain spans two
 slabs, and a `couple` run at alpha = 4 whose depth-16 top block is larger
 than a slab.  A d = 2 `couple` run pins the whole-domain path that d >= 2

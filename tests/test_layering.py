@@ -5,7 +5,9 @@ cycle and no upward edge: coupling builds the construction, and verify
 holds the statistics of every study.
 fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
-sums only reduces what its callers sampled, so it draws nothing.
+sums only reduces what its callers sampled, so it draws nothing, and it
+alone reads the d = 1 line prefix.  In fields two samplers open streams:
+sample_block_batch and line_segments.
 fields owns the per-thread workspace of reused buffers; sums and coupling
 fill it through fields._workspace, and verify and cli reach it only
 through the public kernels.
@@ -128,6 +130,22 @@ def test_only_the_kernels_touch_the_workspace(module):
 
 def test_sums_draws_nothing():
     assert not used_names("sums") & SAMPLERS
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_sums_reads_the_line_prefix(module):
+    """Every d = 1 prefix is read through sums: whole stacks by sum_and_max,
+    a line in segments by prefix_at."""
+    names = set().union(*reads_by_definition(module).values())
+    assert ("line_prefix" in names) == (module == "sums")
+
+
+def test_two_samplers_read_the_streams():
+    """sample_block is a row of sample_block_batch, so fields opens streams
+    in its two samplers only."""
+    readers = {owner for owner, names in reads_by_definition("fields").items()
+               if owner and names & {"stream", "streams"}}  # None: the import
+    assert readers == {"sample_block_batch", "line_segments"}
 
 
 def test_couple_checks_no_values():

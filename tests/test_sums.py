@@ -11,6 +11,7 @@ from fieldlab.sums import (
     anchored_abs_max,
     block_cov,
     block_var,
+    line_prefix,
     make_grid,
     max_sub_block,
     max_sub_block_naive,
@@ -183,6 +184,31 @@ class TestMaxSubBlock:
         gen = np.random.default_rng(9)
         g = make_grid(Block((0,), (64,)), gen.standard_normal(64))
         assert max_sub_block(g) >= anchored_abs_max(g) - 1e-12
+
+
+class TestPrefixAt:
+    """prefix_at over segments against the rounded prefix of the whole line."""
+
+    N = 40
+    CUTS = {
+        "one_cell": list(range(N + 1)),
+        "uneven": [0, 1, 7, 8, 25, N],
+        "single": [0, N],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CUTS))
+    def test_bits_of_the_whole_line(self, name):
+        cuts = self.CUTS[name]
+        gen = np.random.default_rng(5)
+        line = gen.standard_normal(self.N) * 10.0 ** gen.integers(-3, 4, self.N)
+        # a float64 carry between segments would drop the low bits of 2^53
+        line[0] = 2.0**53
+        whole = np.concatenate([[0.0], line_prefix(line).astype(np.float64)])
+        positions = [0, *cuts, self.N, 3, 0, 26, self.N]
+        segments = (line[a:b] for a, b in zip(cuts, cuts[1:]))
+        got = sums.prefix_at(segments, cuts, positions)
+        assert got.dtype == np.float64
+        assert got.tobytes() == whole[positions].tobytes()
 
 
 class TestExactVariance:
