@@ -275,8 +275,8 @@ def _cmd_verify(args) -> int:
     if args.claims:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
         section["claims"] = claims
-    if not claims or not isinstance(claims, list):
-        raise ConfigError("verify.claims must be a nonempty list")
+    if not claims or not isinstance(claims, list) or not all(type(c) is str for c in claims):
+        raise ConfigError("verify.claims must be a nonempty list of claim ids")
     unknown = sorted(set(claims) - set(VERIFIERS))
     if unknown:
         raise ConfigError(f"unknown claim id(s): {', '.join(unknown)}")
@@ -338,6 +338,8 @@ def _cmd_report(args) -> int:
             raise ConfigError(f"no summary.json under {folder}")
         try:
             data = json.loads(path.read_text())
+        except OSError as e:
+            raise ConfigError(f"cannot read {path}: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path} is not valid JSON: {e}")
         reports = data.get("reports", []) if isinstance(data, dict) else None

@@ -22,12 +22,12 @@ and any batching of replicates is equivalent.
 
 run_coupling holds a replicate's whole domain: the field, the Wiener grid
 and both prefix arrays.  The S - sigma W study reads only a few prefix
-values per block, and in d = 1 the blocks are consecutive segments, so
-corner_errors runs a d = 1 replicate in two passes over slabs, with the
-same draws and the same float operations: sums.prefix_at reads the field
-of fields.line_segments at the head ends and corners, the blocks are
-coupled, and then it reads the Wiener increments of _wiener_slabs, the
-one Wiener builder, at the corners.  Only a slab is held at a time.
+entries per block, and every (0, N] is a union of whole axis-0 block rows,
+so corner_errors runs a replicate in two passes over slabs of block rows,
+in any d, with the same draws and float operations: sums.prefix_at reads
+the field of fields.line_segments at the corners of the heads and of the
+(0, N], the blocks are coupled, and then it reads the Wiener increments of
+_wiener_slabs, the one Wiener builder, at the (0, N].  Only a slab is held.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .fields import (
 )
 from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
 from .rng import stream, streams
-from .sums import SampleGrid, block_cov, block_var, make_grid, partial_sum, prefix_at
+from .sums import SampleGrid, block_cov, block_var, corner_sum, make_grid, partial_sum, prefix_at
 from .theory import SchemeParams, block_boundary
 
 __all__ = [
@@ -444,15 +444,16 @@ def build_wiener(scheme: BlockScheme, etas: Mapping, seed: int, replicate: int) 
 
 
 def _slabs(scheme: BlockScheme):
-    """(first, last) block numbers of each slab of a d = 1 scheme.
+    """(first, last) axis-0 block numbers of each slab of a scheme's domain.
 
-    A slab is a run of consecutive blocks with at most _BATCH_CELLS cells in
-    all; a larger block is a slab of its own.
+    A slab is a run of consecutive block rows with at most _BATCH_CELLS
+    cells in all, a row having n_K^(d-1) cells per axis-0 step; a larger
+    block row is a slab of its own.
     """
     bounds = scheme.boundaries
     first = 1
     for k in range(2, scheme.K + 1):
-        if bounds[k] - bounds[first - 1] > _BATCH_CELLS:
+        if (bounds[k] - bounds[first - 1]) * bounds[-1] ** (scheme.d - 1) > _BATCH_CELLS:
             yield first, k - 1
             first = k
     yield first, scheme.K
@@ -471,32 +472,28 @@ def corner_errors(
 
     Bit for bit the numbers partial_sum(run.field, V) - run.sigma *
     partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model,
-    scheme, seed, replicate, variances, cdfs).  In d >= 2 they are read
-    from that run.  In d = 1 two passes run over the slabs of _slabs (see
-    the module docstring), so memory follows the largest slab, not the domain.
+    scheme, seed, replicate, variances, cdfs), whose corners of V other
+    than N read 0, from two passes over the slabs of _slabs (see the module
+    docstring), so memory follows the largest slab, not the domain.
     """
     sigma = math.sqrt(sigma2(model))
-    if model.d != 1:
-        run = run_coupling(model, scheme, seed, replicate, variances, cdfs)
-        return [partial_sum(run.field, V) - sigma * partial_sum(run.wiener, V)
-                for V in (Block((0,) * model.d, scheme.corner(k)) for k in corners)]
-
     coupled = _coupled(scheme, variances)
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
     cuts = [scheme.boundaries[f - 1] for f, _ in _slabs(scheme)] + [scheme.boundaries[-1]]
     heads = [scheme.head(k) for k in coupled]
-    tops = [scheme.boundaries[k[0]] for k in corners]
-    n = len(coupled)
-    S = prefix_at(line_segments(model, seed, replicate, cuts), cuts,
-                  [H.a[0] for H in heads] + [H.b[0] for H in heads] + tops)
-    blocks = []
-    for k, H, u, z in zip(coupled, heads, (S[n : 2 * n] - S[:n]).tolist(), draws):
-        B = scheme.block(k)
-        _, _, eta, _ = _couple_block(u, z, variances[k], cdfs[_shape_key(H, B)])
-        blocks.append((B, eta))
-    buf = _workspace("wiener", (np.diff(cuts).max(),))  # sized once for the longest slab
-    slabs = _wiener_slabs(blocks, seed, replicate, cuts, buf)
-    return (S[2 * n :] - sigma * prefix_at(slabs, cuts, tops)).tolist()
+    tops = [scheme.corner(k) for k in corners]
+
+    def prefix(slabs, at):  # the prefix entries at the positions at
+        return dict(zip(at, prefix_at(slabs, cuts, at).tolist()))
+
+    S = prefix(line_segments(model, scheme.domain, seed, replicate, cuts),
+               [c for H in heads for c in itertools.product(*zip(H.a, H.b))] + tops)
+    blocks = [(B, _couple_block(corner_sum(S, H.a, H.b), z, variances[k],
+                                cdfs[_shape_key(H, B)])[2])  # (B, eta)
+              for k, H, B, z in zip(coupled, heads, map(scheme.block, coupled), draws)]
+    buf = _workspace("wiener", (max(np.diff(cuts)),) + scheme.domain.lengths[1:])  # once
+    W = prefix(_wiener_slabs(blocks, seed, replicate, cuts, buf), tops)
+    return [S[N] - sigma * W[N] for N in tops]
 
 
 def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float, float]:

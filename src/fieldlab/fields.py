@@ -13,7 +13,7 @@ are all exact finite sums over the support lags.
 
 This module draws every field of the package and alone knows the
 innovation layout: sample_block_batch draws a stack of replicates on a
-block (sample_block is one row), line_segments a d = 1 line by segments.
+block (sample_block is one row), line_segments one replicate in axis-0 slabs.
 The batched draws and the prefixes of sums and coupling run in one
 per-thread workspace (_workspace): grow-only scratch arrays of at most a
 batch of _BATCH_CELLS cells, or of one replicate when that is larger, which
@@ -50,9 +50,9 @@ _INNOVATIONS = ("normal", "exponential", "rademacher")
 
 # the most block cells of one batch (512 KiB of float64): a stacked batch of
 # sample_block_batch, a task of verify.map_replicate_chunks, a head-sum batch
-# of the CDF draws, and a segment that line_segments draws for a slab of
-# coupling.corner_errors or a line of verify.check_lil.  It bounds each
-# thread's workspace on large blocks, and a task is one batch.
+# of the CDF draws, and a slab that line_segments draws for verify.check_lil
+# or coupling.corner_errors (there one block row, when that is larger).  It
+# bounds each thread's workspace on large blocks, and a task is one batch.
 _BATCH_CELLS = 1 << 16
 
 _scratch = threading.local()
@@ -281,28 +281,27 @@ def sample_block_batch(
     return out
 
 
-def line_segments(
-    model: FieldModel, seed: int, replicate: int, cuts: Sequence[int], tag: str = "field"
-):
-    """One d = 1 replicate of the field, yielded segment by segment.
+def line_segments(model: FieldModel, block: Block, seed: int, replicate: int,
+                  cuts: Sequence[int], tag: str = "field"):
+    """One replicate of the field on a block, yielded in axis-0 slabs.
 
-    Segment i is the field on (cuts[i], cuts[i+1]], bitwise the slice of
-    sample_block(model, Block((cuts[0],), (cuts[-1],)), seed, replicate, tag)
-    over it: the innovations are drawn from the same stream in order, and
-    only their moving-average overlap carries to the next segment, so memory
-    is set by the longest segment, not by the line.  The segments share one
-    reused buffer of the thread: a yielded segment is valid only until the
-    next one is yielded, and a thread draws one line at a time.
+    Slab i is the field on the rows (cuts[i], cuts[i+1]] of the block, whose
+    axis 0 is (cuts[0], cuts[-1]], bitwise that slice of sample_block(model,
+    block, seed, replicate, tag): the innovations are drawn from the same
+    stream in C order, and only the overlap rows of the moving average carry
+    to the next slab, so memory is set by the largest slab, not the block.
+    The slabs share one reused buffer of the thread: a yielded slab is valid
+    only until the next one is yielded, and a thread draws one block at a time.
     """
     gen = stream(seed, tag, replicate)
-    lo, hi = _dilation(model)
-    width = hi[0] - lo[0]
+    zshape, rest = _innovation_shape(model, block.lengths), block.lengths[1:]
+    width = zshape[0] - block.lengths[0]
     longest = max(b - a for a, b in zip(cuts, cuts[1:]))
-    z = _workspace("segment", (longest + width,))
-    x = _workspace("line", (longest,))
-    innovations(gen, width, model.innovation, out=z[:width])
+    z = _workspace("segment", (longest + width,) + zshape[1:])
+    x = _workspace("line", (longest,) + rest)
+    innovations(gen, None, model.innovation, out=z[:width])
     for a, b in zip(cuts, cuts[1:]):
         n = b - a
-        innovations(gen, n, model.innovation, out=z[width : width + n])
-        yield _field_from_innovations(model, z[: width + n], (n,), out=x[:n])
+        innovations(gen, None, model.innovation, out=z[width : width + n])
+        yield _field_from_innovations(model, z[: width + n], (n,) + rest, out=x[:n])
         z[:width] = z[n : n + width]

@@ -2,17 +2,18 @@
 
 S(V) is the sum of the field over a block V.  A SampleGrid carries one
 replicate on a base block together with its (d+1)-corner prefix array, so
-any sub-block sum is an inclusion-exclusion of 2^d prefix entries.  M(V) is
-the maximum of |S(W)| over ALL sub-blocks W of V, reduced axis by axis: for
-every choice of boundary pairs on the leading axes, the trailing axis
-contributes max - min of a difference profile.  sum_and_max reduces a whole
-stack of replicates at once.  This module draws nothing: it reduces what
-its callers sampled, and it owns every prefix accumulation: it always
-accumulates in longdouble, and a stored prefix array is always rounded to
-float64.  In d = 1 the longdouble prefix sits in one reused buffer of the
-thread's workspace: line_prefix hands it to sum_and_max for a stack, and
-prefix_at reads it at given positions of a line that arrives in segments
-(the LIL net, the S - sigma W corners).  The corner-anchored variant
+any sub-block sum is corner_sum, an inclusion-exclusion of 2^d prefix
+entries.  M(V) is the maximum of |S(W)| over ALL sub-blocks W of V, reduced
+axis by axis: for every choice of boundary pairs on the leading axes, the
+trailing axis contributes max - min of a difference profile.  sum_and_max
+reduces a whole stack of replicates at once.  This module draws nothing: it
+reduces what its callers sampled, and it owns every prefix accumulation: it
+always accumulates in longdouble, and a stored prefix array is always
+rounded to float64.  The longdouble prefix sits in one reused buffer of the
+thread's workspace: line_prefix hands a d = 1 one to sum_and_max for a
+stack, and prefix_at reads, at given positions, that of a block arriving in
+axis-0 slabs in any d (the LIL net, the S - sigma W corners), carrying the
+column sums from slab to slab.  The corner-anchored variant
 max_{n <= N} |S_n| is a separate, cheaper statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
@@ -36,6 +37,7 @@ __all__ = [
     "SampleGrid",
     "make_grid",
     "partial_sum",
+    "corner_sum",
     "line_prefix",
     "prefix_at",
     "sum_and_max",
@@ -87,19 +89,18 @@ def partial_sum(grid: SampleGrid, W: Block) -> float:
     """S(W) for a sub-block W of the grid's base block."""
     if not grid.block.contains_block(W):
         raise ValueError("query block is not inside the sampled block")
-    base = grid.block.a
+    a, b = ([x - o for x, o in zip(c, grid.block.a)] for c in (W.a, W.b))
+    return corner_sum(grid.prefix, a, b)
+
+
+def corner_sum(prefix, a: Sequence[int], b: Sequence[int]) -> float:
+    """S((a, b]) from the float64 entries of a corner prefix, an array or a
+    mapping indexed by tuples relative to its base: the inclusion-exclusion
+    of its 2^d corners, added in one fixed order, so every sum has one value."""
     total = 0.0
-    d = grid.block.d
-    for mask in range(1 << d):
-        idx = []
-        sign = 1
-        for s in range(d):
-            if mask >> s & 1:
-                idx.append(W.a[s] - base[s])
-                sign = -sign
-            else:
-                idx.append(W.b[s] - base[s])
-        total += sign * float(grid.prefix[tuple(idx)])
+    for mask in range(1 << len(a)):
+        corner = tuple(lo if mask >> s & 1 else hi for s, (lo, hi) in enumerate(zip(a, b)))
+        total += (-1) ** bin(mask).count("1") * float(prefix[corner])
     return total
 
 
@@ -123,36 +124,41 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
-def _accumulate(values: np.ndarray, start, out: np.ndarray) -> np.ndarray:
-    """Cast values into the longdouble out and sum its last axis in place from
-    `start`: the bits of cumsum(dtype=longdouble) at half its time, so a line
-    summed by segments, each from the last total, has the whole line's bits."""
-    out[...] = values
-    if start:
-        out[..., 0] += start
-    return np.cumsum(out, axis=-1, out=out)
-
-
 def line_prefix(values: np.ndarray) -> np.ndarray:
     """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values,
-    in the thread's reused buffer: valid until the thread's next prefix."""
-    return _accumulate(values, 0, _workspace("prefix", values.shape, np.longdouble))
+    in the thread's reused buffer: valid until the thread's next prefix.
+    Summed in place, the cast values give cumsum(dtype=longdouble)'s bits."""
+    P = _workspace("prefix", values.shape, np.longdouble)
+    P[...] = values
+    return np.cumsum(P, axis=-1, out=P)
 
 
-def prefix_at(segments, cuts: Sequence[int], positions: Sequence[int]) -> np.ndarray:
-    """S(cuts[0], i] rounded to float64 at each position i of a d = 1 line
-    whose segment j holds its values on (cuts[j], cuts[j+1]]: the prefix
-    accumulates a segment at a time in a reused buffer sized for the longest,
-    so the line is never held.  A position cuts[0] reads 0."""
-    pos = np.asarray(positions, dtype=np.int64)
+def prefix_at(slabs, cuts: Sequence[int], positions: Sequence) -> np.ndarray:
+    """The entries of _prefix_array at positions of a block that arrives in
+    axis-0 slabs, slab j holding its rows (cuts[j], cuts[j+1]]: a position
+    is an index tuple (an int in d = 1), its row in the coordinates of the
+    cuts, and it reads 0 at the row cuts[0] or an index 0 on another axis.
+    The longdouble column sums carry from slab to slab in a reused buffer
+    sized for the largest; at a row read, they are summed along the trailing
+    axes in _prefix_array's order and rounded, once per distinct row."""
+    pos = np.asarray(positions, dtype=np.int64).reshape(len(positions), -1)
+    read, row = np.unique(pos[:, 0], return_inverse=True)  # the distinct rows
     out = np.zeros(len(pos))
-    buf = _workspace("prefix", (np.diff(cuts).max(),), np.longdouble)
-    total = 0
-    for a, b, X in zip(cuts, cuts[1:], segments):
-        P = _accumulate(X, total, buf[: b - a])
-        at = (pos > a) & (pos <= b)
-        out[at] = P[pos[at] - a - 1]
-        total = P[-1]
+    rows, carry = max(np.diff(cuts)), -0.0  # x + -0.0 is x, bit for bit
+    for a, b, X in zip(cuts, cuts[1:], slabs):
+        P = _workspace("prefix", (rows,) + X.shape[1:], np.longdouble)[: b - a]
+        P[...] = X
+        P[0] += carry
+        carry = np.cumsum(P, axis=0, out=P)[-1].copy()
+        lo, hi = np.searchsorted(read, [a, b], side="right")
+        if lo < hi:
+            R = P[read[lo:hi] - a - 1]
+            for ax in range(1, R.ndim):
+                np.cumsum(R, axis=ax, out=R)
+            Q = np.zeros((hi - lo,) + tuple(n + 1 for n in R.shape[1:]))
+            Q[(slice(None),) + (slice(1, None),) * (R.ndim - 1)] = R  # rounds
+            at = (row >= lo) & (row < hi)
+            out[at] = Q[(row[at] - lo, *pos[at, 1:].T)]
     return out
 
 

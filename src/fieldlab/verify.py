@@ -873,9 +873,9 @@ def approximation_error_study(
     bootstrap confidence interval (over replicates) is attached per depth.
 
     Replicates are coupled one per task on `workers` threads through
-    coupling.corner_errors, so each thread holds one coupled replicate at a
-    time: in d = 1 one slab of it, in d >= 2 its whole domain.  The result
-    does not depend on the worker count.
+    coupling.corner_errors, so each thread holds one axis-0 slab of one
+    coupled replicate at a time.  The result does not depend on the worker
+    count.
     """
     out = []
     for K, scheme, variances, corners in cpl.study_plans(
@@ -1000,13 +1000,13 @@ def check_lil(
     ns = 2 ** np.arange(1, depth + 1)
     denom = np.sqrt(2.0 * s2 * ns * np.array([_loglog_scale(n) for n in ns]))
     top = int(ns[-1])
-    cuts = [*range(0, top, _LINE_CELLS), top]
+    cuts, line = [*range(0, top, _LINE_CELLS), top], Block((0,), (top,))
 
     def kernel(s: int, e: int) -> np.ndarray:
         # each line is drawn and summed segment by segment; only the prefix
         # entries at the net are kept
         return np.array([
-            prefix_at(line_segments(model, seed, rep, cuts, tag="lil"), cuts, ns)
+            prefix_at(line_segments(model, line, seed, rep, cuts, tag="lil"), cuts, ns)
             for rep in range(s, e)
         ]) / denom
 

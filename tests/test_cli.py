@@ -165,6 +165,16 @@ class TestConfigValidation:
         path = write_config(tmp_path, verify={"claims": ["not_a_claim"]})
         assert main(["verify", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("claims", [[1], [{"a": 1}], [["clt_distance"]]],
+                             ids=["int", "object", "list"])
+    def test_non_string_claim_ids(self, tmp_path, capsys, claims):
+        # each raised a TypeError in the claim set or its join, and exited 3
+        path = write_config(tmp_path, verify={"claims": claims})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "verify.claims must be a nonempty list of claim ids" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_override_key(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -624,6 +634,15 @@ class TestCoupleAndReport:
     def test_report_missing_input(self, tmp_path):
         assert main(["report", "--inputs", str(tmp_path / "ghost"),
                      "--output-dir", str(tmp_path)]) == 2
+
+    def test_report_unreadable_summary(self, tmp_path, capsys):
+        # a summary.json that is a directory exited 3 with IsADirectoryError
+        (tmp_path / "in" / "summary.json").mkdir(parents=True)
+        out = tmp_path / "out"
+        assert main(["report", "--inputs", str(tmp_path / "in"),
+                     "--output-dir", str(out)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("summary", [
         [1, 2], "text", 3, {"reports": [1]}, {"reports": [{}, "x"]}, {"reports": "ab"},

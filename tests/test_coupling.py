@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -265,7 +266,7 @@ class TestStudies:
 
 
 class TestCornerErrors:
-    """The slab-by-slab d = 1 coupling against the whole-domain run."""
+    """The slab-by-slab coupling against the whole-domain run, in every d."""
 
     MODELS = {
         "iid_exact": (iid_model(1), True),
@@ -274,7 +275,11 @@ class TestCornerErrors:
         "rademacher_cdf": (
             linear_ma_model(1, {(-1,): 0.4, (0,): 1.0, (2,): -0.5}, "rademacher"), False),
         "d2_exact": (linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3}), True),
+        "d2_rademacher_cdf": (linear_ma_model(
+            2, {(-1, 2): -0.4, (0, 0): 1.0, (0, 1): 0.5, (1, -1): 0.3}, "rademacher"), False),
+        "d3_exact": (linear_ma_model(3, {(0, 0, 0): 1.0, (1, 0, -1): 0.3}), True),
     }
+    DEPTHS = {1: 9, 2: 4, 3: 3}
 
     @staticmethod
     def _reference(model, scheme, seed, rep, variances, cdfs, corners):
@@ -291,7 +296,7 @@ class TestCornerErrors:
         # larger than a slab; a budget of one cell makes each block a slab
         model, exact_phi = self.MODELS[name]
         scheme = build_scheme(SchemeParams(alpha=alpha, beta=2, tau=1.0),
-                              K=9 if model.d == 1 else 4, d=model.d)
+                              K=self.DEPTHS[model.d], d=model.d)
         variances = scheme_variances(model, scheme)
         cdfs = cdf_table(model, scheme, variances, 100, seed=2, exact_phi=exact_phi)
         corners = [k for k in sorted(scheme.good) if variances[k].tau2 > 0]
@@ -300,43 +305,53 @@ class TestCornerErrors:
             args = (model, scheme, 2, rep, variances, cdfs, corners)
             assert corner_errors(*args) == self._reference(*args)
 
-    @pytest.mark.parametrize("budget", [1, 49, 50, 300, 2**16])  # blocks 1-3 hold 50 cells
+    # d = 1 at K = 12: blocks 1-3 hold 50 cells; d = 2 at K = 4: a row of
+    # 130 cells, so block rows 1-2 hold 14 x 130 = 1820 cells
+    @pytest.mark.parametrize("budget", [1, 49, 50, 300, 1819, 1820, 10_000, 2**16])
     def test_slabs_tile_the_blocks(self, monkeypatch, budget):
         monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
-        scheme = build_scheme(PARAMS, K=12, d=1)
-        bounds = scheme.boundaries
-        slabs = list(coupling._slabs(scheme))
-        assert [f for f, _ in slabs] == [1] + [last + 1 for _, last in slabs[:-1]]
-        assert slabs[-1][1] == 12
-        for first, last in slabs:
-            assert first == last or bounds[last] - bounds[first - 1] <= budget
-        for (first, _), (nxt, _) in zip(slabs, slabs[1:]):
-            assert bounds[nxt] - bounds[first - 1] > budget  # no slab could take more
+        for d, K in ((1, 12), (2, 4)):
+            scheme = build_scheme(PARAMS, K=K, d=d)
+            bounds = scheme.boundaries
 
-    def test_wiener_slabs_are_slices_of_build_wiener(self, monkeypatch, gauss_model):
+            def cells(first, last):
+                return (bounds[last] - bounds[first - 1]) * bounds[-1] ** (d - 1)
+
+            slabs = list(coupling._slabs(scheme))
+            assert [f for f, _ in slabs] == [1] + [last + 1 for _, last in slabs[:-1]]
+            assert slabs[-1][1] == K
+            for first, last in slabs:
+                assert first == last or cells(first, last) <= budget
+            for (first, _), (nxt, _) in zip(slabs, slabs[1:]):
+                assert cells(first, nxt) > budget  # no slab could take more
+
+    def test_wiener_slabs_are_slices_of_build_wiener(self, monkeypatch):
         # the Wiener pass of corner_errors draws slab by slab what build_wiener
-        # draws on the whole domain; blocks outside etas keep the raw stream
-        monkeypatch.setattr(coupling, "_BATCH_CELLS", 300)
-        scheme = build_scheme(PARAMS, K=9, d=1)
-        blocks = sorted(scheme.good)
-        etas = {k: 0.7 * i - 2.0 for i, k in enumerate(blocks) if i % 2}
-        cuts = [scheme.boundaries[first - 1] for first, _ in coupling._slabs(scheme)]
-        cuts.append(scheme.boundaries[-1])
-        assert len(cuts) >= 4
-        buf = np.empty(max(b - a for a, b in zip(cuts, cuts[1:])))
-        conditioned = [(scheme.block(k), eta) for k, eta in etas.items()]
-        slabs = [Z.copy() for Z in coupling._wiener_slabs(conditioned, 3, 1, cuts, buf)]
-        whole = build_wiener(scheme, etas, 3, 1)
-        assert np.array_equal(np.concatenate(slabs), whole)
-        raw = stream(3, "wiener", 1).standard_normal(scheme.boundaries[-1])
-        for k in blocks:
-            B = scheme.block(k)
-            cells = whole[B.a[0] : B.b[0]]
-            if k in etas:
-                assert cells.sum() == pytest.approx(
-                    math.sqrt(cardinality(B)) * etas[k], rel=1e-12, abs=1e-12)
-            else:
-                assert np.array_equal(cells, raw[B.a[0] : B.b[0]])
+        # draws on the whole domain; blocks outside etas keep the raw stream.
+        # In d = 2 at K = 5 a block row is a slab of its own.
+        for d, K, budget in ((1, 9, 300), (2, 5, 2000)):
+            monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
+            scheme = build_scheme(PARAMS, K=K, d=d)
+            blocks = sorted(scheme.good)
+            etas = {k: 0.7 * i - 2.0 for i, k in enumerate(blocks) if i % 2}
+            cuts = [scheme.boundaries[first - 1] for first, _ in coupling._slabs(scheme)]
+            cuts.append(scheme.boundaries[-1])
+            assert len(cuts) >= 4
+            buf = np.empty((max(b - a for a, b in zip(cuts, cuts[1:])),)
+                           + scheme.domain.lengths[1:])
+            conditioned = [(scheme.block(k), eta) for k, eta in etas.items()]
+            slabs = [Z.copy() for Z in coupling._wiener_slabs(conditioned, 3, 1, cuts, buf)]
+            whole = build_wiener(scheme, etas, 3, 1)
+            assert np.concatenate(slabs).tobytes() == whole.tobytes()
+            raw = stream(3, "wiener", 1).standard_normal(scheme.domain.lengths)
+            for k in blocks:
+                B = scheme.block(k)
+                box = tuple(slice(a, b) for a, b in zip(B.a, B.b))
+                if k in etas:
+                    assert whole[box].sum() == pytest.approx(
+                        math.sqrt(cardinality(B)) * etas[k], rel=1e-12, abs=1e-12)
+                else:
+                    assert np.array_equal(whole[box], raw[box])
 
     def test_study_memory_is_set_by_the_slab(self, gauss_model):
         # depth 48 has 1,421,000 cells; holding the whole domain, as
@@ -349,3 +364,26 @@ class TestCornerErrors:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_d2_memory_is_set_by_the_slab(self):
+        # K = 7 has 853,776 cells; holding the whole domain, as run_coupling
+        # does, peaked at 52 MiB.  A fresh thread starts with an empty
+        # workspace, so its buffers are counted.
+        model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
+        ((_, scheme, variances, corners),) = coupling.study_plans(
+            model, depths=(7,), replicates=2, exact_phi=True)
+        cdfs = cdf_table(model, scheme, variances, 100, seed=0, exact_phi=True)
+        peak = []
+
+        def replicate():
+            tracemalloc.start()
+            try:
+                corner_errors(model, scheme, 0, 0, variances, cdfs, corners)
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=replicate)
+        thread.start()
+        thread.join()
+        assert peak[0] < 24 * 2**20

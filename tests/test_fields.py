@@ -145,19 +145,22 @@ class TestSampling:
         lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
         replicate=st.integers(0, 1000),
         tag=st.sampled_from(["field", "lil"]),
+        d=st.sampled_from([1, 2, 3]),
+        width=st.integers(1, 5),
     )
     def test_line_segments_are_slices_of_sample_block(self, kind, start, lengths,
-                                                       replicate, tag):
-        # lags on both sides of 0, so each segment carries an overlap of 4
-        # innovations; one-cell segments are shorter than the overlap
-        model = linear_ma_model(1, {(-1,): 0.4, (0,): 1.0, (3,): -0.5}, kind)
+                                                       replicate, tag, d, width):
+        # lags on both sides of 0 on every axis, so each slab carries an
+        # overlap of 4 rows of innovations; one-row slabs are shorter than it
+        lags = {(-1,) + (1,) * (d - 1): 0.4, (0,) * d: 1.0, (3,) + (-1,) * (d - 1): -0.5}
+        model = linear_ma_model(d, lags, kind)
         cuts = [start + sum(lengths[:i]) for i in range(len(lengths) + 1)]
+        block = Block((cuts[0],) + (2,) * (d - 1), (cuts[-1],) + (2 + width,) * (d - 1))
         # a segment is valid until the next one is yielded
-        segments = [x.copy() for x in line_segments(model, 9, replicate, cuts, tag=tag)]
+        segments = [x.copy() for x in line_segments(model, block, 9, replicate, cuts, tag=tag)]
         assert [len(x) for x in segments] == lengths
-        line = Block((cuts[0],), (cuts[-1],))
-        whole = sample_block(model, line, 9, replicate, tag=tag)
-        row = sample_block_batch(model, line, 9, range(replicate, replicate + 2), tag=tag)[0]
+        whole = sample_block(model, block, 9, replicate, tag=tag)
+        row = sample_block_batch(model, block, 9, range(replicate, replicate + 2), tag=tag)[0]
         assert np.concatenate(segments).tobytes() == whole.tobytes() == row.tobytes()
 
     def test_batches_share_no_memory(self, ma_model):

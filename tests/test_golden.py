@@ -32,8 +32,10 @@ coupled over slabs through coupling.corner_errors, now in two passes, one
 for the field and one for the Wiener increments: an empirical-CDF call
 on a Rademacher kernel with a negative lag whose depth-24 domain spans two
 slabs, and a `couple` run at alpha = 4 whose depth-16 top block is larger
-than a slab.  A d = 2 `couple` run pins the whole-domain path that d >= 2
-keeps.  Every prefix array is now stored rounded to float64.
+than a slab.  A d = 2 `couple` run, recorded on the whole-domain path,
+now pins the same slab path in d = 2, which reads the prefix at the
+corners of each block through its carried column sums.  Every prefix
+array is now stored rounded to float64.
 
 A change in any drawn value, in the draw order, in the rounding of a prefix
 or in the serialization changes these digests.

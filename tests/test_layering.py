@@ -39,8 +39,10 @@ SAMPLERS = {"sample_block", "sample_block_batch", "line_segments", "stream", "st
 
 WORKSPACE = {"_workspace", "_scratch"}
 
-# reference implementations that tests compare the package's engines against
-REFERENCE_ORACLES = {("sums", "max_sub_block_naive"), ("coupling", "decomposition_terms")}
+# reference implementations that tests compare the package's engines against;
+# run_coupling is the whole-domain reference of coupling.corner_errors
+REFERENCE_ORACLES = {("sums", "max_sub_block_naive"), ("coupling", "decomposition_terms"),
+                     ("coupling", "run_coupling")}
 
 
 def used_names(module: str) -> set[str]:

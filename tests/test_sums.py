@@ -187,7 +187,7 @@ class TestMaxSubBlock:
 
 
 class TestPrefixAt:
-    """prefix_at over segments against the rounded prefix of the whole line."""
+    """prefix_at over slabs against the rounded prefix of the whole block."""
 
     N = 40
     CUTS = {
@@ -209,6 +209,24 @@ class TestPrefixAt:
         got = sums.prefix_at(segments, cuts, positions)
         assert got.dtype == np.float64
         assert got.tobytes() == whole[positions].tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 5), (7, 3, 4)], ids=["d2", "d3"])
+    @pytest.mark.parametrize("name", ["one_row", "uneven", "single"])
+    def test_bits_of_the_prefix_array(self, name, shape):
+        # every entry, those with an index 0 on some axis included, and some
+        # read twice, against the whole block's rounded longdouble prefix
+        cuts = {"one_row": list(range(shape[0] + 1)), "uneven": [0, 1, 4, shape[0]],
+                "single": [0, shape[0]]}[name]
+        gen = np.random.default_rng(7)
+        values = gen.standard_normal(shape) * 10.0 ** gen.integers(-3, 4, shape)
+        values[0, ...] = 2.0**53
+        if len(shape) == 3:  # summed along axis 2 before axis 1, the first 1 is lost
+            values[0, :2, :2] = [[2.0**64, 1.0], [-(2.0**64), 1.0]]
+        whole = sums._prefix_array(values)
+        positions = [*np.ndindex(whole.shape), shape, (0,) * len(shape)]
+        slabs = (values[a:b] for a, b in zip(cuts, cuts[1:]))
+        got = sums.prefix_at(slabs, cuts, positions)
+        assert got.tobytes() == np.array([whole[i] for i in positions]).tobytes()
 
 
 class TestExactVariance:
