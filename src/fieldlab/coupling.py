@@ -32,6 +32,7 @@ _wiener_slabs, the one Wiener builder, at the (0, N].  Only a slab is held.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -459,6 +460,21 @@ def _slabs(scheme: BlockScheme):
     yield first, scheme.K
 
 
+@functools.lru_cache(maxsize=4)
+def _corner_plan(scheme: BlockScheme, coupled: tuple, corners: tuple, budget: int) -> tuple:
+    """What corner_errors reads that is the same for every replicate of a
+    depth: the slab cuts (budget is the _BATCH_CELLS that _slabs cut by),
+    the coupled heads, blocks and cdf_table keys, the top corners N, and
+    the positions read in the field pass, the heads' corners and then N."""
+    cuts = tuple(scheme.boundaries[f - 1] for f, _ in _slabs(scheme)) + (scheme.boundaries[-1],)
+    heads = tuple(map(scheme.head, coupled))
+    blocks = tuple(map(scheme.block, coupled))
+    keys = tuple(map(_shape_key, heads, blocks))
+    tops = tuple(map(scheme.corner, corners))
+    at = tuple(c for H in heads for c in itertools.product(*zip(H.a, H.b))) + tops
+    return cuts, heads, blocks, keys, tops, at
+
+
 def corner_errors(
     model: FieldModel,
     scheme: BlockScheme,
@@ -474,26 +490,21 @@ def corner_errors(
     partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model,
     scheme, seed, replicate, variances, cdfs), whose corners of V other
     than N read 0, from two passes over the slabs of _slabs (see the module
-    docstring), so memory follows the largest slab, not the domain.
+    docstring), so memory follows the largest slab, not the domain.  What
+    every replicate of a depth shares is computed once (_corner_plan).
     """
     sigma = math.sqrt(sigma2(model))
     coupled = _coupled(scheme, variances)
+    cuts, heads, blocks, keys, tops, at = _corner_plan(
+        scheme, tuple(coupled), tuple(corners), _BATCH_CELLS)
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
-    cuts = [scheme.boundaries[f - 1] for f, _ in _slabs(scheme)] + [scheme.boundaries[-1]]
-    heads = [scheme.head(k) for k in coupled]
-    tops = [scheme.corner(k) for k in corners]
-
-    def prefix(slabs, at):  # the prefix entries at the positions at
-        return dict(zip(at, prefix_at(slabs, cuts, at).tolist()))
-
-    S = prefix(line_segments(model, scheme.domain, seed, replicate, cuts),
-               [c for H in heads for c in itertools.product(*zip(H.a, H.b))] + tops)
-    blocks = [(B, _couple_block(corner_sum(S, H.a, H.b), z, variances[k],
-                                cdfs[_shape_key(H, B)])[2])  # (B, eta)
-              for k, H, B, z in zip(coupled, heads, map(scheme.block, coupled), draws)]
+    field = line_segments(model, scheme.domain, seed, replicate, cuts)
+    S = dict(zip(at, prefix_at(field, cuts, at).tolist()))
+    etas = [_couple_block(corner_sum(S, H.a, H.b), z, variances[k], cdfs[key])[2]
+            for k, H, key, z in zip(coupled, heads, keys, draws)]
     buf = _workspace("wiener", (max(np.diff(cuts)),) + scheme.domain.lengths[1:])  # once
-    W = prefix(_wiener_slabs(blocks, seed, replicate, cuts, buf), tops)
-    return [S[N] - sigma * W[N] for N in tops]
+    W = prefix_at(_wiener_slabs(list(zip(blocks, etas)), seed, replicate, cuts, buf), cuts, tops)
+    return [S[N] - sigma * w for N, w in zip(tops, W.tolist())]
 
 
 def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float, float]:

@@ -178,25 +178,32 @@ def support_radius(model: FieldModel) -> int:
 # sampling
 
 
-def innovations(gen: np.random.Generator, shape, kind: str, out=None) -> np.ndarray:
+def innovations(gen, shape, kind: str, out=None) -> np.ndarray:
     """Mean-zero unit-variance iid draws of the requested kind.
 
     With `out` (a C-contiguous float64 array of the shape) the draws are
-    written into it, with the values and stream use of a fresh draw.
+    written into it, with the values and stream use of a fresh draw.  gen is
+    a generator, or an iterable of generators, one per row of out: row i is
+    then drawn from the i-th, and the map to mean 0 and variance 1 is
+    applied once to the whole stack.
     """
+    if kind not in _INNOVATIONS:
+        raise ValueError(f"unknown innovation kind {kind!r}")
     if out is None:
         out = np.empty(shape, dtype=np.float64)
-    if kind == "normal":
-        return gen.standard_normal(out=out)
-    if kind == "exponential":
-        gen.standard_exponential(out=out)
-        out -= 1.0
-        return out
+    rows = ((out, gen),) if isinstance(gen, np.random.Generator) else zip(out, gen)
+    for row, g in rows:  # out first: zip must not advance gen past the last row
+        if kind == "normal":
+            g.standard_normal(out=row)
+        elif kind == "exponential":
+            g.standard_exponential(out=row)
+        else:
+            row[...] = g.integers(0, 2, size=row.shape)
     if kind == "rademacher":
-        np.multiply(gen.integers(0, 2, size=out.shape), 2.0, out=out)
+        out *= 2.0
+    if kind != "normal":
         out -= 1.0
-        return out
-    raise ValueError(f"unknown innovation kind {kind!r}")
+    return out
 
 
 def _dilation(model: FieldModel):
@@ -259,10 +266,10 @@ def sample_block_batch(
 
     Replicate r is drawn from its own stream (seed, tag, r), so any chunking
     of the replicate range is equivalent.  Each replicate's innovations are
-    drawn straight into its row of the thread's stacked innovation grid,
-    and the moving average is evaluated into the returned stack once per
-    batch of at most _BATCH_CELLS block cells (never less than one
-    replicate).  The stack is a new array.
+    drawn straight into its row of the thread's stacked innovation grid;
+    the map to mean 0 and the moving average are applied to the returned
+    stack once per batch of at most _BATCH_CELLS block cells (never less
+    than one replicate).  The stack is a new array.
     """
     if block.d != model.d:
         raise ValueError("block dimension does not match the model")
@@ -275,8 +282,7 @@ def sample_block_batch(
     gens = streams(seed, tag, replicates)
     for s in range(0, n, batch):
         k = min(batch, n - s)
-        for i, gen in zip(range(k), gens):
-            innovations(gen, zshape, model.innovation, out=z[i])
+        innovations(gens, None, model.innovation, out=z[:k])
         _field_from_innovations(model, z[:k], lens, out=out[s : s + k])
     return out
 

@@ -54,11 +54,15 @@ def streams(seed: int, tag: str, replicates: Iterable[int]) -> Iterator[np.rando
     """
     bitgen = np.random.Philox(key=key_words(seed, tag))
     gen = np.random.Generator(bitgen)
-    # the fresh state: empty buffer (buffer_pos 4), no cached 32-bit half
+    # the fresh state (empty buffer, buffer_pos 4, no cached 32-bit half) in
+    # plain ints, which the state setter reads about 4x faster than arrays
     fresh = bitgen.state
+    fresh["state"]["key"] = fresh["state"]["key"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    counter = fresh["state"]["counter"] = [0, 0, 0, 0]
     for rep in replicates:
         if rep < 0:
             raise ValueError("replicate must be nonnegative")
-        fresh["state"]["counter"] = np.array([0, 0, rep, 0], dtype=np.uint64)
+        counter[2] = rep
         bitgen.state = fresh
         yield gen

@@ -24,6 +24,7 @@ sigma^2 - var(S(V))/|V|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,15 +69,26 @@ def _prefix_array(values: np.ndarray, lead: int = 0) -> np.ndarray:
     """Corner prefix sums over the block axes, with a zero slab on each.
 
     The first `lead` axes of values index replicates and are not summed.
-    The sums accumulate in longdouble and are stored rounded to float64.
+    The sums accumulate in longdouble, axis by axis in order, and are
+    stored rounded to float64; on two or more axes the last one is summed
+    straight into the float64 result, an accumulation that casts.
     """
     lens = values.shape[lead:]
-    acc = np.empty(values.shape, dtype=np.longdouble)
-    acc[...] = values
-    for ax in range(lead, values.ndim):
-        np.cumsum(acc, axis=ax, out=acc)
     out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens))
-    out[(...,) + (slice(1, None),) * len(lens)] = acc
+    inner = out[(...,) + (slice(1, None),) * len(lens)]
+    if not lens:
+        inner[...] = values
+    elif values.ndim == 1:
+        inner[...] = _line_sums(values, np.empty(len(values), dtype=np.longdouble))
+    else:
+        acc = values
+        if len(lens) > 1:
+            acc = np.empty(values.shape, dtype=np.longdouble)
+            acc[...] = values
+            for ax in range(lead, values.ndim - 1):
+                A = np.moveaxis(acc, ax, 0)
+                _row_sums(A, A)
+        _cast_sums(acc, inner)
     return out
 
 
@@ -124,13 +136,71 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
+# The running sums below take numpy paths that release the GIL, so that
+# worker threads sum at once.  numpy (2.4) holds it through a non-casting
+# np.cumsum written in place on one line, or on two or more axes with at
+# most 500 lines, so a line is summed out of place through a small chunk,
+# the rows of a stack one np.add at a time, and a stack of lines by a
+# casting accumulation, a few lines at a time, since numpy makes a
+# longdouble copy of what it casts.  The chunk and those copies hold at
+# most _CHUNK_CELLS cells (or one line).
+_CHUNK_CELLS = 1 << 14
+
+
+def _line_sums(X: np.ndarray, P: np.ndarray, carry=-0.0) -> np.ndarray:
+    """P = carry + X[0] + ... + X[i] along the line X, in longdouble in
+    that order: the bits of cumsum, the carry added first (x + -0.0 is x)."""
+    C = _workspace("chunk", (max(1, min(len(X), _CHUNK_CELLS)),), np.longdouble)
+    for s in range(0, len(X), len(C)):
+        c = C[: len(X) - s]
+        c[...] = X[s : s + len(c)]
+        c[0] += carry
+        carry = np.cumsum(c, out=P[s : s + len(c)])[-1]
+    return P
+
+
+def _row_sums(X: np.ndarray, P: np.ndarray, carry=-0.0) -> np.ndarray:
+    """P[i] = carry + X[0] + ... + X[i] along axis 0 of a stack, in
+    longdouble in that order, one row at a time; X may be P."""
+    if len(X):
+        np.add(X[0], carry, out=P[0])
+    for i in range(1, len(X)):
+        np.add(P[i - 1], X[i], out=P[i])
+    return P
+
+
+def _cast_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.cumsum(x, axis=-1, dtype=longdouble, out=out) for x of two or more
+    axes, x or out float64, a few rows of axis 0 at a time."""
+    rows = max(1, _CHUNK_CELLS // math.prod(x.shape[1:]))
+    for i in range(0, len(x), rows):
+        np.cumsum(x[i : i + rows], axis=-1, dtype=np.longdouble, out=out[i : i + rows])
+    return out
+
+
 def line_prefix(values: np.ndarray) -> np.ndarray:
     """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values,
     in the thread's reused buffer: valid until the thread's next prefix.
-    Summed in place, the cast values give cumsum(dtype=longdouble)'s bits."""
+    The bits are those of cumsum(values, dtype=longdouble)."""
     P = _workspace("prefix", values.shape, np.longdouble)
-    P[...] = values
-    return np.cumsum(P, axis=-1, out=P)
+    return _line_sums(values, P) if values.ndim == 1 else _cast_sums(values, P)
+
+
+@functools.lru_cache(maxsize=8)
+def _reads(cuts: tuple, positions: tuple) -> tuple:
+    """Where prefix_at reads, one entry per slab: the offsets in the slab of
+    the rows it reads, each distinct row once, and the positions they serve
+    (their places in the output, and their indices into the prefix array
+    of those rows).  Cached: a study reads the same places replicate after
+    replicate."""
+    pos = np.asarray(positions, dtype=np.int64).reshape(len(positions), -1)
+    read, row = np.unique(pos[:, 0], return_inverse=True)
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        lo, hi = np.searchsorted(read, [a, b], side="right")
+        at = np.flatnonzero((row >= lo) & (row < hi))
+        out.append((read[lo:hi] - a - 1, at, (row[at] - lo, *pos[at, 1:].T)))
+    return tuple(out)
 
 
 def prefix_at(slabs, cuts: Sequence[int], positions: Sequence) -> np.ndarray:
@@ -140,25 +210,14 @@ def prefix_at(slabs, cuts: Sequence[int], positions: Sequence) -> np.ndarray:
     cuts, and it reads 0 at the row cuts[0] or an index 0 on another axis.
     The longdouble column sums carry from slab to slab in a reused buffer
     sized for the largest; at a row read, they are summed along the trailing
-    axes in _prefix_array's order and rounded, once per distinct row."""
-    pos = np.asarray(positions, dtype=np.int64).reshape(len(positions), -1)
-    read, row = np.unique(pos[:, 0], return_inverse=True)  # the distinct rows
-    out = np.zeros(len(pos))
-    rows, carry = max(np.diff(cuts)), -0.0  # x + -0.0 is x, bit for bit
-    for a, b, X in zip(cuts, cuts[1:], slabs):
-        P = _workspace("prefix", (rows,) + X.shape[1:], np.longdouble)[: b - a]
-        P[...] = X
-        P[0] += carry
-        carry = np.cumsum(P, axis=0, out=P)[-1].copy()
-        lo, hi = np.searchsorted(read, [a, b], side="right")
-        if lo < hi:
-            R = P[read[lo:hi] - a - 1]
-            for ax in range(1, R.ndim):
-                np.cumsum(R, axis=ax, out=R)
-            Q = np.zeros((hi - lo,) + tuple(n + 1 for n in R.shape[1:]))
-            Q[(slice(None),) + (slice(1, None),) * (R.ndim - 1)] = R  # rounds
-            at = (row >= lo) & (row < hi)
-            out[at] = Q[(row[at] - lo, *pos[at, 1:].T)]
+    axes by _prefix_array and rounded, once per distinct row."""
+    out = np.zeros(len(positions))
+    rows, carry = max(np.diff(cuts)), -0.0
+    for (rel, at, index), X in zip(_reads(tuple(cuts), tuple(positions)), slabs):
+        P = _workspace("prefix", (rows,) + X.shape[1:], np.longdouble)[: len(X)]
+        carry = (_line_sums if X.ndim == 1 else _row_sums)(X, P, carry)[-1].copy()
+        if len(at):
+            out[at] = _prefix_array(P[rel], lead=1)[index]
     return out
 
 

@@ -65,6 +65,14 @@ class TestInnovations:
         x = innovations(stream(1, "t", 0), 1000, "rademacher")
         assert set(np.unique(x)) == {-1.0, 1.0}
 
+    @pytest.mark.parametrize("kind", ["normal", "exponential", "rademacher"])
+    def test_rows_of_a_stack_equal_their_own_draws(self, kind):
+        # one generator per row, the map to mean 0 applied once to the stack
+        gens = [stream(3, "rows", r) for r in range(4)]
+        stack = innovations(iter(gens), None, kind, out=np.empty((4, 5, 3)))
+        for r, row in enumerate(stack):
+            assert row.tobytes() == innovations(stream(3, "rows", r), (5, 3), kind).tobytes()
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             innovations(stream(1, "t", 0), 10, "uniform")

@@ -7,7 +7,7 @@ fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing, and it
 alone reads the d = 1 line prefix.  In fields two samplers open streams:
-sample_block_batch and line_segments.
+sample_block_batch and line_segments; only rng repoints a generator.
 fields owns the per-thread workspace of reused buffers; sums and coupling
 fill it through fields._workspace, and verify and cli reach it only
 through the public kernels.
@@ -140,6 +140,18 @@ def test_only_sums_reads_the_line_prefix(module):
     a line in segments by prefix_at."""
     names = set().union(*reads_by_definition(module).values())
     assert ("line_prefix" in names) == (module == "sums")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_rng_repoints_a_bit_generator(module):
+    """rng.streams repoints its Philox generator by assigning its state;
+    no other module sets a bit generator's state."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    assigned = [t for node in ast.walk(tree)
+                if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(t, ast.Attribute) and t.attr == "state"]
+    assert bool(assigned) == (module == "rng")
 
 
 def test_two_samplers_read_the_streams():

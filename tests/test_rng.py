@@ -3,8 +3,10 @@ import pytest
 
 from fieldlab.rng import stream, streams
 
-# non-contiguous and unordered, so each draw must come from its own counter
-REPLICATES = [9, 0, 700, 3]
+# non-contiguous and unordered, so each draw must come from its own counter;
+# the repointed counter is set from plain ints, whose high words must land
+# where stream() puts them
+REPLICATES = [9, 0, 700, 3, 2**40, 2**32, 2**63 - 1]
 
 DRAWS = {
     "normal": lambda gen: gen.standard_normal(37),

@@ -229,6 +229,51 @@ class TestPrefixAt:
         assert got.tobytes() == np.array([whole[i] for i in positions]).tobytes()
 
 
+class TestPrefixPaths:
+    """Every longdouble accumulation takes a numpy path that releases the
+    GIL: numpy (2.4) holds it through a non-casting np.cumsum written in
+    place on one line, or on two or more axes with at most 500 lines, so
+    each call must be out of place, and cast or run along one line."""
+
+    def test_no_cumsum_writes_what_it_reads(self, monkeypatch):
+        calls = []
+
+        class Numpy:  # numpy as sums sees it, with cumsum recorded
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def cumsum(a, axis=None, dtype=None, out=None):
+                calls.append((a, dtype, out))
+                return np.cumsum(a, axis=axis, dtype=dtype, out=out)
+
+        monkeypatch.setattr(sums, "np", Numpy())
+        gen = np.random.default_rng(4)
+        line = gen.standard_normal(40_000)
+        square = gen.standard_normal((30, 700))
+        runs = {
+            "line_prefix": lambda: [line_prefix(line), line_prefix(square)],
+            "prefix_at_d1": lambda: sums.prefix_at(
+                (line[a:b] for a, b in ((0, 25_000), (25_000, 40_000))),
+                [0, 25_000, 40_000], [1, 25_000, 39_999, 40_000]),
+            "prefix_at_d2": lambda: sums.prefix_at(
+                (square[a:b] for a, b in ((0, 7), (7, 30))), [0, 7, 30],
+                [(3, 500), (7, 700), (30, 1), (30, 700)]),
+            "_prefix_array": lambda: [sums._prefix_array(line),
+                                      sums._prefix_array(square),
+                                      sums._prefix_array(square.reshape(3, 10, 700), lead=1),
+                                      sums._prefix_array(square.reshape(6, 5, 7, 100))],
+        }
+        for name, run in runs.items():
+            calls.clear()
+            run()
+            assert calls, name
+            for a, dtype, out in calls:
+                assert out is not None and not np.shares_memory(a, out), name
+                casts = np.dtype(dtype or a.dtype) != a.dtype or out.dtype != a.dtype
+                assert casts or a.ndim == 1, name
+
+
 class TestExactVariance:
     def test_ma_variance_formula(self, ma_model):
         for n in (1, 2, 10, 100, 641):
