@@ -444,17 +444,17 @@ def build_wiener(scheme: BlockScheme, etas: Mapping, seed: int, replicate: int) 
     return next(_wiener_slabs(blocks, seed, replicate, (0, len(Z)), Z))  # one slab
 
 
-def _slabs(scheme: BlockScheme):
+def _slabs(scheme: BlockScheme, budget: int):
     """(first, last) axis-0 block numbers of each slab of a scheme's domain.
 
-    A slab is a run of consecutive block rows with at most _BATCH_CELLS
-    cells in all, a row having n_K^(d-1) cells per axis-0 step; a larger
-    block row is a slab of its own.
+    A slab is a run of consecutive block rows with at most budget cells in
+    all, a row having n_K^(d-1) cells per axis-0 step; a larger block row
+    is a slab of its own.
     """
     bounds = scheme.boundaries
     first = 1
     for k in range(2, scheme.K + 1):
-        if (bounds[k] - bounds[first - 1]) * bounds[-1] ** (scheme.d - 1) > _BATCH_CELLS:
+        if (bounds[k] - bounds[first - 1]) * bounds[-1] ** (scheme.d - 1) > budget:
             yield first, k - 1
             first = k
     yield first, scheme.K
@@ -463,10 +463,10 @@ def _slabs(scheme: BlockScheme):
 @functools.lru_cache(maxsize=4)
 def _corner_plan(scheme: BlockScheme, coupled: tuple, corners: tuple, budget: int) -> tuple:
     """What corner_errors reads that is the same for every replicate of a
-    depth: the slab cuts (budget is the _BATCH_CELLS that _slabs cut by),
-    the coupled heads, blocks and cdf_table keys, the top corners N, and
-    the positions read in the field pass, the heads' corners and then N."""
-    cuts = tuple(scheme.boundaries[f - 1] for f, _ in _slabs(scheme)) + (scheme.boundaries[-1],)
+    depth: the slab cuts of _slabs at the budget (_BATCH_CELLS), the coupled
+    heads, blocks and cdf_table keys, the top corners N, and the positions
+    read in the field pass, the heads' corners and then N."""
+    cuts = tuple(scheme.boundaries[f - 1] for f, _ in _slabs(scheme, budget)) + (scheme.boundaries[-1],)
     heads = tuple(map(scheme.head, coupled))
     blocks = tuple(map(scheme.block, coupled))
     keys = tuple(map(_shape_key, heads, blocks))

@@ -70,25 +70,20 @@ def _prefix_array(values: np.ndarray, lead: int = 0) -> np.ndarray:
 
     The first `lead` axes of values index replicates and are not summed.
     The sums accumulate in longdouble, axis by axis in order, and are
-    stored rounded to float64; on two or more axes the last one is summed
-    straight into the float64 result, an accumulation that casts.
+    stored rounded to float64: a line out of place (_line_sums), anything
+    else in place.
     """
     lens = values.shape[lead:]
     out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens))
     inner = out[(...,) + (slice(1, None),) * len(lens)]
-    if not lens:
-        inner[...] = values
-    elif values.ndim == 1:
+    if values.ndim == 1 and not lead:
         inner[...] = _line_sums(values, np.empty(len(values), dtype=np.longdouble))
     else:
-        acc = values
-        if len(lens) > 1:
-            acc = np.empty(values.shape, dtype=np.longdouble)
-            acc[...] = values
-            for ax in range(lead, values.ndim - 1):
-                A = np.moveaxis(acc, ax, 0)
-                _row_sums(A, A)
-        _cast_sums(acc, inner)
+        acc = np.empty(values.shape, dtype=np.longdouble)
+        acc[...] = values
+        for ax in range(lead, values.ndim):
+            np.cumsum(acc, axis=ax, out=acc)
+        inner[...] = acc
     return out
 
 
@@ -136,14 +131,15 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
-# The running sums below take numpy paths that release the GIL, so that
-# worker threads sum at once.  numpy (2.4) holds it through a non-casting
-# np.cumsum written in place on one line, or on two or more axes with at
-# most 500 lines, so a line is summed out of place through a small chunk,
-# the rows of a stack one np.add at a time, and a stack of lines by a
-# casting accumulation, a few lines at a time, since numpy makes a
-# longdouble copy of what it casts.  The chunk and those copies hold at
-# most _CHUNK_CELLS cells (or one line).
+# The d = 1 running sums below take numpy paths that release the GIL, so
+# that worker threads sum lines at once.  numpy (2.4) holds it through a
+# non-casting np.cumsum written in place on one line, so a line is summed
+# out of place through a small chunk, and a stack of lines by a casting
+# accumulation, a few lines at a time, since numpy makes a longdouble copy
+# of what it casts.  The chunk and those copies hold at most _CHUNK_CELLS
+# cells (or one line).  On two or more axes an in-place np.cumsum releases
+# the GIL over more than 500 lines, and no path does for a loop of a few
+# hundred cells.
 _CHUNK_CELLS = 1 << 14
 
 
@@ -156,16 +152,6 @@ def _line_sums(X: np.ndarray, P: np.ndarray, carry=-0.0) -> np.ndarray:
         c[...] = X[s : s + len(c)]
         c[0] += carry
         carry = np.cumsum(c, out=P[s : s + len(c)])[-1]
-    return P
-
-
-def _row_sums(X: np.ndarray, P: np.ndarray, carry=-0.0) -> np.ndarray:
-    """P[i] = carry + X[0] + ... + X[i] along axis 0 of a stack, in
-    longdouble in that order, one row at a time; X may be P."""
-    if len(X):
-        np.add(X[0], carry, out=P[0])
-    for i in range(1, len(X)):
-        np.add(P[i - 1], X[i], out=P[i])
     return P
 
 
@@ -215,7 +201,13 @@ def prefix_at(slabs, cuts: Sequence[int], positions: Sequence) -> np.ndarray:
     rows, carry = max(np.diff(cuts)), -0.0
     for (rel, at, index), X in zip(_reads(tuple(cuts), tuple(positions)), slabs):
         P = _workspace("prefix", (rows,) + X.shape[1:], np.longdouble)[: len(X)]
-        carry = (_line_sums if X.ndim == 1 else _row_sums)(X, P, carry)[-1].copy()
+        if X.ndim == 1:
+            _line_sums(X, P, carry)
+        else:  # the column sums of a stack of rows, in place
+            P[...] = X
+            P[0] += carry  # x + -0.0 is x, bit for bit
+            np.cumsum(P, axis=0, out=P)
+        carry = P[-1].copy()
         if len(at):
             out[at] = _prefix_array(P[rel], lead=1)[index]
     return out

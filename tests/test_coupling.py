@@ -308,8 +308,7 @@ class TestCornerErrors:
     # d = 1 at K = 12: blocks 1-3 hold 50 cells; d = 2 at K = 4: a row of
     # 130 cells, so block rows 1-2 hold 14 x 130 = 1820 cells
     @pytest.mark.parametrize("budget", [1, 49, 50, 300, 1819, 1820, 10_000, 2**16])
-    def test_slabs_tile_the_blocks(self, monkeypatch, budget):
-        monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
+    def test_slabs_tile_the_blocks(self, budget):
         for d, K in ((1, 12), (2, 4)):
             scheme = build_scheme(PARAMS, K=K, d=d)
             bounds = scheme.boundaries
@@ -317,7 +316,7 @@ class TestCornerErrors:
             def cells(first, last):
                 return (bounds[last] - bounds[first - 1]) * bounds[-1] ** (d - 1)
 
-            slabs = list(coupling._slabs(scheme))
+            slabs = list(coupling._slabs(scheme, budget))
             assert [f for f, _ in slabs] == [1] + [last + 1 for _, last in slabs[:-1]]
             assert slabs[-1][1] == K
             for first, last in slabs:
@@ -325,16 +324,15 @@ class TestCornerErrors:
             for (first, _), (nxt, _) in zip(slabs, slabs[1:]):
                 assert cells(first, nxt) > budget  # no slab could take more
 
-    def test_wiener_slabs_are_slices_of_build_wiener(self, monkeypatch):
+    def test_wiener_slabs_are_slices_of_build_wiener(self):
         # the Wiener pass of corner_errors draws slab by slab what build_wiener
         # draws on the whole domain; blocks outside etas keep the raw stream.
         # In d = 2 at K = 5 a block row is a slab of its own.
         for d, K, budget in ((1, 9, 300), (2, 5, 2000)):
-            monkeypatch.setattr(coupling, "_BATCH_CELLS", budget)
             scheme = build_scheme(PARAMS, K=K, d=d)
             blocks = sorted(scheme.good)
             etas = {k: 0.7 * i - 2.0 for i, k in enumerate(blocks) if i % 2}
-            cuts = [scheme.boundaries[first - 1] for first, _ in coupling._slabs(scheme)]
+            cuts = [scheme.boundaries[first - 1] for first, _ in coupling._slabs(scheme, budget)]
             cuts.append(scheme.boundaries[-1])
             assert len(cuts) >= 4
             buf = np.empty((max(b - a for a, b in zip(cuts, cuts[1:])),)

@@ -229,11 +229,56 @@ class TestPrefixAt:
         assert got.tobytes() == np.array([whole[i] for i in positions]).tobytes()
 
 
+def _reference_prefix(x: np.ndarray, lead: int) -> np.ndarray:
+    """The longdouble prefix of x over its axes from lead on: a whole
+    out-of-place np.cumsum per axis, in order, no chunks and no carries."""
+    acc = x.astype(np.longdouble)
+    for ax in range(lead, x.ndim):
+        acc = np.cumsum(acc, axis=ax)
+    return acc
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Longdouble arrays equal bit for bit in value (their padding bytes
+    are not compared): equal numbers with equal signs."""
+    return a.shape == b.shape and bool(
+        np.all(a == b) and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _spread(gen, shape):
+    """Normal values over 16 decades, so that every rounding shows."""
+    return gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 8, shape)
+
+
+class TestPrefixReference:
+    """line_prefix and _prefix_array against _reference_prefix, bit for bit:
+    lines about the _CHUNK_CELLS (2^14) chunk of a line, and stacks."""
+
+    @pytest.mark.parametrize("n", [2**14 - 1, 2**14, 2**14 + 1, 40_000])
+    def test_line_prefix(self, n):
+        gen = np.random.default_rng(n)
+        line, stack = _spread(gen, n), _spread(gen, (3, n))
+        assert _same(line_prefix(line), _reference_prefix(line, 0))
+        assert _same(line_prefix(stack), _reference_prefix(stack, 1))
+
+    @pytest.mark.parametrize("shape,lead", [
+        ((2**14 - 1,), 0), ((2**14,), 0), ((2**14 + 1,), 0), ((40_000,), 0),
+        ((30, 700), 0), ((3, 10, 700), 1), ((6, 5, 7, 100), 0), ((6, 5, 7, 100), 1)])
+    def test_prefix_array(self, shape, lead):
+        x = _spread(np.random.default_rng(len(shape) + lead), shape)
+        P = sums._prefix_array(x, lead=lead)
+        inner = (...,) + (slice(1, None),) * (x.ndim - lead)
+        assert P[inner].tobytes() == _reference_prefix(x, lead).astype(np.float64).tobytes()
+        assert np.count_nonzero(P) == x.size  # the zero slabs read 0
+
+
 class TestPrefixPaths:
-    """Every longdouble accumulation takes a numpy path that releases the
-    GIL: numpy (2.4) holds it through a non-casting np.cumsum written in
-    place on one line, or on two or more axes with at most 500 lines, so
-    each call must be out of place, and cast or run along one line."""
+    """The d = 1 longdouble accumulations, which the S - sigma W corners
+    and the ladder's lines run, take numpy paths that release the GIL:
+    numpy (2.4) holds it through a non-casting np.cumsum written in place
+    on one line, so each call must be out of place, and cast or run along
+    one line.  On two or more axes the in-place cumsum stays: over more
+    than 500 lines numpy releases the GIL for it as well."""
 
     def test_no_cumsum_writes_what_it_reads(self, monkeypatch):
         calls = []
@@ -250,19 +295,12 @@ class TestPrefixPaths:
         monkeypatch.setattr(sums, "np", Numpy())
         gen = np.random.default_rng(4)
         line = gen.standard_normal(40_000)
-        square = gen.standard_normal((30, 700))
         runs = {
-            "line_prefix": lambda: [line_prefix(line), line_prefix(square)],
-            "prefix_at_d1": lambda: sums.prefix_at(
+            "line_prefix": lambda: [line_prefix(line), line_prefix(line.reshape(8, 5000))],
+            "prefix_at": lambda: sums.prefix_at(
                 (line[a:b] for a, b in ((0, 25_000), (25_000, 40_000))),
                 [0, 25_000, 40_000], [1, 25_000, 39_999, 40_000]),
-            "prefix_at_d2": lambda: sums.prefix_at(
-                (square[a:b] for a, b in ((0, 7), (7, 30))), [0, 7, 30],
-                [(3, 500), (7, 700), (30, 1), (30, 700)]),
-            "_prefix_array": lambda: [sums._prefix_array(line),
-                                      sums._prefix_array(square),
-                                      sums._prefix_array(square.reshape(3, 10, 700), lead=1),
-                                      sums._prefix_array(square.reshape(6, 5, 7, 100))],
+            "_prefix_array": lambda: sums._prefix_array(line),
         }
         for name, run in runs.items():
             calls.clear()
