@@ -22,12 +22,14 @@ and any batching of replicates is equivalent.
 
 run_coupling holds a replicate's whole domain: the field, the Wiener grid
 and both prefix arrays.  The S - sigma W study reads only a few prefix
-entries per block, and every (0, N] is a union of whole axis-0 block rows,
-so corner_errors runs a replicate in two passes over slabs of block rows,
-in any d, with the same draws and float operations: sums.prefix_at reads
-the field of fields.line_segments at the corners of the heads and of the
-(0, N], the blocks are coupled, and then it reads the Wiener increments of
-_wiener_slabs, the one Wiener builder, at the (0, N].  Only a slab is held.
+entries per block, so corner_errors runs a replicate in two passes over
+axis-0 slabs, in any d, with the same draws and float operations:
+sums.prefix_at reads the field of fields.line_segments, in slabs of at
+most _BATCH_CELLS cells, at the corners of the heads and of the (0, N],
+the blocks are coupled, and then it reads the Wiener increments of
+_wiener_slabs, the one Wiener builder, at the (0, N].  A coupled block is
+conditioned on its whole total, so only the Wiener pass cuts at block rows
+(every (0, N] is a union of whole ones).  Only a slab is held.
 """
 
 from __future__ import annotations
@@ -463,16 +465,20 @@ def _slabs(scheme: BlockScheme, budget: int):
 @functools.lru_cache(maxsize=4)
 def _corner_plan(scheme: BlockScheme, coupled: tuple, corners: tuple, budget: int) -> tuple:
     """What corner_errors reads that is the same for every replicate of a
-    depth: the slab cuts of _slabs at the budget (_BATCH_CELLS), the coupled
-    heads, blocks and cdf_table keys, the top corners N, and the positions
-    read in the field pass, the heads' corners and then N."""
-    cuts = tuple(scheme.boundaries[f - 1] for f, _ in _slabs(scheme, budget)) + (scheme.boundaries[-1],)
+    depth: the field pass's slab cuts, as many rows as fit in the budget
+    (_BATCH_CELLS) and at least one, the Wiener pass's, those of _slabs at
+    the budget, the coupled heads, blocks and cdf_table keys, the top
+    corners N, and the positions read in the field pass, the heads' corners
+    and then N."""
+    top = scheme.boundaries[-1]
+    cuts = (*range(0, top, max(1, budget // top ** (scheme.d - 1))), top)
+    wiener_cuts = tuple(scheme.boundaries[f - 1] for f, _ in _slabs(scheme, budget)) + (top,)
     heads = tuple(map(scheme.head, coupled))
     blocks = tuple(map(scheme.block, coupled))
     keys = tuple(map(_shape_key, heads, blocks))
     tops = tuple(map(scheme.corner, corners))
     at = tuple(c for H in heads for c in itertools.product(*zip(H.a, H.b))) + tops
-    return cuts, heads, blocks, keys, tops, at
+    return cuts, wiener_cuts, heads, blocks, keys, tops, at
 
 
 def corner_errors(
@@ -489,21 +495,23 @@ def corner_errors(
     Bit for bit the numbers partial_sum(run.field, V) - run.sigma *
     partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model,
     scheme, seed, replicate, variances, cdfs), whose corners of V other
-    than N read 0, from two passes over the slabs of _slabs (see the module
-    docstring), so memory follows the largest slab, not the domain.  What
-    every replicate of a depth shares is computed once (_corner_plan).
+    than N read 0, from two passes over axis-0 slabs (see the module
+    docstring), so memory follows the largest block row, not the domain.
+    What every replicate of a depth shares is computed once (_corner_plan).
     """
     sigma = math.sqrt(sigma2(model))
     coupled = _coupled(scheme, variances)
-    cuts, heads, blocks, keys, tops, at = _corner_plan(
+    cuts, wiener_cuts, heads, blocks, keys, tops, at = _corner_plan(
         scheme, tuple(coupled), tuple(corners), _BATCH_CELLS)
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
     field = line_segments(model, scheme.domain, seed, replicate, cuts)
     S = dict(zip(at, prefix_at(field, cuts, at).tolist()))
     etas = [_couple_block(corner_sum(S, H.a, H.b), z, variances[k], cdfs[key])[2]
             for k, H, key, z in zip(coupled, heads, keys, draws)]
-    buf = _workspace("wiener", (max(np.diff(cuts)),) + scheme.domain.lengths[1:])  # once
-    W = prefix_at(_wiener_slabs(list(zip(blocks, etas)), seed, replicate, cuts, buf), cuts, tops)
+    # the field pass is over, so the Wiener slabs reuse its slab buffer
+    buf = _workspace("line", (max(np.diff(wiener_cuts)),) + scheme.domain.lengths[1:])
+    slabs = _wiener_slabs(list(zip(blocks, etas)), seed, replicate, wiener_cuts, buf)
+    W = prefix_at(slabs, wiener_cuts, tops)
     return [S[N] - sigma * w for N, w in zip(tops, W.tolist())]
 
 

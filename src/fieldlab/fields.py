@@ -14,10 +14,12 @@ are all exact finite sums over the support lags.
 This module draws every field of the package and alone knows the
 innovation layout: sample_block_batch draws a stack of replicates on a
 block (sample_block is one row), line_segments one replicate in axis-0 slabs.
-The batched draws and the prefixes of sums and coupling run in one
-per-thread workspace (_workspace): grow-only scratch arrays of at most a
-batch of _BATCH_CELLS cells, or of one replicate when that is larger, which
-a thread reuses from task to task instead of allocating them anew.
+The batched draws and slabs, the Wiener slabs of coupling and the
+longdouble prefix chunks of sums run in one per-thread workspace
+(_workspace): grow-only scratch arrays of at most a batch of _BATCH_CELLS
+cells, or of one replicate or one Wiener block row of
+coupling.corner_errors when that is larger, which a thread reuses from
+task to task instead of allocating them anew.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ _INNOVATIONS = ("normal", "exponential", "rademacher")
 
 # the most block cells of one batch (512 KiB of float64): a stacked batch of
 # sample_block_batch, a task of verify.map_replicate_chunks, a head-sum batch
-# of the CDF draws, and a slab that line_segments draws for verify.check_lil
-# or coupling.corner_errors (there one block row, when that is larger).  It
-# bounds each thread's workspace on large blocks, and a task is one batch.
+# of the CDF draws, a slab that line_segments draws for verify.check_lil or
+# coupling.corner_errors, and a Wiener slab of corner_errors (there one block
+# row, when that is larger).  It bounds each thread's workspace on large
+# blocks, and a task is one batch.
 _BATCH_CELLS = 1 << 16
 
 _scratch = threading.local()

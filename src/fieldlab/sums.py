@@ -9,12 +9,15 @@ trailing axis contributes max - min of a difference profile.  sum_and_max
 reduces a whole stack of replicates at once.  This module draws nothing: it
 reduces what its callers sampled, and it owns every prefix accumulation: it
 always accumulates in longdouble, and a stored prefix array is always
-rounded to float64.  The longdouble prefix sits in one reused buffer of the
-thread's workspace: line_prefix hands a d = 1 one to sum_and_max for a
-stack, and prefix_at reads, at given positions, that of a block arriving in
-axis-0 slabs in any d (the LIL net, the S - sigma W corners), carrying the
-column sums from slab to slab.  The corner-anchored variant
-max_{n <= N} |S_n| is a separate, cheaper statistic.
+rounded to float64.  The d = 1 prefixes and the column sums of prefix_at
+run through two fixed buffers of 2^14 cells in the thread's workspace, a
+chunk at a time, carried from chunk to chunk and read as they pass:
+sum_and_max rounds the d = 1 prefix of a stack to float64 this way, and
+prefix_at reads, at given positions, the prefix of a block arriving in
+axis-0 slabs in any d (the LIL net, the S - sigma W corners).  Only the
+d >= 2 prefix arrays of whole grids and stacks accumulate whole, in place.
+The corner-anchored variant max_{n <= N} |S_n| is a separate, cheaper
+statistic.
 
 Variance utilities are exact: var(S(V)) for finite-support models is a
 finite sum of covariances weighted by rectangle-overlap counts, which also
@@ -39,7 +42,6 @@ __all__ = [
     "make_grid",
     "partial_sum",
     "corner_sum",
-    "line_prefix",
     "prefix_at",
     "sum_and_max",
     "max_sub_block",
@@ -70,14 +72,14 @@ def _prefix_array(values: np.ndarray, lead: int = 0) -> np.ndarray:
 
     The first `lead` axes of values index replicates and are not summed.
     The sums accumulate in longdouble, axis by axis in order, and are
-    stored rounded to float64: a line out of place (_line_sums), anything
-    else in place.
+    stored rounded to float64: a line through the chunks of _running_sums,
+    anything else in place.
     """
     lens = values.shape[lead:]
     out = np.zeros(values.shape[:lead] + tuple(n + 1 for n in lens))
     inner = out[(...,) + (slice(1, None),) * len(lens)]
     if values.ndim == 1 and not lead:
-        inner[...] = _line_sums(values, np.empty(len(values), dtype=np.longdouble))
+        _round_line(values, inner)
     else:
         acc = np.empty(values.shape, dtype=np.longdouble)
         acc[...] = values
@@ -131,58 +133,66 @@ def _max_abs_over_subrects(P: np.ndarray) -> np.ndarray:
     return best
 
 
-# The d = 1 running sums below take numpy paths that release the GIL, so
-# that worker threads sum lines at once.  numpy (2.4) holds it through a
-# non-casting np.cumsum written in place on one line, so a line is summed
-# out of place through a small chunk, and a stack of lines by a casting
-# accumulation, a few lines at a time, since numpy makes a longdouble copy
-# of what it casts.  The chunk and those copies hold at most _CHUNK_CELLS
-# cells (or one line).  On two or more axes an in-place np.cumsum releases
-# the GIL over more than 500 lines, and no path does for a loop of a few
-# hundred cells.
+# The longdouble running sums below take numpy paths that release the GIL,
+# so that worker threads sum at once.  numpy (2.4) holds it through a
+# non-casting np.cumsum written in place on one line, and through a
+# non-casting one on two or more axes over 500 lines or fewer.  So a chunk
+# of rows is cast into one fixed buffer and summed out of place into a
+# second: along one line in d = 1, and in d >= 2 over its columns, which
+# number more than 500 in the d = 2 S - sigma W study from K = 6 on.  A
+# stack of short lines is summed by an accumulation that casts.  A chunk
+# holds at most _CHUNK_CELLS cells (or one row), and these two buffers are
+# all the longdouble a thread keeps.
 _CHUNK_CELLS = 1 << 14
 
 
-def _line_sums(X: np.ndarray, P: np.ndarray, carry=-0.0) -> np.ndarray:
-    """P = carry + X[0] + ... + X[i] along the line X, in longdouble in
-    that order: the bits of cumsum, the carry added first (x + -0.0 is x)."""
-    C = _workspace("chunk", (max(1, min(len(X), _CHUNK_CELLS)),), np.longdouble)
-    for s in range(0, len(X), len(C)):
-        c = C[: len(X) - s]
-        c[...] = X[s : s + len(c)]
-        c[0] += carry
-        carry = np.cumsum(c, out=P[s : s + len(c)])[-1]
-    return P
+def _chunk_rows(rest) -> int:
+    """The rows of a chunk whose rows have the shape rest."""
+    return max(1, _CHUNK_CELLS // math.prod(rest))
 
 
-def _cast_sums(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.cumsum(x, axis=-1, dtype=longdouble, out=out) for x of two or more
-    axes, x or out float64, a few rows of axis 0 at a time."""
-    rows = max(1, _CHUNK_CELLS // math.prod(x.shape[1:]))
-    for i in range(0, len(x), rows):
-        np.cumsum(x[i : i + rows], axis=-1, dtype=np.longdouble, out=out[i : i + rows])
-    return out
+def _running_sums(slabs):
+    """The longdouble running sums along axis 0 of the rows that slabs
+    deliver in order, yielded a chunk of at most _chunk_rows rows of one
+    slab at a time, in the thread's reused buffer: valid until the next
+    chunk.  Each chunk is cast into a first buffer, the carry (the sums of
+    the rows before it, -0.0 at first: x + -0.0 is x) added to its first
+    row, and summed out of place into a second: the bits of one cumsum of
+    all rows in longdouble."""
+    carry = -0.0
+    for X in slabs:
+        rows = _chunk_rows(X.shape[1:])
+        A = _workspace("chunk", (rows,) + X.shape[1:], np.longdouble)
+        P = _workspace("sums", (rows,) + X.shape[1:], np.longdouble)
+        for s in range(0, len(X), rows):
+            a, p = A[: len(X) - s], P[: len(X) - s]
+            a[...] = X[s : s + rows]
+            a[0] += carry  # a view of P in d >= 2, read before P is written
+            carry = np.cumsum(a, axis=0, out=p)[-1]
+            yield p
 
 
-def line_prefix(values: np.ndarray) -> np.ndarray:
-    """Longdouble prefix sums P_1..P_n along the last axis of d = 1 values,
-    in the thread's reused buffer: valid until the thread's next prefix.
-    The bits are those of cumsum(values, dtype=longdouble)."""
-    P = _workspace("prefix", values.shape, np.longdouble)
-    return _line_sums(values, P) if values.ndim == 1 else _cast_sums(values, P)
+def _round_line(x: np.ndarray, out: np.ndarray) -> None:
+    """out = the longdouble prefix sums of the line x, rounded to float64."""
+    s = 0
+    for p in _running_sums([x]):
+        out[s : s + len(p)] = p
+        s += len(p)
 
 
 @functools.lru_cache(maxsize=8)
-def _reads(cuts: tuple, positions: tuple) -> tuple:
-    """Where prefix_at reads, one entry per slab: the offsets in the slab of
-    the rows it reads, each distinct row once, and the positions they serve
-    (their places in the output, and their indices into the prefix array
-    of those rows).  Cached: a study reads the same places replicate after
-    replicate."""
+def _reads(cuts: tuple, positions: tuple, rows: int) -> tuple:
+    """Where prefix_at reads, one entry per chunk of _running_sums (the rows
+    of each slab (cuts[j], cuts[j+1]], at most rows at a time): the offsets
+    in the chunk of the rows it reads, each distinct row once, and the
+    positions they serve (their places in the output, and their indices
+    into the prefix array of those rows).  Cached: a study reads the same
+    places replicate after replicate."""
     pos = np.asarray(positions, dtype=np.int64).reshape(len(positions), -1)
     read, row = np.unique(pos[:, 0], return_inverse=True)
+    edges = [c for a, b in zip(cuts, cuts[1:]) for c in range(a, b, rows)] + [cuts[-1]]
     out = []
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in zip(edges, edges[1:]):
         lo, hi = np.searchsorted(read, [a, b], side="right")
         at = np.flatnonzero((row >= lo) & (row < hi))
         out.append((read[lo:hi] - a - 1, at, (row[at] - lo, *pos[at, 1:].T)))
@@ -194,20 +204,15 @@ def prefix_at(slabs, cuts: Sequence[int], positions: Sequence) -> np.ndarray:
     axis-0 slabs, slab j holding its rows (cuts[j], cuts[j+1]]: a position
     is an index tuple (an int in d = 1), its row in the coordinates of the
     cuts, and it reads 0 at the row cuts[0] or an index 0 on another axis.
-    The longdouble column sums carry from slab to slab in a reused buffer
-    sized for the largest; at a row read, they are summed along the trailing
-    axes by _prefix_array and rounded, once per distinct row."""
-    out = np.zeros(len(positions))
-    rows, carry = max(np.diff(cuts)), -0.0
-    for (rel, at, index), X in zip(_reads(tuple(cuts), tuple(positions)), slabs):
-        P = _workspace("prefix", (rows,) + X.shape[1:], np.longdouble)[: len(X)]
-        if X.ndim == 1:
-            _line_sums(X, P, carry)
-        else:  # the column sums of a stack of rows, in place
-            P[...] = X
-            P[0] += carry  # x + -0.0 is x, bit for bit
-            np.cumsum(P, axis=0, out=P)
-        carry = P[-1].copy()
+    The longdouble column sums run through the fixed chunks of
+    _running_sums, carried from chunk to chunk and slab to slab; at a row
+    read, they are summed along the trailing axes by _prefix_array and
+    rounded, once per distinct row."""
+    out, plan = np.zeros(len(positions)), None
+    for P in _running_sums(slabs):
+        if plan is None:  # the chunk rows follow from the slabs' row shape
+            plan = iter(_reads(tuple(cuts), tuple(positions), _chunk_rows(P.shape[1:])))
+        rel, at, index = next(plan)
         if len(at):
             out[at] = _prefix_array(P[rel], lead=1)[index]
     return out
@@ -217,14 +222,24 @@ def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S(V), M(V)) for each replicate of a stack of shape (n,) + V.lengths.
 
     In d = 1, S is the longdouble prefix corner rounded to float64, and M
-    is max - min of the rounded line_prefix with the zero slab entering as
-    the bound 0: the numbers of the zero-padded prefix array.  In d >= 2, S
-    is the float64 sum of the replicate's cells.  Callers hand it one task
-    of replicates or one replicate, which bounds its buffers.
+    is max - min of the rounded prefix with the zero slab entering as the
+    bound 0: the numbers of the zero-padded prefix array.  The prefix is
+    summed a chunk at a time: a line longer than a chunk in chunks of
+    _running_sums, shorter lines as many whole lines as fill a chunk.  In
+    d >= 2, S is the float64 sum of the replicate's cells.  Callers hand it
+    one task of replicates or one replicate, which bounds its buffers.
     """
     if values.ndim == 2:
         R = _workspace("rounded", values.shape)
-        R[...] = line_prefix(values)
+        if values.shape[1] > _CHUNK_CELLS:
+            for x, r in zip(values, R):
+                _round_line(x, r)
+        else:
+            rows = _chunk_rows(values.shape[1:])
+            P = _workspace("sums", (rows,) + values.shape[1:], np.longdouble)
+            for i in range(0, len(values), rows):
+                x = values[i : i + rows]
+                R[i : i + rows] = np.cumsum(x, axis=1, dtype=np.longdouble, out=P[: len(x)])
         hi = np.maximum(R.max(axis=1), 0.0)
         return R[:, -1].copy(), hi - np.minimum(R.min(axis=1), 0.0)
     P = _prefix_array(values, lead=1)

@@ -192,10 +192,10 @@ def map_replicate_chunks(
     and at most CHUNK replicates, and never less than one replicate, so each
     thread's stacked buffers stay that small whatever the block.  Those
     buffers are the thread's workspace (fields._workspace): the innovation
-    grid, the moving-average temporary and the longdouble prefix are
-    allocated by a thread's first task and reused by the rest, and only the
-    drawn stack and the task's result are new arrays.  The task length is a
-    function of `cells` alone, never of the worker count, and kernels draw
+    grid, the moving-average temporary and the longdouble prefix chunks
+    are allocated by a thread's first task and reused by the rest, and only
+    the drawn stack and the task's result are new arrays.  The task length
+    is a function of `cells` alone, never of the worker count, and kernels draw
     from per-replicate streams and reduce each replicate on its own; results
     are concatenated in replicate order, so the output is bitwise identical
     for any number of workers.
@@ -248,6 +248,16 @@ def _jackknife_var_se(x: np.ndarray) -> float:
     var_i = (s2 - x * x - (m - 1) * mean_i * mean_i) / (m - 2)
     vbar = var_i.mean()
     return float(math.sqrt((m - 1) / m * np.sum((var_i - vbar) ** 2)))
+
+
+def _slope_fit(x: np.ndarray) -> Callable[[np.ndarray], float]:
+    """y -> np.polyfit(x, y, 1)[0], bit for bit: polyfit's column-scaled
+    Vandermonde matrix and rcond are built once, for many fits on one x."""
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(x.dtype).eps
+    return lambda y: np.linalg.lstsq(lhs, y, rcond)[0][0] / scale[0]
 
 
 def _loglog_slope(sizes: np.ndarray, values: np.ndarray) -> float:
@@ -895,23 +905,23 @@ def approximation_error_study(
             replicates, _BATCH_CELLS, workers,
         ))
 
-        logn = np.log(cards)
+        fit = _slope_fit(np.log(cards))
         med = np.median(errs, axis=0)
-        slope = float(np.polyfit(logn, np.log(med), 1)[0])
+        slope = float(fit(np.log(med)))
 
         gen = stream(seed, "bootstrap", 0)
         draws = gen.integers(0, replicates, size=(bootstrap, replicates))
         slopes = np.empty(bootstrap)
         # medians of 100 draws at a time, bitwise those of one draw at a time,
         # gathered into one buffer and partitioned in place; the fits stay one
-        # per draw, as a stacked fit rounds differently
+        # lstsq per draw, as a stacked fit rounds differently
         picked = np.empty((min(100, bootstrap),) + errs.shape)
         for b0 in range(0, bootstrap, 100):
             idx = draws[b0 : b0 + 100]
             rows = np.take(errs, idx, axis=0, out=picked[: len(idx)], mode="clip")
             meds = np.median(rows, axis=1, overwrite_input=True)
             for b, m_b in enumerate(meds, b0):
-                slopes[b] = np.polyfit(logn, np.log(m_b), 1)[0]
+                slopes[b] = fit(np.log(m_b))
         lo, hi = np.quantile(slopes, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
         out.append(
             {

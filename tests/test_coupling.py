@@ -385,3 +385,43 @@ class TestCornerErrors:
         thread.start()
         thread.join()
         assert peak[0] < 24 * 2**20
+
+    @staticmethod
+    def _fresh_thread_peak(call) -> int:
+        """The tracemalloc peak of call in a fresh thread, whose workspace
+        starts empty, so that every buffer it keeps is counted."""
+        peak = []
+
+        def run():
+            tracemalloc.start()
+            try:
+                call()
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        return peak[0]
+
+    def test_study_buffers_hold_one_block_row(self, gauss_model):
+        # the largest block row at depth 48 has 112,896 cells: only the
+        # Wiener slab holds it.  Sizing every buffer to it, with a
+        # longdouble prefix of the slab, peaked at 4.7 MiB
+        peak = self._fresh_thread_peak(lambda: approximation_error_study(
+            gauss_model, depths=(48,), replicates=2, seed=1, exact_phi=True,
+            bootstrap=20, workers=1))
+        assert peak < 3.5 * 2**20
+
+    def test_d2_buffers_hold_one_block_row(self):
+        # K = 8 has 2,250,000 cells and block rows of up to 864,000; field
+        # slabs of whole block rows with their longdouble column sums
+        # peaked at 39.8 MiB
+        model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
+        ((_, scheme, variances, corners),) = coupling.study_plans(
+            model, depths=(8,), replicates=2, exact_phi=True)
+        cdfs = cdf_table(model, scheme, variances, 100, seed=0, exact_phi=True)
+        peak = self._fresh_thread_peak(
+            lambda: corner_errors(model, scheme, 0, 0, variances, cdfs, corners))
+        assert peak < 39.8 / 2 * 2**20

@@ -6,11 +6,12 @@ holds the statistics of every study.
 fields draws every field: only it touches the innovation layout, so a
 change to how innovations are drawn or laid out stays inside one module.
 sums only reduces what its callers sampled, so it draws nothing, and it
-alone reads the d = 1 line prefix.  In fields two samplers open streams:
+alone accumulates a prefix.  In fields two samplers open streams:
 sample_block_batch and line_segments; only rng repoints a generator.
 fields owns the per-thread workspace of reused buffers; sums and coupling
 fill it through fields._workspace, and verify and cli reach it only
-through the public kernels.
+through the public kernels.  The workspace's slots are one listed set, so
+a thread's buffers, and what it keeps between tasks, change only with it.
 The CLI's couple section is the S - sigma W study's parameters, and only
 coupling.study_plans checks their values.  Below that gate only
 coupling.cdf_table chooses how a coupled block's xi is mapped.  src/ holds
@@ -38,6 +39,15 @@ INNOVATION_LAYOUT = {"innovations", "_dilation", "_field_from_innovations"}
 SAMPLERS = {"sample_block", "sample_block_batch", "line_segments", "stream", "streams"}
 
 WORKSPACE = {"_workspace", "_scratch"}
+
+# every slot of fields._workspace, by the module that asks for it: each one
+# is a buffer that every thread keeps once it has asked.  coupling's Wiener
+# slabs reuse line_segments' slab.
+WORKSPACE_SLOTS = {
+    ("fields", "innovations"), ("fields", "lag"), ("fields", "segment"), ("fields", "line"),
+    ("sums", "chunk"), ("sums", "sums"), ("sums", "rounded"),
+    ("coupling", "line"),
+}
 
 # reference implementations that tests compare the package's engines against;
 # run_coupling is the whole-domain reference of coupling.corner_errors
@@ -136,10 +146,25 @@ def test_sums_draws_nothing():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_only_sums_reads_the_line_prefix(module):
-    """Every d = 1 prefix is read through sums: whole stacks by sum_and_max,
-    a line in segments by prefix_at."""
+    """Every prefix is summed in sums and read through it: d = 1 stacks by
+    sum_and_max, a block in slabs by prefix_at.  No other module calls
+    cumsum, works in longdouble or reads the chunked running sums."""
     names = set().union(*reads_by_definition(module).values())
-    assert ("line_prefix" in names) == (module == "sums")
+    assert bool(names & {"cumsum", "longdouble", "_running_sums"}) == (module == "sums")
+
+
+def test_workspace_slots_are_listed():
+    """Every fields._workspace call names its slot by a string literal, and
+    the slots of src/ are WORKSPACE_SLOTS: a new slot is a new buffer that
+    every worker thread keeps, so it needs an edit here."""
+    found = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_workspace":
+                slot = node.args[0]
+                assert isinstance(slot, ast.Constant) and isinstance(slot.value, str)
+                found.add((module, slot.value))
+    assert found == WORKSPACE_SLOTS
 
 
 @pytest.mark.parametrize("module", MODULES)

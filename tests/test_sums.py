@@ -11,7 +11,6 @@ from fieldlab.sums import (
     anchored_abs_max,
     block_cov,
     block_var,
-    line_prefix,
     make_grid,
     max_sub_block,
     max_sub_block_naive,
@@ -203,7 +202,7 @@ class TestPrefixAt:
         line = gen.standard_normal(self.N) * 10.0 ** gen.integers(-3, 4, self.N)
         # a float64 carry between segments would drop the low bits of 2^53
         line[0] = 2.0**53
-        whole = np.concatenate([[0.0], line_prefix(line).astype(np.float64)])
+        whole = np.concatenate([[0.0], _reference_prefix(line, 0).astype(np.float64)])
         positions = [0, *cuts, self.N, 3, 0, 26, self.N]
         segments = (line[a:b] for a, b in zip(cuts, cuts[1:]))
         got = sums.prefix_at(segments, cuts, positions)
@@ -224,6 +223,48 @@ class TestPrefixAt:
             values[0, :2, :2] = [[2.0**64, 1.0], [-(2.0**64), 1.0]]
         whole = sums._prefix_array(values)
         positions = [*np.ndindex(whole.shape), shape, (0,) * len(shape)]
+        slabs = (values[a:b] for a, b in zip(cuts, cuts[1:]))
+        got = sums.prefix_at(slabs, cuts, positions)
+        assert got.tobytes() == np.array([whole[i] for i in positions]).tobytes()
+
+    # the chunks hold 2^14 cells: cuts and reads just before, at and after
+    # a chunk's edge, at chunk edges inside a slab, and rows of a chunk
+    # that a slab's end cuts short
+    C = 2**14
+
+    @pytest.mark.parametrize("cuts", [
+        [0, C - 1, C, C + 1, 3 * C + 5],
+        [0, C + 1, 2 * C + 1, 3 * C + 5],
+        [0, 3 * C + 5],
+    ], ids=["about_an_edge", "past_an_edge", "single"])
+    def test_bits_about_the_chunk_edges(self, cuts):
+        C = self.C
+        gen = np.random.default_rng(len(cuts))
+        line = _spread(gen, cuts[-1])
+        line[0] = 2.0**53
+        whole = np.concatenate([[0.0], _reference_prefix(line, 0).astype(np.float64)])
+        positions = [C - 1, C, C + 1, 0, 2 * C, 2 * C + 1, 3 * C, 3 * C + 1, 3 * C + 5, C]
+        segments = (line[a:b] for a, b in zip(cuts, cuts[1:]))
+        got = sums.prefix_at(segments, cuts, positions)
+        assert got.tobytes() == whole[positions].tobytes()
+
+    # d = 2 rows of 100 cells (163 rows a chunk, so chunks end at rows 163,
+    # 326 and, after the cut at 164, 327) and of 2^14 + 1 (one row, longer
+    # than a chunk)
+    @pytest.mark.parametrize("shape, cuts", [
+        ((400, 100), [0, 162, 163, 164, 400]),
+        ((400, 100), [0, 400]),
+        ((4, C + 1), [0, 1, 3, 4]),
+    ], ids=["rows_about_an_edge", "rows_single", "long_rows"])
+    def test_bits_of_chunked_column_sums(self, shape, cuts):
+        C = self.C
+        gen = np.random.default_rng(shape[1])
+        values = _spread(gen, shape)
+        values[0] = 2.0**53
+        whole = sums._prefix_array(values)
+        rows = [0, 1, 162, 163, 164, 326, 327, 328, 400] if shape[0] == 400 else range(5)
+        positions = [(r, c) for r in rows for c in (0, 1, C - 1, C, C + 1, shape[1] // 2)
+                     if c <= shape[1]]
         slabs = (values[a:b] for a, b in zip(cuts, cuts[1:]))
         got = sums.prefix_at(slabs, cuts, positions)
         assert got.tobytes() == np.array([whole[i] for i in positions]).tobytes()
@@ -251,15 +292,25 @@ def _spread(gen, shape):
 
 
 class TestPrefixReference:
-    """line_prefix and _prefix_array against _reference_prefix, bit for bit:
-    lines about the _CHUNK_CELLS (2^14) chunk of a line, and stacks."""
+    """The chunked running sums and _prefix_array against _reference_prefix,
+    bit for bit: lines about the _CHUNK_CELLS (2^14) chunk, and stacks."""
 
     @pytest.mark.parametrize("n", [2**14 - 1, 2**14, 2**14 + 1, 40_000])
     def test_line_prefix(self, n):
+        # the longdouble chunks of one line and of a line in two slabs, and
+        # the rounded prefix of a stack of long lines and of short ones,
+        # as sum_and_max reads it
         gen = np.random.default_rng(n)
-        line, stack = _spread(gen, n), _spread(gen, (3, n))
-        assert _same(line_prefix(line), _reference_prefix(line, 0))
-        assert _same(line_prefix(stack), _reference_prefix(stack, 1))
+        line, stack, short = _spread(gen, n), _spread(gen, (3, n)), _spread(gen, (300, 100))
+        for slabs in ([line], [line[:n // 3], line[n // 3:]]):
+            chunks = np.concatenate([p.copy() for p in sums._running_sums(slabs)])
+            assert _same(chunks, _reference_prefix(line, 0))
+        for x in (stack, short):
+            R = _reference_prefix(x, 1).astype(np.float64)
+            S, M = sum_and_max(x)
+            assert S.tobytes() == R[:, -1].tobytes()
+            hi, lo = np.maximum(R.max(axis=1), 0.0), np.minimum(R.min(axis=1), 0.0)
+            assert M.tobytes() == (hi - lo).tobytes()
 
     @pytest.mark.parametrize("shape,lead", [
         ((2**14 - 1,), 0), ((2**14,), 0), ((2**14 + 1,), 0), ((40_000,), 0),
@@ -277,8 +328,10 @@ class TestPrefixPaths:
     and the ladder's lines run, take numpy paths that release the GIL:
     numpy (2.4) holds it through a non-casting np.cumsum written in place
     on one line, so each call must be out of place, and cast or run along
-    one line.  On two or more axes the in-place cumsum stays: over more
-    than 500 lines numpy releases the GIL for it as well."""
+    one line.  On two or more axes numpy releases the GIL over more than
+    500 lines, in place or not: the column sums of prefix_at in d >= 2 run
+    over the columns of its chunks, and the prefix arrays of d >= 2 grids
+    and stacks in place."""
 
     def test_no_cumsum_writes_what_it_reads(self, monkeypatch):
         calls = []
@@ -295,8 +348,10 @@ class TestPrefixPaths:
         monkeypatch.setattr(sums, "np", Numpy())
         gen = np.random.default_rng(4)
         line = gen.standard_normal(40_000)
-        runs = {
-            "line_prefix": lambda: [line_prefix(line), line_prefix(line.reshape(8, 5000))],
+        runs = {  # sum_and_max: long lines in chunks, and short ones a chunk at a time
+            "sum_and_max": lambda: [sum_and_max(line.reshape(2, 20_000)),
+                                    sum_and_max(line.reshape(8, 5000)),
+                                    sum_and_max(line.reshape(400, 100))],
             "prefix_at": lambda: sums.prefix_at(
                 (line[a:b] for a, b in ((0, 25_000), (25_000, 40_000))),
                 [0, 25_000, 40_000], [1, 25_000, 39_999, 40_000]),

@@ -13,7 +13,6 @@ from fieldlab.cli import VERIFIERS
 from fieldlab.coupling import block_coupling_samples
 from fieldlab.fields import linear_ma_model, sample_block_batch
 from fieldlab.lattice import Block
-from fieldlab.sums import line_prefix
 from fieldlab.verify import (
     CLAIMS,
     check_approximation_error,
@@ -86,6 +85,21 @@ class TestStatisticsHelpers:
             expected = [(s, min(s + task, 1000)) for s in range(0, 1000, task)]
             assert spans[: len(expected)] == expected
             assert sorted(spans[len(expected) :]) == expected
+
+    @pytest.mark.parametrize("depth", [24, 48])
+    def test_slope_fit_is_polyfit(self, depth):
+        # the S - sigma W study's slope and bootstrap fits: one lstsq per
+        # fit on polyfit's own scaled matrix gives polyfit's bits
+        from fieldlab.coupling import study_plans
+        from fieldlab.fields import iid_model
+
+        ((_, scheme, _, corners),) = study_plans(iid_model(1), (depth,), 2, exact_phi=True)
+        x = np.log([float(math.prod(scheme.corner(k))) for k in corners])
+        fit = verify_mod._slope_fit(x)
+        gen = np.random.default_rng(depth)
+        for noise in gen.standard_normal((1000, len(x))):
+            y = 0.25 * x + noise
+            assert np.float64(fit(y)).tobytes() == np.polyfit(x, y, 1)[0].tobytes()
 
 
 class TestCheckers:
@@ -272,7 +286,8 @@ def test_lil_reads_the_prefix_of_the_whole_line(monkeypatch, assoc_model, cells)
     ns = 2 ** np.arange(1, 13)
     denom = np.sqrt(2.0 * 2.25 * ns * np.array([verify_mod._loglog_scale(n) for n in ns]))
     line = sample_block_batch(assoc_model, Block((0,), (4096,)), 3, range(3), tag="lil")
-    expected = line_prefix(line)[:, ns - 1].astype(np.float64) / denom
+    prefix = np.cumsum(line.astype(np.longdouble), axis=1)
+    expected = prefix[:, ns - 1].astype(np.float64) / denom
     assert found[0].tobytes() == expected.tobytes()
 
 
