@@ -10,13 +10,13 @@ Exit codes: 0 success (all selected checks pass), 1 verifier failure,
 2 configuration error (bad flags, unknown config keys, missing seed,
 out-of-domain parameters), 3 runtime error.  Only `theory` writes to
 stdout; everything else logs to stderr and writes files under the output
-directory, along with a resolved-config copy for reproducibility.
+directory, along with a resolved-config copy for reproducibility, all
+through verify's canonical writers, as is the table that `theory` prints.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import os
@@ -151,10 +151,10 @@ def _workers(cfg: dict) -> int:
     return cfg.get("workers") or os.cpu_count() or 1
 
 
-def _write_resolved(cfg: dict, outdir: Path) -> None:
-    outdir.joinpath("resolved_config.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n"
-    )
+def _write_resolved(cfg: dict, out: Path) -> None:
+    """Write the resolved config next to the output file out, and log out."""
+    verify_mod.write_json(out.parent / "resolved_config.json", cfg)
+    _log(f"wrote {out}")
 
 
 def _log(msg: str) -> None:
@@ -185,7 +185,7 @@ def _cmd_theory(args) -> int:
         "beta": scheme.beta,
         "gamma0": scheme.gamma0,
     }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(verify_mod.canonical_json(doc))
     return 0
 
 
@@ -223,16 +223,14 @@ def _cmd_simulate(args) -> int:
     for r in range(replicates):
         values = sample_block(model, block, cfg["seed"], replicate=r)
         grid = make_grid(block, values)
-        rows.append(
-            {
-                "replicate": r,
-                "sum": float(partial_sum(grid, block)),
-                "max_sub_block": float(max_sub_block(grid)),
-                "anchored_abs_max": float(anchored_abs_max(grid)),
-                "mean": float(values.mean()),
-                "var": float(values.var(ddof=1)) if values.size > 1 else 0.0,
-            }
-        )
+        rows.append({
+            "replicate": r,
+            "sum": partial_sum(grid, block),
+            "max_sub_block": max_sub_block(grid),
+            "anchored_abs_max": anchored_abs_max(grid),
+            "mean": values.mean(),
+            "var": values.var(ddof=1) if values.size > 1 else 0.0,
+        })
     doc = {
         "model": verify_mod._model_inputs(model),
         "block": {"a": list(block.a), "b": list(block.b)},
@@ -240,10 +238,7 @@ def _cmd_simulate(args) -> int:
         "seed": cfg["seed"],
         "replicates": rows,
     }
-    out = outdir / "simulate.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    _write_resolved(cfg, outdir)
-    _log(f"wrote {out}")
+    _write_resolved(cfg, verify_mod.write_json(outdir / "simulate.json", doc))
     return 0
 
 
@@ -295,9 +290,7 @@ def _cmd_verify(args) -> int:
         reports.append(report)
         verdict = "PASS" if report.passed else "FAIL"
         _log(f"{claim}: {verdict} ({report.seconds:.2f}s)")
-    path = verify_mod.emit_report(reports, outdir)
-    _write_resolved(cfg, outdir)
-    _log(f"wrote {path}")
+    _write_resolved(cfg, verify_mod.emit_report(reports, outdir))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -315,18 +308,11 @@ def _cmd_couple(args) -> int:
     studies = verify_mod.approximation_error_study(
         model, seed=cfg["seed"], workers=_workers(cfg), **study
     )
-    doc = {"model": verify_mod._model_inputs(model), "seed": cfg["seed"],
-           "studies": verify_mod._jsonable(studies)}
-    out = outdir / "couple.json"
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    with open(outdir / "couple.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "card", "median_abs_err"])
-        for study in studies:
-            for card, med in zip(study["cards"], study["median_abs_err"]):
-                writer.writerow([study["depth"], card, med])
-    _write_resolved(cfg, outdir)
-    _log(f"wrote {out}")
+    verify_mod.write_csv(outdir / "couple.csv", [
+        {"depth": s["depth"], "card": card, "median_abs_err": med}
+        for s in studies for card, med in zip(s["cards"], s["median_abs_err"])])
+    doc = {"model": verify_mod._model_inputs(model), "seed": cfg["seed"], "studies": studies}
+    _write_resolved(cfg, verify_mod.write_json(outdir / "couple.json", doc))
     return 0
 
 
@@ -334,8 +320,6 @@ def _cmd_report(args) -> int:
     records = []
     for folder in args.inputs:
         path = Path(folder) / "summary.json"
-        if not path.exists():
-            raise ConfigError(f"no summary.json under {folder}")
         try:
             data = json.loads(path.read_text())
         except OSError as e:
@@ -344,21 +328,16 @@ def _cmd_report(args) -> int:
             raise ConfigError(f"{path} is not valid JSON: {e}")
         reports = data.get("reports", []) if isinstance(data, dict) else None
         if not isinstance(reports, list) or not all(
-                type(r) is dict and type(r.get("claim_id", "")) is str for r in reports):
-            raise ConfigError(f"{path} is not a verify summary: reports with string claim ids")
+                type(r) is dict and type(r.get("claim_id")) is str
+                and type(r.get("passed")) is bool for r in reports):
+            raise ConfigError(f"{path} is not a verify summary: reports with string "
+                              "claim ids and boolean verdicts")
         records.extend(reports)
-    records.sort(key=lambda r: r.get("claim_id", ""))
-    passed = all(r.get("passed") for r in records)
-    outdir = _resolve_outdir(args, {})
-    out = outdir / "summary.json"
-    out.write_text(
-        json.dumps({"passed": passed, "reports": records}, indent=2, sort_keys=True)
-        + "\n"
-    )
-    for r in records:
-        _log(f"{r.get('claim_id')}: {'PASS' if r.get('passed') else 'FAIL'}")
+    out, summary = verify_mod.write_summary(records, _resolve_outdir(args, {}))
+    for r in summary["reports"]:
+        _log(f"{r['claim_id']}: {'PASS' if r['passed'] else 'FAIL'}")
     _log(f"wrote {out}")
-    return 0 if passed else 1
+    return 0 if summary["passed"] else 1
 
 
 # --------------------------------------------------------------------------

@@ -58,9 +58,6 @@ class Block:
     def lengths(self) -> tuple[int, ...]:
         return tuple(hi - lo for lo, hi in zip(self.a, self.b))
 
-    def contains_point(self, j: Sequence[int]) -> bool:
-        return all(lo < x <= hi for lo, x, hi in zip(self.a, j, self.b))
-
     def contains_block(self, other: "Block") -> bool:
         return all(
             so >= lo and eo <= hi

@@ -247,8 +247,9 @@ def sum_and_max(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def max_sub_block(grid: SampleGrid) -> float:
-    """M(V): max |S(W)| over every sub-block W of the grid's base block."""
-    return float(sum_and_max(grid.values[None])[1][0])
+    """M(V): max |S(W)| over every sub-block W of the grid's base block, read
+    from the grid's stored prefix: the bits of sum_and_max on its values."""
+    return float(_max_abs_over_subrects(grid.prefix[None])[0])
 
 
 def max_sub_block_naive(grid: SampleGrid) -> float:

@@ -6,10 +6,11 @@ a pass flag that is a pure function of the stored numbers.  Asymptotic
 claims are recast as slope or band tests with Monte Carlo error accounted
 for explicitly; nothing is asserted beyond what the stored numbers show.
 
-Reports serialize to canonical JSON (sorted keys, repr floats) with the
-wall-clock field set to null, so a re-run with the same config and seed is
-byte-identical regardless of worker count.  Real timings live on the
-in-memory dataclass and in console logs only.
+Every file the lab writes goes through write_json or write_csv, and
+summary.json through write_summary: canonical JSON (sorted keys, repr
+floats) with the wall-clock field set to null, so a re-run with the same
+config and seed is byte-identical regardless of worker count.  Real timings
+live on the in-memory dataclass and in console logs only.
 
 The dependence claims check the covariance inequality
 
@@ -81,7 +82,11 @@ __all__ = [
     "check_approximation_error",
     "check_lil",
     "default_geometries",
+    "canonical_json",
+    "write_json",
+    "write_csv",
     "report_record",
+    "write_summary",
     "emit_report",
 ]
 
@@ -1064,38 +1069,55 @@ def _jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+def canonical_json(doc) -> str:
+    """doc as canonical JSON: sorted keys, two-space indent, final newline."""
+    return json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: Path, doc) -> Path:
+    """Write doc to path as canonical JSON."""
+    path.write_text(canonical_json(doc))
+    return path
+
+
+def write_csv(path, rows: Sequence[Mapping]) -> None:
+    """Write rows to path as CSV, one column per key in the order of first
+    appearance; a row that lacks a key leaves its cell empty."""
+    rows = _jsonable(rows)
+    fieldnames = list(dict.fromkeys(k for row in rows for k in row))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def report_record(report: VerificationReport) -> dict:
     """Canonical JSON record; wall clock is nulled to keep re-runs stable."""
-    return {
+    return _jsonable({
         "claim_id": report.claim_id,
         "statement": report.statement,
-        "inputs": _jsonable(report.inputs),
-        "statistics": _jsonable(report.statistics),
-        "oracle": _jsonable(report.oracle),
-        "tolerance": _jsonable(report.tolerance),
-        "passed": bool(report.passed),
+        "inputs": report.inputs,
+        "statistics": report.statistics,
+        "oracle": report.oracle,
+        "tolerance": report.tolerance,
+        "passed": report.passed,
         "seconds": None,
-    }
+    })
+
+
+def write_summary(records: Sequence[Mapping], path) -> tuple[Path, dict]:
+    """Write summary.json under path, of verify's reports or report's merge, and
+    return its path and document: the records by claim id, passed if all pass."""
+    records = sorted(records, key=lambda r: r["claim_id"])
+    summary = {"passed": all(r["passed"] for r in records), "reports": records}
+    return write_json(Path(path) / "summary.json", summary), summary
 
 
 def emit_report(reports: Sequence[VerificationReport], path) -> Path:
     """Write summary.json plus one CSV per claim; bit-stable per inputs."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    records = sorted((report_record(r) for r in reports), key=lambda r: r["claim_id"])
-    summary = {
-        "passed": all(r["passed"] for r in records),
-        "reports": records,
-    }
-    jpath = out / "summary.json"
-    jpath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for r in reports:
-        if not r.rows:
-            continue
-        rows = [_jsonable(row) for row in r.rows]
-        fieldnames = list(dict.fromkeys(k for row in rows for k in row))
-        with open(out / f"{r.claim_id}.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-            writer.writeheader()
-            writer.writerows(rows)
-    return jpath
+        if r.rows:
+            write_csv(out / f"{r.claim_id}.csv", r.rows)
+    return write_summary([report_record(r) for r in reports], out)[0]

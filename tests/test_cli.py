@@ -647,10 +647,13 @@ class TestCoupleAndReport:
     @pytest.mark.parametrize("summary", [
         [1, 2], "text", 3, {"reports": [1]}, {"reports": [{}, "x"]}, {"reports": "ab"},
         {"reports": [{"claim_id": 1}, {"claim_id": "a"}]},
+        {"reports": [{"passed": True}]}, {"reports": [{"claim_id": "x", "passed": "no"}]},
     ])
     def test_report_rejects_a_summary_of_another_shape(self, tmp_path, capsys, summary):
         # a list summary, or a report that is not an object, exited 3 with an
-        # AttributeError; claim ids of two types, with a TypeError
+        # AttributeError; claim ids of two types, with a TypeError.  A report
+        # with no claim id, or with a verdict that is not a boolean, was merged
+        # as a pass
         folder = tmp_path / "in"
         folder.mkdir()
         (folder / "summary.json").write_text(json.dumps(summary))

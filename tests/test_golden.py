@@ -201,3 +201,75 @@ def test_approximation_study_matches_recorded_digests(tmp_path, config, code, di
 @pytest.mark.parametrize("config, digests", COUPLE, ids=["alpha4_d1", "exact_phi_d2"])
 def test_couple_matches_recorded_digests(tmp_path, config, digests, workers):
     assert _digests(tmp_path, {**config, "workers": workers}, "couple") == (0, digests)
+
+
+# The digests below were recorded before the canonical JSON and CSV format
+# had one writer in verify (write_json, write_csv, write_summary).  They pin
+# the files that no digest above pins: simulate.json, resolved_config.json,
+# the table that `theory` prints and the summary that `report` merges.
+
+# `simulate` configs and the digest of simulate.json: a d = 1 Rademacher
+# kernel on a line longer than a prefix chunk (2^14 cells), and a d = 2 model
+SIMULATE = [
+    (
+        {"seed": 12,
+         "model": {"kind": "linear_ma", "d": 1, "innovation": "rademacher",
+                   "coeffs": {"-1": 0.4, "0": 1.0, "2": -0.5}},
+         "simulate": {"block": {"a": [-3], "b": [20000]}, "replicates": 3}},
+        "5da22ef30be308597002ec8c8db7c16cc644fa61092488c19ab67f9fc3c54691",
+    ),
+    (
+        {"seed": 13,
+         "model": {"kind": "linear_ma", "d": 2, "innovation": "exponential",
+                   "coeffs": {"0,0": 1.0, "1,0": -0.3, "0,1": 0.2}},
+         "simulate": {"block": {"a": [0, -2], "b": [6, 5]}, "replicates": 4}},
+        "77bfd477116d3e59aee824cc4da0624c4901d74fc5be97cb5b253e1030b8a310",
+    ),
+]
+
+# two verify runs; the second fails its variance-defect check
+MERGED = [
+    {"seed": 11, "workers": 2,
+     "model": {"kind": "linear_ma", "d": 1, "coeffs": {"0": 1.0, "1": -0.5}},
+     "verify": {"claims": ["variance_defect", "second_moment_bound"], "delta": 0.25,
+                "overrides": {"second_moment_bound": {"sizes": [10, 100, 1000]}}}},
+    {"seed": 2,
+     "model": {"kind": "linear_ma", "d": 1, "coeffs": {"0": 1.0, "1": -0.5}},
+     "verify": {"claims": ["variance_defect"],
+                "overrides": {"variance_defect": {"edges": [640, 10]}}}},
+]
+RESOLVED_DIGEST = "e3113230a8941ba2d3a358e4cd01f4e2517cc0d9fe20cff7bd2b275476c310b2"
+MERGED_DIGEST = "d46714b77675f2864663dc2594022e06df0a6feacd495d9cf95364030fd2b3ac"
+THEORY_DIGEST = "2fa7dd5211e9efd942079c7ac7d49570082f23c98a7fa87e7a8cb38750b68553"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("config, digest", SIMULATE, ids=["rademacher_d1", "exponential_d2"])
+def test_simulate_matches_recorded_digest(tmp_path, config, digest):
+    assert _digests(tmp_path, config, "simulate") == (0, {"simulate.json": digest})
+
+
+def test_resolved_config_and_report_match_recorded_digests(tmp_path, monkeypatch):
+    # the output directory comes from the environment, so that the resolved
+    # config holds no path of this machine; the flags override the config
+    outputs = []
+    for i, config in enumerate(MERGED):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(json.dumps(config))
+        outputs.append(tmp_path / f"out{i}")
+        monkeypatch.setenv("FIELDLAB_OUT", str(outputs[-1]))
+        flags = ["--seed", "17", "--claims", "second_moment_bound"] if i == 0 else []
+        assert main(["verify", "--config", str(path), *flags]) == i
+    assert _sha((outputs[0] / "resolved_config.json").read_bytes()) == RESOLVED_DIGEST
+    merged = tmp_path / "merged"
+    assert main(["report", "--inputs", *map(str, outputs), "--output-dir", str(merged)]) == 1
+    assert [p.name for p in merged.iterdir()] == ["summary.json"]
+    assert _sha((merged / "summary.json").read_bytes()) == MERGED_DIGEST
+
+
+def test_theory_table_matches_recorded_digest(capsys):
+    assert main(["theory", "--p", "5"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == THEORY_DIGEST

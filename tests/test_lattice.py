@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -37,9 +38,6 @@ class TestBlock:
         assert b.d == 2
         assert b.lengths == (2, 3)
         assert cardinality(b) == 6
-        assert b.contains_point((2, 0))
-        assert not b.contains_point((1, 0))  # lower face excluded
-        assert b.contains_point((3, 1))  # upper corner included
         assert b.contains_block(Block((1, -2), (2, 0)))
         assert not b.contains_block(Block((0, -2), (2, 0)))
 
@@ -52,8 +50,10 @@ class TestBlock:
 
     @given(small_blocks)
     def test_points_match_cardinality(self, b):
-        assert len(b.points()) == cardinality(b)
-        assert all(b.contains_point(p) for p in b.points())
+        # the points of (a, b]: lower faces excluded, upper corners included
+        expected = list(product(*[range(lo + 1, hi + 1) for lo, hi in zip(b.a, b.b)]))
+        assert len(expected) == cardinality(b)
+        assert [tuple(p) for p in b.points().tolist()] == expected
 
 
 class TestDist:

@@ -15,7 +15,8 @@ a thread's buffers, and what it keeps between tasks, change only with it.
 The CLI's couple section is the S - sigma W study's parameters, and only
 coupling.study_plans checks their values.  Below that gate only
 coupling.cdf_table chooses how a coupled block's xi is mapped.  src/ holds
-no API that only tests call.
+no API that only tests call.  verify is the one writer of the canonical
+format: every file the lab writes, and the table that theory prints.
 """
 
 import ast
@@ -54,11 +55,21 @@ WORKSPACE_SLOTS = {
 REFERENCE_ORACLES = {("sums", "max_sub_block_naive"), ("coupling", "decomposition_terms"),
                      ("coupling", "run_coupling")}
 
+# public methods and properties that src/ does not read, with the reason each stays
+UNREAD_MEMBERS = {
+    ("coupling", "EmpiricalCdf", "m"): "perfbench/tracer.py counts the CDF draws by it",
+}
+
+# what writes a file or formats one: verify's canonical writers alone use them
+WRITERS = {"dumps", "csv", "write_text"}
+
+TREES = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+
 
 def used_names(module: str) -> set[str]:
     """Names a module imports from another, or reads as an attribute."""
     names = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(TREES[module]):
         if isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute):
@@ -69,7 +80,7 @@ def used_names(module: str) -> set[str]:
 def imported_modules(module: str) -> set[str]:
     """Package modules a module imports, at module level or inside a function."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(TREES[module]):
         if isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level == 0 and not base.startswith("fieldlab"):
@@ -86,7 +97,7 @@ def reads_by_definition(module: str) -> dict[str | None, set[str]]:
     """Names a module reads (loads, attributes, imports), keyed by the
     top-level function or class they sit in, or None at module level."""
     reads: dict[str | None, set[str]] = {}
-    for stmt in ast.parse((SRC / f"{module}.py").read_text()).body:
+    for stmt in TREES[module].body:
         owner = getattr(stmt, "name", None)
         names = reads.setdefault(owner, set())
         for node in ast.walk(stmt):
@@ -100,10 +111,30 @@ def reads_by_definition(module: str) -> dict[str | None, set[str]]:
 
 
 def public_names(module: str) -> list[str]:
-    for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+    for node in TREES[module].body:
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
             return ast.literal_eval(node.value)
     return []
+
+
+def public_members(module: str):
+    """(class, method) for each public method or property of a public class."""
+    public = set(public_names(module))
+    for node in TREES[module].body:
+        if isinstance(node, ast.ClassDef) and node.name in public:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item
+
+
+def attributes_read(node, skip) -> set[str]:
+    """Attribute names read under node, outside the subtree skip."""
+    if node is skip:
+        return set()
+    names = {node.attr} if isinstance(node, ast.Attribute) else set()
+    for child in ast.iter_child_nodes(node):
+        names |= attributes_read(child, skip)
+    return names
 
 
 def test_modules_found():
@@ -159,7 +190,7 @@ def test_workspace_slots_are_listed():
     every worker thread keeps, so it needs an edit here."""
     found = set()
     for module in MODULES:
-        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        for node in ast.walk(TREES[module]):
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_workspace":
                 slot = node.args[0]
                 assert isinstance(slot, ast.Constant) and isinstance(slot.value, str)
@@ -171,7 +202,7 @@ def test_workspace_slots_are_listed():
 def test_only_rng_repoints_a_bit_generator(module):
     """rng.streams repoints its Philox generator by assigning its state;
     no other module sets a bit generator's state."""
-    tree = ast.parse((SRC / f"{module}.py").read_text())
+    tree = TREES[module]
     assigned = [t for node in ast.walk(tree)
                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
                 for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
@@ -189,7 +220,7 @@ def test_two_samplers_read_the_streams():
 
 def test_couple_checks_no_values():
     """coupling.study_plans is the one check of the study's values."""
-    tree = ast.parse((SRC / "cli.py").read_text())
+    tree = TREES["cli"]
     (couple,) = [n for n in ast.walk(tree)
                  if isinstance(n, ast.FunctionDef) and n.name == "_cmd_couple"]
     called = {n.func.id for n in ast.walk(couple)
@@ -217,11 +248,13 @@ def test_only_the_cdf_table_and_the_gate_read_exact_phi():
 
 @pytest.mark.parametrize("module", MODULES)
 def test_src_holds_no_api_that_only_tests_call(module):
-    """Every public name is read in src/ outside its own definition.
+    """Every public name, and every public method or property of a public
+    class, is read in src/ outside its own definition.
 
     The registered checkers are called through verify.CLAIMS, and the
     reference oracles only by the tests that compare against them.  Dunder
-    names such as __version__ are package metadata, not an API.
+    names such as __version__ are package metadata, not an API.  A member is
+    read as an attribute; UNREAD_MEMBERS lists those that stay unread.
     """
     from fieldlab.verify import CLAIMS
 
@@ -234,4 +267,37 @@ def test_src_holds_no_api_that_only_tests_call(module):
         and not any(name in names for m in MODULES for owner, names in reads[m].items()
                     if (m, owner) != (module, name))
     ]
+    members = {(module, cls, fn.name): fn for cls, fn in public_members(module)}
+    unread += [
+        ".".join(key[1:]) for key, fn in members.items() if key not in UNREAD_MEMBERS
+        and not any(fn.name in attributes_read(TREES[m], fn) for m in MODULES)
+    ]
     assert not unread
+    assert {key for key in UNREAD_MEMBERS if key[0] == module} <= set(members)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_verify_writes(module):
+    """json.dumps, csv and write_text appear in verify only, so each file the
+    lab writes has the one canonical format; elsewhere open only reads, as
+    cli does its config."""
+    names = set().union(*reads_by_definition(module).values())
+    names |= {a.name for node in ast.walk(TREES[module]) if isinstance(node, ast.Import)
+              for a in node.names}
+    assert bool(names & WRITERS) == (module == "verify")
+    if module != "verify":
+        opened = [node for node in ast.walk(TREES[module]) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "open"]
+        assert all(len(node.args) == 1 and not node.keywords for node in opened)
+
+
+def test_one_summary_writer():
+    """summary.json is assembled and written in verify.write_summary alone,
+    which verify.emit_report and the report subcommand both call."""
+    callers = {(m, owner) for m in MODULES
+               for owner, names in reads_by_definition(m).items()
+               if "write_summary" in names and owner != "write_summary"}
+    assert callers == {("verify", "emit_report"), ("cli", "_cmd_report")}
+    readers = {owner for owner, names in reads_by_definition("verify").items()
+               if names & WRITERS}
+    assert readers == {"canonical_json", "write_json", "write_csv"}

@@ -179,6 +179,17 @@ class TestMaxSubBlock:
         big = gen.standard_normal((2, limit + 1))
         assert sums._prefix_array(big, lead=1).dtype == np.float64
 
+    @pytest.mark.parametrize("n", [2**14 - 1, 2**14, 2**14 + 1, 40_000])
+    def test_long_lines_equal_the_stack(self, n):
+        # max_sub_block reads the grid's prefix, rounded through the chunks of
+        # _running_sums; sum_and_max sums a line of up to 2^14 cells in one
+        # casting cumsum, and a longer one through those chunks
+        values = np.random.default_rng(n).standard_normal((3, n)) * 1e3
+        M = sum_and_max(values)[1]
+        for row, m in zip(values, M):
+            grid = make_grid(Block((0,), (n,)), row)
+            assert np.float64(max_sub_block(grid)).tobytes() == m.tobytes()
+
     def test_dominates_anchored(self):
         gen = np.random.default_rng(9)
         g = make_grid(Block((0,), (64,)), gen.standard_normal(64))
