@@ -140,10 +140,8 @@ def build_model(cfg: dict) -> FieldModel:
 
 
 def _resolve_outdir(args, cfg: dict) -> Path:
-    out = args.output_dir or cfg.get("output_dir") or os.environ.get(OUTPUT_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the canonical writers create it with their first file."""
+    return Path(args.output_dir or cfg.get("output_dir") or os.environ.get(OUTPUT_ENV) or ".")
 
 
 def _workers(cfg: dict) -> int:
@@ -272,6 +270,9 @@ def _cmd_verify(args) -> int:
         section["claims"] = claims
     if not claims or not isinstance(claims, list) or not all(type(c) is str for c in claims):
         raise ConfigError("verify.claims must be a nonempty list of claim ids")
+    repeated = sorted({c for c in claims if claims.count(c) > 1})
+    if repeated:
+        raise ConfigError(f"verify.claims repeats claim id(s): {', '.join(repeated)}")
     unknown = sorted(set(claims) - set(VERIFIERS))
     if unknown:
         raise ConfigError(f"unknown claim id(s): {', '.join(unknown)}")
@@ -333,7 +334,10 @@ def _cmd_report(args) -> int:
             raise ConfigError(f"{path} is not a verify summary: reports with string "
                               "claim ids and boolean verdicts")
         records.extend(reports)
-    out, summary = verify_mod.write_summary(records, _resolve_outdir(args, {}))
+    try:
+        out, summary = verify_mod.write_summary(records, _resolve_outdir(args, {}))
+    except ValueError as e:
+        raise ConfigError(f"report: {e}")
     for r in summary["reports"]:
         _log(f"{r['claim_id']}: {'PASS' if r['passed'] else 'FAIL'}")
     _log(f"wrote {out}")

@@ -20,10 +20,10 @@ All randomness is drawn from counter-based streams keyed by (seed, tag,
 replicate), so a run is a pure function of (model, scheme, seed, replicate)
 and any batching of replicates is equivalent.
 
-run_coupling holds a replicate's whole domain: the field, the Wiener grid
-and both prefix arrays.  The S - sigma W study reads only a few prefix
-entries per block, so corner_errors runs a replicate in two passes over
-axis-0 slabs, in any d, with the same draws and float operations:
+The S - sigma W study reads only a few prefix entries per block, so
+corner_errors runs a replicate in two passes over axis-0 slabs, in any d,
+with the draws and float operations of run_coupling in tests/reference.py,
+the whole-domain reference, which holds the field and Wiener grids:
 sums.prefix_at reads the field of fields.line_segments, in slabs of at
 most _BATCH_CELLS cells, at the corners of the heads and of the (0, N],
 the blocks are coupled, and then it reads the Wiener increments of
@@ -49,34 +49,26 @@ from .fields import (
     FieldModel,
     _workspace,
     line_segments,
-    sample_block,
     sample_block_batch,
     sigma2,
 )
 from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
 from .rng import stream, streams
-from .sums import SampleGrid, block_cov, block_var, corner_sum, make_grid, partial_sum, prefix_at
+from .sums import block_cov, block_var, corner_sum, prefix_at
 from .theory import SchemeParams, block_boundary
 
 __all__ = [
     "BlockScheme",
     "build_scheme",
-    "GoodSpan",
-    "good_span",
     "BlockVariance",
     "scheme_variances",
-    "block_sums",
     "xi",
     "EmpiricalCdf",
     "estimate_cdf",
     "quantile_transform",
     "coupling_error",
     "cdf_table",
-    "CouplingRun",
-    "run_coupling",
-    "build_wiener",
     "corner_errors",
-    "decomposition_terms",
     "BlockCouplingSample",
     "block_coupling_samples",
     "study_plans",
@@ -133,51 +125,6 @@ def build_scheme(params: SchemeParams, K: int, d: int) -> BlockScheme:
 
 
 @dataclass(frozen=True)
-class GoodSpan:
-    """Maximal box of good block indices ending at k, and its footprint."""
-
-    start: tuple[int, ...]
-    region: Block
-    indices: tuple
-
-
-def good_span(scheme: BlockScheme, k: Sequence[int]) -> GoodSpan:
-    """Greedy maximal all-good index box (m, k] ending at the good block k.
-
-    Axes are extended downward round-robin; the result is deterministic and
-    always contains k itself, so the footprint region is exactly tiled by
-    the good blocks it spans.
-    """
-    k = tuple(int(x) for x in k)
-    if k not in scheme.good:
-        raise ValueError("span is defined only for good blocks")
-    m = list(k)
-
-    def box_good(cand):
-        return all(
-            tuple(i) in scheme.good
-            for i in itertools.product(*[range(cand[s], k[s] + 1) for s in range(scheme.d)])
-        )
-
-    moved = True
-    while moved:
-        moved = False
-        for s in range(scheme.d):
-            if m[s] > 1:
-                trial = m.copy()
-                trial[s] -= 1
-                if box_good(trial):
-                    m = trial
-                    moved = True
-    a = tuple(scheme.boundaries[m[s] - 1] for s in range(scheme.d))
-    region = Block(a, scheme.corner(k))
-    idx = tuple(
-        itertools.product(*[range(m[s], k[s] + 1) for s in range(scheme.d)])
-    )
-    return GoodSpan(tuple(m), region, idx)
-
-
-@dataclass(frozen=True)
 class BlockVariance:
     sigma2: float
     tau2: float
@@ -201,17 +148,6 @@ def scheme_variances(model: FieldModel, scheme: BlockScheme) -> dict:
         if out[k].sigma2 <= 0:
             raise ValueError(f"head variance is not positive at block {k}")
     return out
-
-
-def block_sums(grid: SampleGrid, scheme: BlockScheme) -> tuple[dict, dict]:
-    """Head sums u_k = S(H_k) and tail sums v_k = S(B_k) - u_k per block."""
-    if not grid.block.contains_block(scheme.domain):
-        raise ValueError("grid does not cover the scheme domain")
-    u, v = {}, {}
-    for k in scheme.indices():
-        u[k] = partial_sum(grid, scheme.head(k))
-        v[k] = partial_sum(grid, scheme.block(k)) - u[k]
-    return u, v
 
 
 def xi(u: float, w: float, s2: float, t2: float):
@@ -357,64 +293,6 @@ def _couple_block(u: float, z: float, bv: BlockVariance, cdf) -> tuple:
     return w, x, eta, float(coupling_error(x, eta, bv.sigma2, bv.tau2))
 
 
-@dataclass(frozen=True)
-class CouplingRun:
-    """One replicate of the full coupling pipeline on a scheme domain."""
-
-    scheme: BlockScheme
-    sigma: float
-    field: SampleGrid
-    wiener: SampleGrid
-    variances: Mapping
-    coupled: tuple
-    v: dict
-    w: dict
-    xi: dict
-    eta: dict
-    e: dict
-
-
-def run_coupling(
-    model: FieldModel,
-    scheme: BlockScheme,
-    seed: int,
-    replicate: int,
-    variances: Mapping,
-    cdfs: Mapping,
-) -> CouplingRun:
-    """Sample one replicate and couple every good block with tau^2 > 0.
-
-    variances is scheme_variances(model, scheme), and cdfs the cdf_table
-    of the scheme, through whose entries each block's xi is mapped.
-    """
-    if model.d != scheme.d:
-        raise ValueError("model dimension does not match the scheme")
-    grid = make_grid(scheme.domain, sample_block(model, scheme.domain, seed, replicate))
-    u, v = block_sums(grid, scheme)
-
-    coupled = tuple(_coupled(scheme, variances))
-    draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
-    w, xis, etas, errs = {}, {}, {}, {}
-    for k, z in zip(coupled, draws):
-        cdf = cdfs[_shape_key(scheme.head(k), scheme.block(k))]
-        w[k], xis[k], etas[k], errs[k] = _couple_block(u[k], z, variances[k], cdf)
-
-    Z = build_wiener(scheme, etas, seed, replicate)
-    return CouplingRun(
-        scheme=scheme,
-        sigma=math.sqrt(sigma2(model)),
-        field=grid,
-        wiener=make_grid(scheme.domain, Z),
-        variances=variances,
-        coupled=coupled,
-        v=v,
-        w=w,
-        xi=xis,
-        eta=etas,
-        e=errs,
-    )
-
-
 def _wiener_slabs(blocks: Sequence, seed: int, replicate: int, cuts: Sequence[int],
                   buf: np.ndarray):
     """The Wiener increments of each axis-0 slab (cuts[i], cuts[i+1]], drawn
@@ -431,19 +309,6 @@ def _wiener_slabs(blocks: Sequence, seed: int, replicate: int, cuts: Sequence[in
                 zeta -= zeta.mean()
                 zeta += eta / math.sqrt(zeta.size)
         yield Z
-
-
-def build_wiener(scheme: BlockScheme, etas: Mapping, seed: int, replicate: int) -> np.ndarray:
-    """Unit-cell standard normal increments, conditioned on the blocks of etas.
-
-    Cells start as iid N(0,1).  Inside each block k of etas the increments
-    are recentered and shifted, Z = eta/sqrt(|B|) + (zeta - mean(zeta)), so
-    the block total is sqrt(|B|) eta exactly while, for exactly normal eta,
-    cell variances and covariances stay those of white noise.
-    """
-    blocks = [(scheme.block(k), eta) for k, eta in etas.items()]
-    Z = np.empty(scheme.domain.lengths)
-    return next(_wiener_slabs(blocks, seed, replicate, (0, len(Z)), Z))  # one slab
 
 
 def _slabs(scheme: BlockScheme, budget: int):
@@ -493,9 +358,9 @@ def corner_errors(
     """S(0, N] - sigma W(0, N] at the upper corner N of each block in corners.
 
     Bit for bit the numbers partial_sum(run.field, V) - run.sigma *
-    partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model,
-    scheme, seed, replicate, variances, cdfs), whose corners of V other
-    than N read 0, from two passes over axis-0 slabs (see the module
+    partial_sum(run.wiener, V), V = (0, N], of run = run_coupling(model, scheme,
+    seed, replicate, variances, cdfs) (tests/reference.py), whose corners of V
+    other than N read 0, from two passes over axis-0 slabs (see the module
     docstring), so memory follows the largest block row, not the domain.
     What every replicate of a depth shares is computed once (_corner_plan).
     """
@@ -513,41 +378,6 @@ def corner_errors(
     slabs = _wiener_slabs(list(zip(blocks, etas)), seed, replicate, wiener_cuts, buf)
     W = prefix_at(slabs, wiener_cuts, tops)
     return [S[N] - sigma * w for N, w in zip(tops, W.tolist())]
-
-
-def decomposition_terms(run: CouplingRun, k) -> tuple[float, float, float, float, float]:
-    """The five-term split of S over the good span ending at block k.
-
-    T1 = sum of coupling errors, T2 = variance-mismatch correction,
-    T3 = sigma-scaled Gaussian block sums, T4 = -companions, T5 = tail sums;
-    their total equals S(region) identically, enforced here to 1e-9
-    relative.
-    """
-    k = tuple(int(x) for x in k)
-    if k not in run.coupled:
-        raise ValueError("decomposition is defined only for coupled good blocks")
-    span = good_span(run.scheme, k)
-    if any(i not in run.coupled for i in span.indices):
-        raise ValueError("good span contains an uncoupled block")
-    sigma = run.sigma
-    t1 = t2 = t3 = t4 = t5 = 0.0
-    for i in span.indices:
-        bv = run.variances[i]
-        card = cardinality(run.scheme.block(i))
-        root = math.sqrt(card)
-        t1 += run.e[i]
-        t2 += root * (math.sqrt((bv.sigma2 + bv.tau2) / card) - sigma) * run.eta[i]
-        t3 += sigma * root * run.eta[i]
-        t4 -= run.w[i]
-        t5 += run.v[i]
-    total = t1 + t2 + t3 + t4 + t5
-    reference = partial_sum(run.field, span.region)
-    residual = abs(reference - total) / max(1.0, abs(reference))
-    if residual > 1e-9:
-        raise ArithmeticError(
-            f"decomposition identity violated at {k}: relative residual {residual:.3e}"
-        )
-    return (t1, t2, t3, t4, t5)
 
 
 @dataclass(frozen=True)

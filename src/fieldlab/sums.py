@@ -45,7 +45,6 @@ __all__ = [
     "prefix_at",
     "sum_and_max",
     "max_sub_block",
-    "max_sub_block_naive",
     "anchored_abs_max",
     "block_cov",
     "block_var",
@@ -250,26 +249,6 @@ def max_sub_block(grid: SampleGrid) -> float:
     """M(V): max |S(W)| over every sub-block W of the grid's base block, read
     from the grid's stored prefix: the bits of sum_and_max on its values."""
     return float(_max_abs_over_subrects(grid.prefix[None])[0])
-
-
-def max_sub_block_naive(grid: SampleGrid) -> float:
-    """Independent oracle: enumerate every sub-block and sum cells directly."""
-    best = 0.0
-
-    def rec(axis, a_off, b_off):
-        nonlocal best
-        if axis == grid.block.d:
-            sl = tuple(slice(a, b) for a, b in zip(a_off, b_off))
-            s = math.fsum(grid.values[sl].ravel().tolist())
-            best = max(best, abs(s))
-            return
-        n = grid.block.lengths[axis]
-        for a in range(n):
-            for b in range(a + 1, n + 1):
-                rec(axis + 1, a_off + [a], b_off + [b])
-
-    rec(0, [], [])
-    return best
 
 
 def anchored_abs_max(grid: SampleGrid) -> float:

@@ -1075,14 +1075,16 @@ def canonical_json(doc) -> str:
 
 
 def write_json(path: Path, doc) -> Path:
-    """Write doc to path as canonical JSON."""
+    """Write doc to path as canonical JSON, creating its directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(canonical_json(doc))
     return path
 
 
 def write_csv(path, rows: Sequence[Mapping]) -> None:
-    """Write rows to path as CSV, one column per key in the order of first
-    appearance; a row that lacks a key leaves its cell empty."""
+    """Write rows to path (creating its directory) as CSV, one column per key in
+    the order of first appearance; a row that lacks a key leaves its cell empty."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     rows = _jsonable(rows)
     fieldnames = list(dict.fromkeys(k for row in rows for k in row))
     with open(path, "w", newline="") as fh:
@@ -1107,17 +1109,22 @@ def report_record(report: VerificationReport) -> dict:
 
 def write_summary(records: Sequence[Mapping], path) -> tuple[Path, dict]:
     """Write summary.json under path, of verify's reports or report's merge, and
-    return its path and document: the records by claim id, passed if all pass."""
+    return its path and document: the records by claim id, passed if all pass.
+    With no record, or a claim id held twice, it raises ValueError and writes nothing."""
     records = sorted(records, key=lambda r: r["claim_id"])
+    ids = [r["claim_id"] for r in records]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated or not ids:
+        raise ValueError(f"the summary repeats claim id(s): {', '.join(repeated)}"
+                         if repeated else "the summary holds no claim records")
     summary = {"passed": all(r["passed"] for r in records), "reports": records}
     return write_json(Path(path) / "summary.json", summary), summary
 
 
 def emit_report(reports: Sequence[VerificationReport], path) -> Path:
     """Write summary.json plus one CSV per claim; bit-stable per inputs."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    out = write_summary([report_record(r) for r in reports], path)[0]
     for r in reports:
         if r.rows:
-            write_csv(out / f"{r.claim_id}.csv", r.rows)
-    return write_summary([report_record(r) for r in reports], out)[0]
+            write_csv(out.parent / f"{r.claim_id}.csv", r.rows)
+    return out

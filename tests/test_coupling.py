@@ -10,17 +10,12 @@ from fieldlab import coupling
 from fieldlab.coupling import (
     EmpiricalCdf,
     block_coupling_samples,
-    block_sums,
     build_scheme,
-    build_wiener,
     cdf_table,
     coupling_error,
     corner_errors,
-    decomposition_terms,
     estimate_cdf,
-    good_span,
     quantile_transform,
-    run_coupling,
     scheme_variances,
     xi,
 )
@@ -37,6 +32,7 @@ from fieldlab.verify import (
 )
 
 from conftest import couple_run
+from reference import block_sums, build_wiener, decomposition_terms, good_span, run_coupling
 
 PARAMS = SchemeParams(alpha=3, beta=2, tau=1.0)
 

@@ -27,7 +27,9 @@ sums.prefix_at, rounded to float64 at the net.  The digests were kept
 unchanged.
 
 The last digests were recorded while every S - sigma W replicate was still
-coupled on its whole domain through run_coupling.  They pin the d = 1 study
+coupled on its whole domain through run_coupling, which has since moved out
+of the package into tests/reference.py as the reference that
+coupling.corner_errors is tested against.  They pin the d = 1 study
 coupled over slabs through coupling.corner_errors, now in two passes, one
 for the field and one for the Wiener increments: an empirical-CDF call
 on a Rademacher kernel with a negative lag whose depth-24 domain spans two

@@ -50,11 +50,6 @@ WORKSPACE_SLOTS = {
     ("coupling", "line"),
 }
 
-# reference implementations that tests compare the package's engines against;
-# run_coupling is the whole-domain reference of coupling.corner_errors
-REFERENCE_ORACLES = {("sums", "max_sub_block_naive"), ("coupling", "decomposition_terms"),
-                     ("coupling", "run_coupling")}
-
 # public methods and properties that src/ does not read, with the reason each stays
 UNREAD_MEMBERS = {
     ("coupling", "EmpiricalCdf", "m"): "perfbench/tracer.py counts the CDF draws by it",
@@ -251,10 +246,11 @@ def test_src_holds_no_api_that_only_tests_call(module):
     """Every public name, and every public method or property of a public
     class, is read in src/ outside its own definition.
 
-    The registered checkers are called through verify.CLAIMS, and the
-    reference oracles only by the tests that compare against them.  Dunder
-    names such as __version__ are package metadata, not an API.  A member is
-    read as an attribute; UNREAD_MEMBERS lists those that stay unread.
+    The registered checkers are called through verify.CLAIMS; the reference
+    implementations that tests compare against live in tests/reference.py.
+    Dunder names such as __version__ are package metadata, not an API.  A
+    member is read as an attribute; UNREAD_MEMBERS lists those that stay
+    unread.
     """
     from fieldlab.verify import CLAIMS
 
@@ -263,7 +259,7 @@ def test_src_holds_no_api_that_only_tests_call(module):
     unread = [
         name for name in public_names(module)
         if not name.startswith("__")
-        and (module, name) not in checkers | REFERENCE_ORACLES
+        and (module, name) not in checkers
         and not any(name in names for m in MODULES for owner, names in reads[m].items()
                     if (m, owner) != (module, name))
     ]

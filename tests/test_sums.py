@@ -13,13 +13,14 @@ from fieldlab.sums import (
     block_var,
     make_grid,
     max_sub_block,
-    max_sub_block_naive,
     partial_sum,
     sum_and_max,
     union_var,
     variance_defect,
 )
 from fieldlab.verify import check_maximal_inequality, check_variance_ratio
+
+from reference import max_sub_block_naive
 
 grids_1d = st.lists(
     st.floats(-5, 5, allow_nan=False, width=32), min_size=1, max_size=24

@@ -176,7 +176,7 @@ class TestCheckers:
         def sampled(*args, **kwargs):
             raise AssertionError("the study drew samples before rejecting its input")
 
-        for name in ("sample_block", "sample_block_batch", "run_coupling", "corner_errors"):
+        for name in ("sample_block_batch", "corner_errors"):
             monkeypatch.setattr(verify_mod.cpl, name, sampled)
         with pytest.raises(ValueError, match=match):
             check_approximation_error(gauss_model, exact_phi=exact_phi, m_cdf=200,
@@ -427,9 +427,10 @@ class TestReports:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_emit_report_empty(self, tmp_path):
-        path = emit_report([], tmp_path / "empty")
-        data = json.loads(path.read_text())
-        assert data == {"passed": True, "reports": []}
+        # a summary of no claims was written as {"passed": true, "reports": []}
+        with pytest.raises(ValueError, match="holds no claim records"):
+            emit_report([], tmp_path / "empty")
+        assert not (tmp_path / "empty").exists()
 
     def test_failed_report_aggregates(self, tmp_path, ma_model):
         # reversed edge order makes the monotonicity clause fail honestly
