@@ -300,15 +300,12 @@ def _cmd_couple(args) -> int:
     and coupling.study_plans alone its values, before the output directory."""
     cfg, section = _load(args, "couple")
     model = build_model(cfg)
-    study = {"depths": [8], "replicates": 100, **section}
     try:
-        study_plans(model, **study)
+        study = study_plans(model, **{"depths": [8], "replicates": 100, **section})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"couple: {e}")
     outdir = _resolve_outdir(args, cfg)
-    studies = verify_mod.approximation_error_study(
-        model, seed=cfg["seed"], workers=_workers(cfg), **study
-    )
+    studies = verify_mod.approximation_error_study(model, study, cfg["seed"], _workers(cfg))
     verify_mod.write_csv(outdir / "couple.csv", [
         {"depth": s["depth"], "card": card, "median_abs_err": med}
         for s in studies for card, med in zip(s["cards"], s["median_abs_err"])])

@@ -38,7 +38,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -116,11 +116,14 @@ def build_scheme(params: SchemeParams, K: int, d: int) -> BlockScheme:
         raise ValueError("scheme depth K must be at least 1")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    boundaries = tuple(block_boundary(params.alpha, params.beta, l) for l in range(K + 1))
-    scheme = BlockScheme(params, d, K, boundaries, frozenset())
-    good = frozenset(
-        k for k in scheme.indices() if block_in_balanced_cone(scheme.block(k), params.rho)
-    )
+    try:
+        boundaries = tuple(block_boundary(params.alpha, params.beta, l) for l in range(K + 1))
+        scheme = BlockScheme(params, d, K, boundaries, frozenset())
+        good = frozenset(
+            k for k in scheme.indices() if block_in_balanced_cone(scheme.block(k), params.rho)
+        )
+    except OverflowError as e:
+        raise ValueError(f"depth {K} at alpha {params.alpha}, beta {params.beta}: {e}") from None
     return BlockScheme(params, d, K, boundaries, good)
 
 
@@ -429,6 +432,19 @@ def block_coupling_samples(
     return BlockCouplingSample(cardinality(B0), s2, t2, xs_eval, eta, e)
 
 
+class Study(NamedTuple):
+    """A checked S - sigma W study: what verify.approximation_error_study runs.
+
+    plans holds (depth, scheme, variances, coupled in-cone corners) per depth.
+    """
+
+    replicates: int
+    exact_phi: bool
+    m_cdf: int
+    bootstrap: int
+    plans: list
+
+
 def study_plans(
     model: FieldModel,
     depths: dom.Naturals,
@@ -439,15 +455,16 @@ def study_plans(
     exact_phi: dom.Flag = False,
     m_cdf: dom.Natural = 10_000,
     bootstrap: dom.Resamples = 1000,
-) -> list[tuple]:
-    """(depth, scheme, variances, coupled in-cone corners) for each depth.
+) -> Study:
+    """The S - sigma W study of these settings, each declared here once.
 
-    The one check of verify.approximation_error_study's values, run by
-    `fieldlab couple` and the approximation_error claim before any work.
-    Raises ValueError naming the argument unless each argument lies in its
-    declared domain, exact_phi is true only with Gaussian innovations, m_cdf
-    is a CdfDraws on the empirical-CDF path, sigma^2 != 0, alpha, beta and
-    tau pass SchemeParams, and every depth has two coupled in-cone corners.
+    The one check of the study's values, run by `fieldlab couple` and the
+    approximation_error claim before any work.  Raises ValueError naming the
+    argument unless each argument lies in its declared domain, exact_phi is
+    true only with Gaussian innovations, m_cdf is a CdfDraws on the
+    empirical-CDF path, sigma^2 != 0, alpha, beta and tau pass SchemeParams,
+    every depth's scheme fits the index range, and every depth has two
+    coupled in-cone corners.
     """
     dom.check_arguments(dom.domains(study_plans), locals())
     if exact_phi:
@@ -456,7 +473,7 @@ def study_plans(
         dom.check_value(dom.CdfDraws, m_cdf, "m_cdf")
     if sigma2(model) == 0:
         raise ValueError("the study needs sigma^2 != 0")
-    params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
+    params = SchemeParams(alpha=alpha, beta=beta, tau=tau)
     plans = []
     for K in depths:
         scheme = build_scheme(params, K, model.d)
@@ -469,5 +486,4 @@ def study_plans(
                 "the slope fit needs at least two"
             )
         plans.append((K, scheme, variances, corners))
-    return plans
-
+    return Study(replicates, exact_phi, m_cdf, bootstrap, plans)

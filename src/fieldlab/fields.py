@@ -181,19 +181,16 @@ def support_radius(model: FieldModel) -> int:
 # sampling
 
 
-def innovations(gen, shape, kind: str, out=None) -> np.ndarray:
-    """Mean-zero unit-variance iid draws of the requested kind.
+def innovations(gen, kind: str, out: np.ndarray) -> np.ndarray:
+    """Mean-zero unit-variance iid draws of the requested kind, written into
+    out (a C-contiguous float64 array) and returned.
 
-    With `out` (a C-contiguous float64 array of the shape) the draws are
-    written into it, with the values and stream use of a fresh draw.  gen is
-    a generator, or an iterable of generators, one per row of out: row i is
-    then drawn from the i-th, and the map to mean 0 and variance 1 is
-    applied once to the whole stack.
+    gen is a generator, or an iterable of generators, one per row of out:
+    row i is then drawn from the i-th, and the map to mean 0 and variance 1
+    is applied once to the whole stack.
     """
     if kind not in _INNOVATIONS:
         raise ValueError(f"unknown innovation kind {kind!r}")
-    if out is None:
-        out = np.empty(shape, dtype=np.float64)
     rows = ((out, gen),) if isinstance(gen, np.random.Generator) else zip(out, gen)
     for row, g in rows:  # out first: zip must not advance gen past the last row
         if kind == "normal":
@@ -251,11 +248,9 @@ def _innovation_shape(model: FieldModel, lengths) -> tuple[int, ...]:
     return tuple(lengths[s] + (hi[s] - lo[s]) for s in range(model.d))
 
 
-def sample_block(
-    model: FieldModel, block: Block, seed: int, replicate: int = 0, tag: str = "field"
-) -> np.ndarray:
+def sample_block(model: FieldModel, block: Block, seed: int, replicate: int = 0) -> np.ndarray:
     """One replicate of the field on a block: row 0 of sample_block_batch."""
-    return sample_block_batch(model, block, seed, range(replicate, replicate + 1), tag)[0]
+    return sample_block_batch(model, block, seed, range(replicate, replicate + 1))[0]
 
 
 def sample_block_batch(
@@ -285,7 +280,7 @@ def sample_block_batch(
     gens = streams(seed, tag, replicates)
     for s in range(0, n, batch):
         k = min(batch, n - s)
-        innovations(gens, None, model.innovation, out=z[:k])
+        innovations(gens, model.innovation, z[:k])
         _field_from_innovations(model, z[:k], lens, out=out[s : s + k])
     return out
 
@@ -295,8 +290,8 @@ def line_segments(model: FieldModel, block: Block, seed: int, replicate: int,
     """One replicate of the field on a block, yielded in axis-0 slabs.
 
     Slab i is the field on the rows (cuts[i], cuts[i+1]] of the block, whose
-    axis 0 is (cuts[0], cuts[-1]], bitwise that slice of sample_block(model,
-    block, seed, replicate, tag): the innovations are drawn from the same
+    axis 0 is (cuts[0], cuts[-1]], bitwise that slice of the replicate's row
+    of sample_block_batch with the tag: the innovations are drawn from the same
     stream in C order, and only the overlap rows of the moving average carry
     to the next slab, so memory is set by the largest slab, not the block.
     The slabs share one reused buffer of the thread: a yielded slab is valid
@@ -308,9 +303,9 @@ def line_segments(model: FieldModel, block: Block, seed: int, replicate: int,
     longest = max(b - a for a, b in zip(cuts, cuts[1:]))
     z = _workspace("segment", (longest + width,) + zshape[1:])
     x = _workspace("line", (longest,) + rest)
-    innovations(gen, None, model.innovation, out=z[:width])
+    innovations(gen, model.innovation, z[:width])
     for a, b in zip(cuts, cuts[1:]):
         n = b - a
-        innovations(gen, None, model.innovation, out=z[width : width + n])
+        innovations(gen, model.innovation, z[width : width + n])
         yield _field_from_innovations(model, z[: width + n], (n,) + rest, out=x[:n])
         z[:width] = z[n : n + width]

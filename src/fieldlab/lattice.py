@@ -47,8 +47,7 @@ class Block:
         for lo, hi in zip(a, b):
             if not (-_INT_CAP < lo < hi < _INT_CAP):
                 raise ValueError(f"degenerate or oversized block: a={a} b={b}")
-        if cardinality(self) >= _INT_CAP:
-            raise OverflowError("block cardinality exceeds the supported index range")
+        cardinality(self)  # raises OverflowError past _INT_CAP
 
     @property
     def d(self) -> int:

@@ -48,7 +48,6 @@ __all__ = [
     "anchored_abs_max",
     "block_cov",
     "block_var",
-    "union_var",
     "variance_defect",
 ]
 
@@ -283,21 +282,6 @@ def block_var(model: FieldModel, V: Block) -> float:
     return block_cov(model, V, V)
 
 
-def union_var(model: FieldModel, blocks: Sequence[Block]) -> float:
-    """Exact var(S(V)) for V a finite union of pairwise disjoint blocks."""
-    zero = (0,) * blocks[0].d
-    for i, P in enumerate(blocks):
-        for Q in blocks[i + 1 :]:
-            if _overlap_count(P, Q, zero) > 0:
-                raise ValueError("blocks must be pairwise disjoint")
-    return float(
-        math.fsum(block_cov(model, P, Q) for P in blocks for Q in blocks)
-    )
-
-
-def variance_defect(model: FieldModel, blocks: Sequence[Block] | Block) -> float:
+def variance_defect(model: FieldModel, V: Block) -> float:
     """Signed finite-size defect sigma^2 - var(S(V)) / |V| (exact)."""
-    if isinstance(blocks, Block):
-        blocks = [blocks]
-    total = sum(cardinality(B) for B in blocks)
-    return sigma2(model) - union_var(model, list(blocks)) / total
+    return sigma2(model) - block_var(model, V) / cardinality(V)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _INT_CAP
+
 __all__ = [
     "MomentParams",
     "SchemeParams",
@@ -31,8 +33,6 @@ __all__ = [
     "block_boundary",
     "choose_scheme",
 ]
-
-_INT_CAP = 2**62
 
 
 @dataclass(frozen=True)
@@ -215,24 +215,25 @@ def choose_scheme(
     mu: float = 0.05,
     delta: float = 0.367,
     gamma1: float = 0.05,
-    alpha_max: int = 10**6,
 ) -> SchemeParams:
-    """Lexicographically smallest integer (alpha, beta) meeting the design constraints.
+    """Lexicographically smallest integer (alpha, beta), alpha <= 10^6, meeting
+    the design constraints.
 
     With rho = tau/8, the constraints are: a gamma0 with
     gamma0 > (1 + 1/rho)(1 - 1/d) and beta > 2*gamma0/rho exists;
     (alpha/beta)(1 - mu*delta/(8(1+delta))) < 1; beta > 6/rho;
     alpha - beta > 6/rho; alpha > 8/(3 tau) - 1; alpha * gamma1 > 2.
     """
-    if d < 1 or tau <= 0 or mu <= 0 or delta <= 0 or gamma1 <= 0:
-        raise ValueError("all scheme inputs must be positive (d >= 1)")
+    if d < 1 or not all(0 < x < math.inf for x in (tau, mu, delta, gamma1)):
+        raise ValueError("tau, mu, delta and gamma1 must be positive and finite (d >= 1)")
     rho = tau / 8.0
     q = mu * delta / (8.0 * (1.0 + delta))
     gamma_min = (1.0 + 1.0 / rho) * (1.0 - 1.0 / d)
     alpha_floor = max(2.0, 8.0 / (3.0 * tau) - 1.0, 2.0 / gamma1)
 
-    alphas = np.arange(3, alpha_max + 1, dtype=np.float64)
-    lo = np.maximum(6.0 / rho, np.maximum(1.0, alphas * (1.0 - q) if q < 1 else 1.0))
+    alphas = np.arange(3, 10**6 + 1, dtype=np.float64)
+    # the growth-ratio bound beta > alpha (1 - q) binds only while q < 1
+    lo = np.maximum(6.0 / rho, np.maximum(1.0, alphas * (1.0 - q)))
     lo = np.maximum(lo, 2.0 * gamma_min / rho)  # beta > 2*gamma0/rho >= this
     hi = alphas - 6.0 / rho  # beta < alpha - 6/rho (< alpha since 6/rho > 0)
     beta_cand = np.floor(lo) + 1.0
@@ -240,7 +241,7 @@ def choose_scheme(
     idx = np.flatnonzero(ok)
     if idx.size == 0:
         raise ValueError(
-            "no feasible (alpha, beta) up to alpha_max; binding constraint is the "
+            "no feasible (alpha, beta) up to alpha = 10^6; binding constraint is the "
             f"width requirement alpha*{q:.3g} > {6.0 / rho + 1:.3g} "
             "(growth-ratio cap vs. separation gap)"
         )

@@ -171,18 +171,18 @@ def require_inputs(check: Callable, arguments: Mapping) -> None:
         check.inputs(bound.arguments)
 
 
-def kolmogorov_distance(sample: np.ndarray, cdf: Callable = ndtr) -> float:
-    """sup |EDF - cdf| with the exact one-sided empirical envelopes."""
+def kolmogorov_distance(sample: np.ndarray) -> float:
+    """sup |EDF - Phi| with the exact one-sided empirical envelopes."""
     x = np.sort(np.asarray(sample, dtype=np.float64))
     m = x.size
-    F = np.asarray(cdf(x), dtype=np.float64)
+    F = ndtr(x)
     i = np.arange(1, m + 1)
     return float(max((F - (i - 1) / m).max(), (i / m - F).max()))
 
 
-def dkw_bound(m: int, level: float = 0.01) -> float:
-    """Empirical-CDF sup-error bound holding with probability 1 - level."""
-    return math.sqrt(math.log(2.0 / level) / (2.0 * m))
+def dkw_bound(m: int) -> float:
+    """Empirical-CDF sup-error bound of m draws holding with probability 0.99."""
+    return math.sqrt(math.log(2.0 / 0.01) / (2.0 * m))
 
 
 def map_replicate_chunks(
@@ -266,7 +266,7 @@ def _slope_fit(x: np.ndarray) -> Callable[[np.ndarray], float]:
 
 
 def _loglog_slope(sizes: np.ndarray, values: np.ndarray) -> float:
-    return float(np.polyfit(np.log(sizes), np.log(values), 1)[0])
+    return float(_slope_fit(np.log(sizes))(np.log(values)))
 
 
 def _model_inputs(model: FieldModel) -> dict:
@@ -757,10 +757,11 @@ def check_clt_distance(
 
 
 def _decay_inputs(arguments: Mapping) -> None:
-    """alpha, beta and tau that SchemeParams takes, and a good top block at
-    each depth, built as check_coupling_error_decay builds it."""
+    """alpha, beta and tau that SchemeParams takes, and at each depth a scheme
+    in the index range with a good top block, built as
+    check_coupling_error_decay builds it."""
     params = SchemeParams(alpha=arguments["alpha"], beta=arguments["beta"],
-                          tau=arguments["tau"], gamma0=1.0)
+                          tau=arguments["tau"])
     d = arguments["model"].d
     for K in arguments["depths"]:
         _require((K,) * d in cpl.build_scheme(params, K, d).good,
@@ -788,7 +789,7 @@ def check_coupling_error_decay(
     One row per depth: the top block's coupling errors on m_eval fresh draws
     against a CDF of m_cdf draws, E e^2 normalized by the block volume.
     """
-    params = SchemeParams(alpha=alpha, beta=beta, tau=tau, gamma0=1.0)
+    params = SchemeParams(alpha=alpha, beta=beta, tau=tau)
     rows = []
     for K in depths:
         scheme = cpl.build_scheme(params, K, model.d)
@@ -868,35 +869,25 @@ _CI_LEVEL = 0.90
 
 
 def approximation_error_study(
-    model: FieldModel,
-    depths: Sequence[int],
-    replicates: int,
-    seed: int,
-    alpha: int = 3,
-    beta: int = 2,
-    tau: float = 1.0,
-    exact_phi: bool = False,
-    m_cdf: int = 10_000,
-    bootstrap: int = 1000,
-    workers: int = 1,
+    model: FieldModel, study: cpl.Study, seed: int, workers: int
 ) -> list[dict]:
     """Log-log decay rate of the partial-sum vs Wiener discrepancy.
 
-    For each depth of coupling.study_plans, couples `replicates` independent
-    runs, measures err = S(0, N] - sigma W(0, N] at every good in-cone
-    corner N, and regresses log median|err| on log volume.  The slope's
-    bootstrap confidence interval (over replicates) is attached per depth.
+    For each depth of the checked study (coupling.study_plans), couples
+    study.replicates independent runs, measures err = S(0, N] - sigma W(0, N]
+    at every good in-cone corner N, and regresses log median|err| on log
+    volume.  The slope's bootstrap confidence interval (over replicates) is
+    attached per depth.
 
     Replicates are coupled one per task on `workers` threads through
     coupling.corner_errors, so each thread holds one axis-0 slab of one
     coupled replicate at a time.  The result does not depend on the worker
     count.
     """
+    replicates, bootstrap = study.replicates, study.bootstrap
     out = []
-    for K, scheme, variances, corners in cpl.study_plans(
-        model, depths, replicates, alpha, beta, tau, exact_phi, m_cdf, bootstrap
-    ):
-        cdfs = cpl.cdf_table(model, scheme, variances, m_cdf, seed, exact_phi)
+    for K, scheme, variances, corners in study.plans:
+        cdfs = cpl.cdf_table(model, scheme, variances, study.m_cdf, seed, study.exact_phi)
         cards = np.array([math.prod(scheme.corner(k)) for k in corners], dtype=np.float64)
 
         # a coupled replicate runs on its own, so a task of several would
@@ -963,10 +954,9 @@ def check_approximation_error(
     workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Bootstrap CI of the S - sigma W decay slope stays below 1/2."""
-    studies = approximation_error_study(
-        model, depths, replicates, seed,
-        exact_phi=exact_phi, m_cdf=m_cdf, bootstrap=bootstrap, workers=workers,
-    )
+    study = cpl.study_plans(model, depths, replicates, exact_phi=exact_phi, m_cdf=m_cdf,
+                            bootstrap=bootstrap)
+    studies = approximation_error_study(model, study, seed, workers)
     rows = [
         {"depth": s["depth"], "top_volume": s["cards"][-1], "slope": s["slope"],
          "ci_low": s["ci_low"], "ci_high": s["ci_high"]}

@@ -128,6 +128,20 @@ class TestTheory:
         assert main(["theory", "--p", "5", "--tau", "inf"]) == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_growth_cap_that_never_binds(self, capsys):
+        # q = mu delta / (8 (1 + delta)) >= 1: beta > alpha (1 - q) always holds
+        assert main(["theory", "--p", "5", "--mu", "100"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["alpha"], doc["beta"], doc["gamma0"]) == (98, 49, 1.53125)
+
+    # a non-finite --tau: test_rejects_infinite_tau
+    @pytest.mark.parametrize("flag", ["--mu", "--gamma1"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_non_finite_scheme_inputs(self, capsys, flag, value):
+        assert main(["theory", "--p", "5", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and captured.out == ""
+
     def test_missing_required_flag(self):
         assert main(["theory"]) == 2
 
@@ -210,12 +224,12 @@ class TestConfigValidation:
         {"exact_phi": "false"}, {"exact_phi": 0}, {"replicates": 1},
         {"exact_phi": True}, {"m_cdf": 50},
         {"bootstrap": 0}, {"bootstrap": 20.5}, {"replicates": 2.5},
-        {"m_cdf": 150.5}, {"depths": []},
+        {"m_cdf": 150.5}, {"depths": []}, {"alpha": 40, "depths": [8]},
     ], ids=["tau-string", "tau-negative", "tau-zero", "tau-bool",
             "exact_phi-string", "exact_phi-int", "replicates-one",
             "exact_phi-exponential", "m_cdf-50",
             "bootstrap-zero", "bootstrap-float", "replicates-float",
-            "m_cdf-float", "depths-empty"])
+            "m_cdf-float", "depths-empty", "alpha-overflow"])
     def test_bad_couple_values(self, tmp_path, capsys, bad):
         path = write_config(
             tmp_path,
@@ -341,6 +355,7 @@ class TestConfigValidation:
         ("maximal_growth", {"delta": -5.0}, "delta", NORMAL),
         ("clt_distance", {"replicates": True}, "replicates", NORMAL),
         ("variance_ratio", {"N_small": -3}, "N_small", NORMAL),
+        ("coupling_error_decay", {"depths": [3, 5], "alpha": 40}, "alpha 40", NORMAL),
     ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
             "m_cdf-50", "decay-m_cdf-50", "bootstrap-zero", "bootstrap-float",
             "replicates-float", "m_cdf-float", "depths-empty", "clt-sigma2-zero",
@@ -358,7 +373,8 @@ class TestConfigValidation:
             "variance_defect-edges-zero", "second_moment-sizes-empty", "invsum-dims-empty",
             "tail-xs-empty", "moment-delta-string", "decay-d2-top-block",
             "dependence-default-geometries-d2", "variance_defect-edges-float",
-            "maximal-delta-negative", "clt-replicates-bool", "variance_ratio-N_small-negative"])
+            "maximal-delta-negative", "clt-replicates-bool", "variance_ratio-N_small-negative",
+            "decay-alpha-overflow"])
     def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
                                                    match, model):
         # the valid claim listed first takes no model, so it is valid on every one

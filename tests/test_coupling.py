@@ -250,10 +250,9 @@ class TestStudies:
         assert all(r["se_e2"] > 0 for r in rows)
 
     def test_approximation_error_structure(self, gauss_model):
-        out = approximation_error_study(
-            gauss_model, depths=(16,), replicates=50, seed=6,
-            exact_phi=True, bootstrap=200,
-        )
+        study = coupling.study_plans(gauss_model, depths=(16,), replicates=50,
+                                     exact_phi=True, bootstrap=200)
+        out = approximation_error_study(gauss_model, study, seed=6, workers=1)
         (row,) = out
         assert row["depth"] == 16
         assert row["cards"][-1] > 10_000
@@ -352,8 +351,9 @@ class TestCornerErrors:
         # run_coupling does, peaked at 65 MiB
         tracemalloc.start()
         try:
-            approximation_error_study(gauss_model, depths=(48,), replicates=2, seed=1,
-                                      exact_phi=True, bootstrap=20, workers=1)
+            study = coupling.study_plans(gauss_model, depths=(48,), replicates=2,
+                                         exact_phi=True, bootstrap=20)
+            approximation_error_study(gauss_model, study, seed=1, workers=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,7 +365,7 @@ class TestCornerErrors:
         # workspace, so its buffers are counted.
         model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
         ((_, scheme, variances, corners),) = coupling.study_plans(
-            model, depths=(7,), replicates=2, exact_phi=True)
+            model, depths=(7,), replicates=2, exact_phi=True).plans
         cdfs = cdf_table(model, scheme, variances, 100, seed=0, exact_phi=True)
         peak = []
 
@@ -406,8 +406,9 @@ class TestCornerErrors:
         # Wiener slab holds it.  Sizing every buffer to it, with a
         # longdouble prefix of the slab, peaked at 4.7 MiB
         peak = self._fresh_thread_peak(lambda: approximation_error_study(
-            gauss_model, depths=(48,), replicates=2, seed=1, exact_phi=True,
-            bootstrap=20, workers=1))
+            gauss_model, coupling.study_plans(gauss_model, depths=(48,), replicates=2,
+                                              exact_phi=True, bootstrap=20),
+            seed=1, workers=1))
         assert peak < 3.5 * 2**20
 
     def test_d2_buffers_hold_one_block_row(self):
@@ -416,7 +417,7 @@ class TestCornerErrors:
         # peaked at 39.8 MiB
         model = linear_ma_model(2, {(0, 0): 1.0, (1, 0): -0.3})
         ((_, scheme, variances, corners),) = coupling.study_plans(
-            model, depths=(8,), replicates=2, exact_phi=True)
+            model, depths=(8,), replicates=2, exact_phi=True).plans
         cdfs = cdf_table(model, scheme, variances, 100, seed=0, exact_phi=True)
         peak = self._fresh_thread_peak(
             lambda: corner_errors(model, scheme, 0, 0, variances, cdfs, corners))

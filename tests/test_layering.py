@@ -12,15 +12,17 @@ fields owns the per-thread workspace of reused buffers; sums and coupling
 fill it through fields._workspace, and verify and cli reach it only
 through the public kernels.  The workspace's slots are one listed set, so
 a thread's buffers, and what it keeps between tasks, change only with it.
-The CLI's couple section is the S - sigma W study's parameters, and only
-coupling.study_plans checks their values.  Below that gate only
-coupling.cdf_table chooses how a coupled block's xi is mapped.  src/ holds
-no API that only tests call.  verify is the one writer of the canonical
-format: every file the lab writes, and the table that theory prints.
+The CLI's couple section is the S - sigma W study's parameters, declared on
+coupling.study_plans alone, which checks their values; the study runs what
+it returns.  Below that gate only coupling.cdf_table chooses how a coupled
+block's xi is mapped.  src/ holds no API, and no default, that only tests
+set or call.  verify is the one writer of the canonical format: every file
+the lab writes, and the table that theory prints.
 """
 
 import ast
 import inspect
+import math
 import os
 import subprocess
 import sys
@@ -53,6 +55,12 @@ WORKSPACE_SLOTS = {
 # public methods and properties that src/ does not read, with the reason each stays
 UNREAD_MEMBERS = {
     ("coupling", "EmpiricalCdf", "m"): "perfbench/tracer.py counts the CDF draws by it",
+}
+
+# public functions whose defaults no call in src/ sets, with the reason each stays
+UNSET_DEFAULTS = {
+    ("cli", "main"): "the console entry point: __main__ calls it with no argv, "
+                     "so argparse reads sys.argv",
 }
 
 # what writes a file or formats one: verify's canonical writers alone use them
@@ -225,11 +233,15 @@ def test_couple_checks_no_values():
 
 
 def test_couple_keys_are_the_study_parameters():
+    """The couple keys are study_plans' parameters, and the study runs the
+    checked study it returns: it restates none of them but the model."""
     from fieldlab import cli
+    from fieldlab.coupling import study_plans
     from fieldlab.verify import approximation_error_study
 
-    params = set(inspect.signature(approximation_error_study).parameters)
-    assert cli._COUPLE_KEYS == params - {"model", "seed", "workers"}
+    params = set(inspect.signature(study_plans).parameters)
+    assert cli._COUPLE_KEYS == params - {"model"}
+    assert set(inspect.signature(approximation_error_study).parameters) & params == {"model"}
 
 
 def test_only_the_cdf_table_and_the_gate_read_exact_phi():
@@ -270,6 +282,47 @@ def test_src_holds_no_api_that_only_tests_call(module):
     ]
     assert not unread
     assert {key for key in UNREAD_MEMBERS if key[0] == module} <= set(members)
+
+
+def calls_in_src():
+    """(callee name, positional arguments, keywords) of each call in src/: a
+    starred argument counts as every position, and ** as the keyword None."""
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                yield name, math.inf if starred else len(node.args), {
+                    k.arg for k in node.keywords}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_default_is_set_in_src(module):
+    """A defaulted parameter of a public function is set by some call in
+    src/, by keyword, by position or through **: a default that only tests
+    change is a constant.  The registered checkers are exempt: the CLI
+    builds their arguments from verify.overrides, whose keys are their
+    parameters.  UNSET_DEFAULTS lists the other exemptions."""
+    from fieldlab.verify import CLAIMS
+
+    exempt = {("verify", fn.__name__) for fn in CLAIMS.values()} | set(UNSET_DEFAULTS)
+    calls = list(calls_in_src())
+    unset = []
+    for fn in TREES[module].body:
+        if (not isinstance(fn, ast.FunctionDef) or fn.name not in public_names(module)
+                or (module, fn.name) in exempt):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(math.inf, a.arg) for a, default in
+                      zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+        unset += [f"{fn.name}({arg})" for i, arg in defaulted
+                  if not any(name == fn.name and (i < n or arg in kw or None in kw)
+                             for name, n, kw in calls)]
+    assert not unset
+    assert {key for key in UNSET_DEFAULTS if key[0] == module} <= {
+        (module, fn.name) for fn in TREES[module].body if isinstance(fn, ast.FunctionDef)}
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -15,7 +15,6 @@ from fieldlab.sums import (
     max_sub_block,
     partial_sum,
     sum_and_max,
-    union_var,
     variance_defect,
 )
 from fieldlab.verify import check_maximal_inequality, check_variance_ratio
@@ -400,19 +399,11 @@ class TestExactVariance:
         )
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    def test_union_var_requires_disjoint(self, ma_model):
-        with pytest.raises(ValueError):
-            union_var(ma_model, [Block((0,), (4,)), Block((3,), (6,))])
-
-    def test_union_var_adjacent_blocks(self, ma_model):
-        got = union_var(ma_model, [Block((0,), (4,)), Block((4,), (8,))])
-        assert got == pytest.approx(block_var(ma_model, Block((0,), (8,))), rel=1e-12)
-
     def test_defect_is_signed_and_exact(self, ma_model):
-        assert variance_defect(ma_model, [Block((0,), (100,))]) == pytest.approx(
+        assert variance_defect(ma_model, Block((0,), (100,))) == pytest.approx(
             -0.01, rel=1e-12
         )
-        assert variance_defect(ma_model, [Block((0,), (10,))]) == pytest.approx(
+        assert variance_defect(ma_model, Block((0,), (10,))) == pytest.approx(
             -0.1, rel=1e-12
         )
 

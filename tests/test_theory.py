@@ -169,4 +169,4 @@ class TestChooseScheme:
 
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):
-            choose_scheme(1, 1.0, mu=1e-9, delta=1e-9, gamma1=1.0, alpha_max=1000)
+            choose_scheme(1, 1.0, mu=1e-9, delta=1e-9, gamma1=1.0)

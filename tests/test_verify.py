@@ -64,7 +64,7 @@ class TestStatisticsHelpers:
         assert kolmogorov_distance(sample) > 0.3
 
     def test_dkw_formula(self):
-        assert dkw_bound(10_000, level=0.01) == pytest.approx(
+        assert dkw_bound(10_000) == pytest.approx(
             math.sqrt(math.log(200.0) / 20_000.0)
         )
 
@@ -93,7 +93,7 @@ class TestStatisticsHelpers:
         from fieldlab.coupling import study_plans
         from fieldlab.fields import iid_model
 
-        ((_, scheme, _, corners),) = study_plans(iid_model(1), (depth,), 2, exact_phi=True)
+        ((_, scheme, _, corners),) = study_plans(iid_model(1), (depth,), 2, exact_phi=True).plans
         x = np.log([float(math.prod(scheme.corner(k))) for k in corners])
         fit = verify_mod._slope_fit(x)
         gen = np.random.default_rng(depth)
