@@ -73,12 +73,11 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _config_value(kind, value, name: str):
-    """value, if it lies in the domain that the Annotated type kind declares."""
+    """value as parsed by the domain that the Annotated type kind declares."""
     try:
-        check_value(kind, value, name)
+        return check_value(kind, value, name)
     except ValueError as e:
         raise ConfigError(str(e))
-    return value
 
 
 def load_config(path: str) -> dict:
@@ -165,7 +164,7 @@ def _log(msg: str) -> None:
 
 def _cmd_theory(args) -> int:
     try:
-        params = MomentParams(d=args.d, p=args.p, lam=args.lam, c0=args.c0)
+        params = MomentParams(d=args.d, p=args.p, lam=args.lam)
         delta = choose_delta(params)
         scheme = choose_scheme(args.d, args.tau, mu=args.mu, delta=delta,
                                gamma1=args.gamma1)
@@ -251,15 +250,10 @@ def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int)
     overrides = cfg.get("verify", {}).get("overrides", {}) or {}
     extra = overrides.get(claim, {})
     _check_keys(extra, set(fn.domains), f"verify.overrides.{claim}")
-    for key, value in extra.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
     try:
-        verify_mod.require_inputs(fn, kwargs)
+        return verify_mod.require_inputs(fn, {**kwargs, **extra})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"verify.overrides.{claim}: {e}")
-    return kwargs
 
 
 def _cmd_verify(args) -> int:
@@ -297,12 +291,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_couple(args) -> int:
     """The S - sigma W study on the couple section: load_config checks its keys,
-    and coupling.study_plans alone its values, before the output directory."""
+    and coupling.study_plans alone declares their defaults and checks their
+    values, before the output directory."""
     cfg, section = _load(args, "couple")
     model = build_model(cfg)
     try:
-        study = study_plans(model, **{"depths": [8], "replicates": 100, **section})
-    except (TypeError, ValueError) as e:
+        study = study_plans(model, **section)
+    except ValueError as e:
         raise ConfigError(f"couple: {e}")
     outdir = _resolve_outdir(args, cfg)
     studies = verify_mod.approximation_error_study(model, study, cfg["seed"], _workers(cfg))
@@ -357,7 +352,6 @@ def _parser() -> argparse.ArgumentParser:
     p_theory.add_argument("--lambda", dest="lam", type=float, default=2.0,
                           help="dependence decay exponent")
     p_theory.add_argument("--d", type=int, default=1, help="lattice dimension")
-    p_theory.add_argument("--c0", type=float, default=1.5, help="decay constant")
     p_theory.add_argument("--tau", type=float, default=1.0, help="cone parameter")
     p_theory.add_argument("--mu", type=float, default=0.05, help="growth margin")
     p_theory.add_argument("--gamma1", type=float, default=0.05,

@@ -447,8 +447,8 @@ class Study(NamedTuple):
 
 def study_plans(
     model: FieldModel,
-    depths: dom.Naturals,
-    replicates: dom.Replicates2,
+    depths: dom.Naturals = (8,),
+    replicates: dom.Replicates2 = 100,
     alpha: dom.Exponent = 3,
     beta: dom.Exponent = 2,
     tau: dom.PositiveReal = 1.0,

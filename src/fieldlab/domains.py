@@ -1,10 +1,12 @@
 """Declared domains of the lab's parameters.
 
 A parameter declares its domain once, on itself, as Annotated[T, domain]
-through the aliases below (`replicates: Replicates2`).  A domain checks each
-value on its own, never an order between values or the work they cost, and
-raises ValueError naming the parameter; sizes and index sets must lie in
-the dimension of the call's model.
+through the aliases below (`replicates: Replicates2`).  A domain parses each
+value on its own, never an order between values or the work they cost: it
+returns the value in the form the checkers read, or raises ValueError naming
+the parameter.  Sizes and index sets must lie in the dimension of the call's
+model.  Parsing is idempotent, so a parsed value passes its domain again
+unchanged.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ class Count:
     need: str = ""
     maximum: float = math.inf
 
-    def check(self, value, name: str, d: int | None) -> None:
+    def check(self, value, name: str, d: int | None) -> int:
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or not self.minimum <= value <= self.maximum):
             cap = f" and <= {self.maximum}" if self.maximum < math.inf else ""
             _fail(name, f"an integer >= {self.minimum}{cap}", self.need)
+        return value
 
 
 @dataclass(frozen=True)
@@ -61,11 +64,12 @@ class Positive:
 
     maximum: float = math.inf
 
-    def check(self, value, name: str, d: int | None) -> None:
+    def check(self, value, name: str, d: int | None) -> float:
         if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                 or not 0 < value < math.inf or value > self.maximum):
             _fail(name, "a positive finite number"
                   + (f" <= {self.maximum}" if self.maximum < math.inf else ""))
+        return value
 
 
 @dataclass(frozen=True)
@@ -75,61 +79,89 @@ class OneOf:
     values: tuple
     what: str
 
-    def check(self, value, name: str, d: int | None) -> None:
+    def check(self, value, name: str, d: int | None):
         if not any(type(value) is type(v) and value == v for v in self.values):
             _fail(name, self.what)
+        return value
 
 
 @dataclass(frozen=True)
 class Seq:
-    """A list of at least `points` values, each in the domain `item`."""
+    """A list of at least `points` values, each in the domain `item`: the
+    tuple of the parsed values."""
 
     item: object
     points: int = 1
     need: str = ""
 
-    def check(self, value, name: str, d: int | None) -> None:
+    def check(self, value, name: str, d: int | None) -> tuple:
         if not isinstance(value, _LIST) or len(value) < self.points:
             _fail(name, f"a list of at least {self.points} value(s)", self.need)
-        for x in value:
-            self.item.check(x, name, d)
+        return tuple(self.item.check(x, name, d) for x in value)
 
 
 @dataclass(frozen=True)
 class Size:
-    """The block (0, n] of n >= 1 cells in d = 1; unless `scalar`, also a
-    list of edges >= 1 or a Block, in the model's dimension."""
+    """The block (0, n] of n >= 1 cells, or a Block, in d = 1; unless
+    `scalar`, also the block at the origin of a list of edges >= 1, or a
+    Block, in the model's dimension.  A Block stays as it is."""
 
     scalar: bool = False
 
-    def check(self, value, name: str, d: int | None) -> None:
-        edges = [value] if self.scalar or not isinstance(value, _LIST) else value
-        if isinstance(value, Block) and not self.scalar:
+    def check(self, value, name: str, d: int | None) -> Block:
+        if isinstance(value, Block) and (value.d == 1 or not self.scalar):
             edges = value.lengths
+        else:
+            edges = value if isinstance(value, _LIST) and not self.scalar else [value]
         for x in edges:
             Count(1).check(x, name, d)
         _in_dimension(name, len(edges), d)
+        if isinstance(value, Block):
+            return value
+        try:
+            return Block((0,) * len(edges), tuple(edges))
+        except (OverflowError, ValueError):
+            _fail(name, "a block of fewer than 2^62 cells")
+
+
+# five standard block pairs (0, i], (j, k] at sup-norm distances 1 and 2 in d = 1
+_DEFAULT_PAIRS = tuple((Block((0,), (i,)), Block((j,), (k,))) for i, j, k in
+                       [(1, 1, 2), (3, 3, 4), (4, 4, 8), (4, 5, 9), (10, 10, 13)])
 
 
 @dataclass(frozen=True)
 class Geometries:
-    """None (the default pairs), or a nonempty list of pairs (I, J) of index
-    sets: Blocks, or nonempty lists of integer points, in the model's dimension."""
+    """None (the default pairs, in d = 1 only), or a nonempty list of pairs
+    (I, J) of disjoint index sets of distinct points: Blocks, or nonempty
+    lists of integer points, in the model's dimension.  Each set becomes the
+    int64 array of its points, one row each."""
 
-    def check(self, value, name: str, d: int | None) -> None:
+    def check(self, value, name: str, d: int | None) -> tuple:
         if value is None:
-            return
+            if d not in (None, 1):
+                _fail(name, f"given in d = {d}", "the default pairs are defined for d = 1")
+            value = _DEFAULT_PAIRS
         if not (isinstance(value, _LIST) and value
                 and all(isinstance(pair, _LIST) and len(pair) == 2 for pair in value)):
             _fail(name, "a nonempty list of index-set pairs")
-        for s in (s for pair in value for s in pair):
+        return tuple(self._pair(pair, name, d) for pair in value)
+
+    @staticmethod
+    def _pair(pair, name: str, d: int | None) -> tuple:
+        points = []
+        for s in pair:
             try:
-                pts = np.asarray([s.a] if isinstance(s, Block) else s)
+                pts = s.points() if isinstance(s, Block) else np.asarray(s)
             except ValueError:  # ragged point lists
                 pts = np.asarray(None)
             if pts.size == 0 or pts.dtype.kind not in "iu" or pts.ndim not in (1, 2):
                 _fail(name, "a list of pairs of nonempty integer point lists")
-            _in_dimension(name, pts.shape[1] if pts.ndim == 2 else 1, d)
+            pts = pts.astype(np.int64).reshape(len(pts), -1)
+            _in_dimension(name, pts.shape[1], d)
+            points.append(pts)
+        if len(np.unique(np.concatenate(points), axis=0)) < len(points[0]) + len(points[1]):
+            _fail(name, "a list of pairs of disjoint sets of distinct points")
+        return tuple(points)
 
 
 FIT = "a slope fit or decrease test needs at least two points"
@@ -167,14 +199,13 @@ def domains(fn) -> dict:
             if hasattr(p.annotation, "__metadata__")}
 
 
-def check_arguments(declared: Mapping, arguments: Mapping) -> None:
-    """Check each argument that has a declared domain against it."""
+def check_arguments(declared: Mapping, arguments: Mapping) -> dict:
+    """The arguments, each one that has a declared domain parsed by it."""
     d = getattr(arguments.get("model"), "d", None)
-    for name, domain in declared.items():
-        if name in arguments:
-            domain.check(arguments[name], name, d)
+    return {name: declared[name].check(value, name, d) if name in declared else value
+            for name, value in arguments.items()}
 
 
-def check_value(kind, value, name: str) -> None:
-    """Check one value against the domain of the Annotated type `kind`."""
-    kind.__metadata__[0].check(value, name, None)
+def check_value(kind, value, name: str):
+    """One value parsed by the domain of the Annotated type `kind`."""
+    return kind.__metadata__[0].check(value, name, None)

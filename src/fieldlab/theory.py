@@ -37,12 +37,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentParams:
-    """Moment hypotheses: order p, decay c0 * r^-lambda."""
+    """Moment hypotheses: dimension d, order p, decay exponent lambda."""
 
     d: int
     p: float
     lam: float
-    c0: float = 1.5
 
     def __post_init__(self):
         if self.d < 1:
@@ -51,8 +50,6 @@ class MomentParams:
             raise ValueError("moment order p must exceed 2")
         if not self.lam > 0:
             raise ValueError("decay exponent lambda must be positive")
-        if not self.c0 > 1:
-            raise ValueError("decay constant c0 must exceed 1")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ from .fields import (
     sigma2,
     support_radius,
 )
-from .lattice import Block, _as_points, cardinality, dist, inv_norm_sum, inv_norm_sum_bound
+from .lattice import Block, cardinality, dist, inv_norm_sum, inv_norm_sum_bound
 from .rng import stream
 from .sums import block_var, prefix_at, sum_and_max, variance_defect
 from .theory import SchemeParams, moricz_a
@@ -81,7 +81,6 @@ __all__ = [
     "approximation_error_study",
     "check_approximation_error",
     "check_lil",
-    "default_geometries",
     "canonical_json",
     "write_json",
     "write_csv",
@@ -131,7 +130,9 @@ def _claim(claim_id: str, statement: str,
     model declares its domain (see domains), resolved here once.  `inputs`
     raises on the claim's own rules that no domain states.  Every call runs
     both through require_inputs before any work, and a caller can run
-    require_inputs alone before any claim runs.
+    require_inputs alone before any claim runs.  The checker body receives
+    the parsed values that require_inputs returns: a size as its Block, a
+    list as a tuple, index sets as point arrays.
     """
 
     def register(check):
@@ -139,9 +140,9 @@ def _claim(claim_id: str, statement: str,
 
         @functools.wraps(check)
         def run(*args, **kwargs) -> VerificationReport:
-            require_inputs(run, sig.bind(*args, **kwargs).arguments)
+            arguments = require_inputs(run, sig.bind(*args, **kwargs).arguments)
             t0 = time.perf_counter()
-            report = check(*args, **kwargs)
+            report = check(**arguments)
             return dataclasses.replace(
                 report, passed=bool(report.passed), rows=tuple(report.rows),
                 claim_id=claim_id, statement=statement,
@@ -161,14 +162,15 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def require_inputs(check: Callable, arguments: Mapping) -> None:
-    """Check the checker's arguments and defaults against their domains, then
-    run its registered input check."""
+def require_inputs(check: Callable, arguments: Mapping) -> dict:
+    """The checker's arguments and defaults, parsed by their domains, once its
+    registered input check has passed on them."""
     bound = inspect.signature(check).bind_partial(**arguments)
     bound.apply_defaults()
-    dom.check_arguments(check.domains, bound.arguments)
+    parsed = dom.check_arguments(check.domains, bound.arguments)
     if check.inputs is not None:
-        check.inputs(bound.arguments)
+        check.inputs(parsed)
+    return parsed
 
 
 def kolmogorov_distance(sample: np.ndarray) -> float:
@@ -213,14 +215,6 @@ def map_replicate_chunks(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda span: kernel(*span), spans))
     return np.concatenate(parts, axis=0)
-
-
-def _ladder_block(size) -> Block:
-    """A Block as it is, else the block (0, size] of a size or edge list."""
-    if isinstance(size, Block):
-        return size
-    edges = size if isinstance(size, (tuple, list)) else (size,)
-    return Block((0,) * len(edges), tuple(int(x) for x in edges))
 
 
 def _sum_max_samples(
@@ -292,18 +286,6 @@ def _envelope_inputs(arguments: Mapping) -> None:
 # dependence
 
 
-def default_geometries(model: FieldModel) -> list[tuple[Block, Block]]:
-    """Five standard block pairs at sup-norm distances 1 and 2 (d = 1)."""
-    _require(model.d == 1, "default geometries are defined for d = 1")
-    return [
-        (Block((0,), (1,)), Block((1,), (2,))),
-        (Block((0,), (3,)), Block((3,), (4,))),
-        (Block((0,), (4,)), Block((4,), (8,))),
-        (Block((0,), (4,)), Block((5,), (9,))),
-        (Block((0,), (10,)), Block((10,), (13,))),
-    ]
-
-
 def _draw_coefficients(gen: np.random.Generator, n: int) -> tuple[np.ndarray, float]:
     """Uniform coefficients normalized to unit l1 mass; exact Lip = max |c_i|."""
     c = gen.uniform(-1.0, 1.0, n)
@@ -315,12 +297,6 @@ def _draw_coefficients(gen: np.random.Generator, n: int) -> tuple[np.ndarray, fl
     return c, float(np.abs(c).max())
 
 
-def _dependence_inputs(arguments: Mapping) -> None:
-    """Default geometries exist in d = 1 only."""
-    if arguments["geometries"] is None:
-        default_geometries(arguments["model"])
-
-
 def _dependence_report(
     model: FieldModel,
     geometries,
@@ -329,7 +305,7 @@ def _dependence_report(
     seed: int,
     noise: str | None,
 ) -> VerificationReport:
-    """One row per geometry g = (I, J), drawn from seed + g.
+    """One row per geometry g = (I, J) of point arrays, drawn from seed + g.
 
     Draws `pairs` random clamped-linear (f, g) couples and estimates
     cov(f(X_I), g(X_J)) over `replicates` draws of X, plus the noise field
@@ -337,10 +313,8 @@ def _dependence_report(
     standard errors, and its ratio |cov| / bound counts when the bound is
     positive.
     """
-    geometries = default_geometries(model) if geometries is None else geometries
     rows = []
-    for g, (I, J) in enumerate(geometries):
-        pts_i, pts_j = _as_points(I), _as_points(J)
+    for g, (pts_i, pts_j) in enumerate(geometries):
         r = dist(pts_i, pts_j)
         theta_r = cox_grimmett(model, r)
         both = np.concatenate([pts_i, pts_j], axis=0)
@@ -390,7 +364,6 @@ def _dependence_report(
     "dependence_bound",
     "Covariance of clamped-linear functionals on disjoint index sets is "
     "bounded by Lip(f) Lip(g) min(|I|,|J|) theta_r at r = dist(I, J).",
-    inputs=_dependence_inputs,
 )
 def check_dependence(
     model: FieldModel,
@@ -407,7 +380,6 @@ def check_dependence(
     "noise_stability",
     "Adding an independent iid field leaves the covariance bound with "
     "the original field's theta coefficients intact.",
-    inputs=_dependence_inputs,
 )
 def check_noise_stability(
     model: FieldModel,
@@ -436,8 +408,7 @@ def _growth_report(
     q = 2.0 + delta
     rows = []
     dominated = True
-    for size in ladder:
-        V = _ladder_block(size)
+    for V in ladder:
         card = cardinality(V)
         sums, maxima = _sum_max_samples(
             model, V, replicates, seed, f"moment:{card}", workers, want_max
@@ -547,14 +518,12 @@ def check_variance_ratio(
     seed: dom.Seed = 0,
 ) -> VerificationReport:
     """Monte Carlo var(S_N)/[N] against the exact ratio and its limit."""
-    V = _ladder_block(N)
-    Vs = _ladder_block(N_small)
-    sums, _ = _sum_max_samples(model, V, replicates, seed, "var-ratio", 1, False)
-    card, card_small = cardinality(V), cardinality(Vs)
+    sums, _ = _sum_max_samples(model, N, replicates, seed, "var-ratio", 1, False)
+    card, card_small = cardinality(N), cardinality(N_small)
     est = float(np.var(sums, ddof=1) / card)
     se = _jackknife_var_se(sums) / card
-    exact_big = block_var(model, V) / card
-    exact_small = block_var(model, Vs) / card_small
+    exact_big = block_var(model, N) / card
+    exact_small = block_var(model, N_small) / card_small
     s2 = sigma2(model)
     agree = abs(est - exact_big) <= 3.0 * se
     approach = abs(exact_big - s2) <= abs(exact_small - s2) + 1e-12
@@ -593,15 +562,14 @@ def check_second_moment(
     d2 = covariance(model, (0,) * model.d)
     rows = []
     ok = True
-    for n in sizes:
-        V = _ladder_block(n)
+    for V in sizes:
         var = block_var(model, V)
         bound = (d2 + c0) * cardinality(V)
         ok &= var <= bound + 1e-9
         rows.append({"card": cardinality(V), "var": var, "bound": bound})
     return VerificationReport(
         inputs={"model": _model_inputs(model), "c0": c0, "lambda": lam,
-                "sizes": [int(x) for x in sizes]},
+                "sizes": [r["card"] for r in rows]},
         statistics={"max_var_to_bound": max(r["var"] / r["bound"] for r in rows)},
         oracle={"d2": d2},
         tolerance={"slack": 1e-9},
@@ -621,8 +589,8 @@ def check_variance_defect(
     """Exact per-cell variance defect shrinking with the minimal edge."""
     rows = []
     scaled = []
-    for l in edges:
-        V = _ladder_block(l)
+    for V in edges:
+        (l,) = V.lengths
         defect = variance_defect(model, V)
         scaled.append(abs(defect) * math.sqrt(l))
         rows.append(
@@ -633,7 +601,7 @@ def check_variance_defect(
         scaled[i + 1] <= scaled[i] + 1e-12 for i in range(len(scaled) - 1)
     )
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "edges": [int(x) for x in edges]},
+        inputs={"model": _model_inputs(model), "edges": [r["edge"] for r in rows]},
         statistics={"scaled_defects": scaled},
         oracle={"sigma2": sigma2(model)},
         tolerance={"monotone": "defect*sqrt(edge) nonincreasing"},
@@ -729,8 +697,7 @@ def check_clt_distance(
 ) -> VerificationReport:
     """Kolmogorov distance of standardized S_N to the normal on a ladder."""
     rows = []
-    for size in ladder:
-        V = _ladder_block(size)
+    for V in ladder:
         sums, _ = _sum_max_samples(
             model, V, replicates, seed, f"clt:{cardinality(V)}", workers, False
         )
@@ -835,7 +802,6 @@ def check_tail_bound(
     workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Empirical tail of M(V)/sqrt|V| against the power-law envelope."""
-    V = _ladder_block(V)
     _, maxima = _sum_max_samples(model, V, replicates, seed, "tail", workers, True)
     scale = math.sqrt(cardinality(V))
     rows = []

@@ -8,14 +8,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldlab
+from fieldlab import domains
 from fieldlab import verify as verify_mod
 from fieldlab.cli import main
 from fieldlab.domains import Count, Geometries, OneOf, Positive, Seq, Size
+from fieldlab.lattice import Block
 
 
 def write_config(tmp_path, **extra):
@@ -103,6 +106,47 @@ def test_values_outside_a_domain_exit_two(claim, name, data):
         assert code == 2
         assert f"{name} must be" in err.getvalue()
         assert not out.exists()
+
+
+# (domain, value inside it, model dimension): one or more per domain class
+PARSED = [
+    (Count(1), 3, 1), (Positive(), 0.5, 1), (OneOf((False, True), "a flag"), True, 1),
+    (Seq(Count(1)), [1, 2], 1), (Seq(Size(), 2), [[4, 4], Block((1, 1), (3, 3))], 2),
+    (Size(), 16, 1), (Size(), [4, 8], 2), (Size(), Block((1, 1), (3, 4)), 2),
+    (Size(scalar=True), 10, 1), (Geometries(), None, 1),
+    (Geometries(), [[[1, 2], [4]]], 1),
+    (Geometries(), [[[[0, 0], [1, 1]], Block((1, 2), (3, 4))]], 2),
+]
+
+
+def test_every_domain_class_is_parsed():
+    classes = {c for c in vars(domains).values() if isinstance(c, type) and hasattr(c, "check")}
+    assert {type(domain) for domain, _, _ in PARSED} == classes
+
+
+@pytest.mark.parametrize("domain, value, d", PARSED,
+                         ids=[type(domain).__name__ for domain, _, _ in PARSED])
+def test_parsing_is_idempotent(domain, value, d):
+    """The CLI's pre-check parses a claim's arguments and the @_claim wrapper
+    parses them again, so a parsed value is its own parse."""
+    parsed = domain.check(value, "x", d)
+    assert parsed is not None
+    again = domain.check(parsed, "x", d)
+    assert type(again) is type(parsed)
+    np.testing.assert_equal(again, parsed)
+
+
+def test_parsed_forms():
+    """A size is its Block at the origin, a list a tuple, an index set the
+    int64 array of its points; None is the five default pairs."""
+    assert Size().check([4, 8], "x", 2) == Block((0, 0), (4, 8))
+    assert Size(scalar=True).check(10, "x", 1) == Block((0,), (10,))
+    assert Seq(Count(1)).check([1, 2], "x", 1) == (1, 2)
+    ((i, j),) = Geometries().check([[[1, 2], Block((2,), (4,))]], "x", 1)
+    np.testing.assert_equal(i, [[1], [2]])
+    np.testing.assert_equal(j, [[3], [4]])
+    assert i.dtype == j.dtype == np.int64
+    assert len(Geometries().check(None, "x", 1)) == 5
 
 
 class TestTheory:
@@ -356,6 +400,15 @@ class TestConfigValidation:
         ("clt_distance", {"replicates": True}, "replicates", NORMAL),
         ("variance_ratio", {"N_small": -3}, "N_small", NORMAL),
         ("coupling_error_decay", {"depths": [3, 5], "alpha": 40}, "alpha 40", NORMAL),
+        # these three ran at r = 0, or counted a repeated point in min(|I|, |J|)
+        ("dependence_bound", {"geometries": [[[1], [1]]], "replicates": 500}, "disjoint",
+         NORMAL),
+        ("dependence_bound", {"geometries": [[[0, 1, 2], [2, 3]]], "replicates": 500},
+         "disjoint", NORMAL),
+        ("dependence_bound", {"geometries": [[[1, 1], [3]]], "replicates": 500},
+         "distinct points", NORMAL),
+        # exited 3 when the checker built the block
+        ("moment_growth", {"ladder": [16, 2**62]}, "fewer than 2^62 cells", NORMAL),
     ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
             "m_cdf-50", "decay-m_cdf-50", "bootstrap-zero", "bootstrap-float",
             "replicates-float", "m_cdf-float", "depths-empty", "clt-sigma2-zero",
@@ -374,7 +427,8 @@ class TestConfigValidation:
             "tail-xs-empty", "moment-delta-string", "decay-d2-top-block",
             "dependence-default-geometries-d2", "variance_defect-edges-float",
             "maximal-delta-negative", "clt-replicates-bool", "variance_ratio-N_small-negative",
-            "decay-alpha-overflow"])
+            "decay-alpha-overflow", "dependence-shared-point", "dependence-overlap",
+            "dependence-repeated-point", "moment-ladder-oversized"])
     def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
                                                    match, model):
         # the valid claim listed first takes no model, so it is valid on every one

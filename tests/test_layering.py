@@ -17,7 +17,8 @@ coupling.study_plans alone, which checks their values; the study runs what
 it returns.  Below that gate only coupling.cdf_table chooses how a coupled
 block's xi is mapped.  src/ holds no API, and no default, that only tests
 set or call.  verify is the one writer of the canonical format: every file
-the lab writes, and the table that theory prints.
+the lab writes, and the table that theory prints.  domains is the one parser
+of the claims' inputs: verify's checkers read the values it returns.
 """
 
 import ast
@@ -350,3 +351,12 @@ def test_one_summary_writer():
     readers = {owner for owner, names in reads_by_definition("verify").items()
                if names & WRITERS}
     assert readers == {"canonical_json", "write_json", "write_csv"}
+
+
+def test_domains_alone_parse_the_claim_inputs():
+    """A checker reads its arguments as domains parsed them, so verify
+    converts no size to a Block and no index set to points: it reads no
+    lattice._as_points, and no function of it tells a Block by isinstance."""
+    reads = reads_by_definition("verify")
+    assert not [owner for owner, names in reads.items() if "_as_points" in names]
+    assert not [owner for owner, names in reads.items() if {"isinstance", "Block"} <= names]

@@ -64,8 +64,6 @@ class TestMomentParams:
             MomentParams(d=1, p=2.0, lam=2.0)
         with pytest.raises(ValueError):
             MomentParams(d=0, p=5.0, lam=2.0)
-        with pytest.raises(ValueError):
-            MomentParams(d=1, p=5.0, lam=2.0, c0=0.5)
 
 
 class TestChooseDelta:
