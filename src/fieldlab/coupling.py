@@ -52,10 +52,10 @@ from .fields import (
     sample_block_batch,
     sigma2,
 )
-from .lattice import Block, block_in_balanced_cone, cardinality, in_balanced_cone
+from .lattice import _INT_CAP, Block, block_in_balanced_cone, cardinality, in_balanced_cone
 from .rng import stream, streams
 from .sums import block_cov, block_var, corner_sum, prefix_at
-from .theory import SchemeParams, block_boundary
+from .theory import SchemeParams
 
 __all__ = [
     "BlockScheme",
@@ -72,7 +72,10 @@ __all__ = [
     "BlockCouplingSample",
     "block_coupling_samples",
     "study_plans",
+    "top_blocks",
 ]
+
+_LOG2_CAP = _INT_CAP.bit_length() - 1  # every boundary and domain stay below 2^62
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,16 @@ class BlockScheme:
     d: int
     K: int
     boundaries: tuple[int, ...]
-    good: frozenset
 
     def indices(self):
         return itertools.product(range(1, self.K + 1), repeat=self.d)
+
+    @functools.cached_property
+    def good(self) -> frozenset:
+        """The blocks whose 2^d corners all lie in the balanced cone at rho =
+        tau/8 (exact: each cone constraint binds at one corner); in d = 1, all."""
+        rho = self.params.rho
+        return frozenset(k for k in self.indices() if block_in_balanced_cone(self.block(k), rho))
 
     @property
     def domain(self) -> Block:
@@ -106,25 +115,27 @@ class BlockScheme:
 
 
 def build_scheme(params: SchemeParams, K: int, d: int) -> BlockScheme:
-    """Materialize boundaries and the good-block set for depth K.
+    """The depth-K scheme in d dimensions, the one builder of a scheme.
 
-    A block is good when all 2^d of its corner points lie in the balanced
-    cone at rho = tau/8 (the corner test is exact: each cone constraint
-    binds at one corner).  For d = 1 every block is good.
+    One running sum gives the boundaries n_0..n_K.  Raises ValueError naming
+    the depth, alpha and beta once a boundary, or the cell count n_K^d of the
+    domain, reaches 2^62.  No power past that range is formed: i^alpha, and
+    n_K^d, are at least 2^((bit_length - 1) * exponent).
     """
     if K < 1:
         raise ValueError("scheme depth K must be at least 1")
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    try:
-        boundaries = tuple(block_boundary(params.alpha, params.beta, l) for l in range(K + 1))
-        scheme = BlockScheme(params, d, K, boundaries, frozenset())
-        good = frozenset(
-            k for k in scheme.indices() if block_in_balanced_cone(scheme.block(k), params.rho)
-        )
-    except OverflowError as e:
-        raise ValueError(f"depth {K} at alpha {params.alpha}, beta {params.beta}: {e}") from None
-    return BlockScheme(params, d, K, boundaries, good)
+    alpha, beta = params.alpha, params.beta
+    where = f"depth {K} at alpha {alpha}, beta {beta}"
+    n, boundaries = 0, [0]
+    for i in range(1, K + 1):
+        if (i.bit_length() - 1) * alpha >= _LOG2_CAP or (n := n + i**alpha + i**beta) >= _INT_CAP:
+            raise ValueError(f"{where}: block boundary exceeds the supported index range")
+        boundaries.append(n)
+    if (n.bit_length() - 1) * d >= _LOG2_CAP or n**d >= _INT_CAP:
+        raise ValueError(f"{where}: the domain (0, {n}]^{d} has 2^62 cells or more")
+    return BlockScheme(params, d, K, tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -487,3 +498,19 @@ def study_plans(
             )
         plans.append((K, scheme, variances, corners))
     return Study(replicates, exact_phi, m_cdf, bootstrap, plans)
+
+
+def top_blocks(d: int, depths: Sequence[int], alpha: int, beta: int, tau: float) -> list:
+    """(K, head lengths, block lengths) of the top block (K, ..., K) at each
+    depth K: the check and the loop of the coupling_error_decay claim.  Raises
+    ValueError unless alpha, beta and tau pass SchemeParams, every depth's
+    scheme fits the index range and every top block is good."""
+    params = SchemeParams(alpha=alpha, beta=beta, tau=tau)
+    out = []
+    for K in depths:
+        scheme = build_scheme(params, K, d)
+        top = (K,) * d
+        if top not in scheme.good:
+            raise ValueError(f"depths: the top block is not good at depth {K} in d = {d}")
+        out.append((K, scheme.head(top).lengths, scheme.block(top).lengths))
+    return out

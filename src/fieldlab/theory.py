@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _INT_CAP
-
 __all__ = [
     "MomentParams",
     "SchemeParams",
@@ -30,7 +28,6 @@ __all__ = [
     "choose_delta",
     "tau0",
     "moricz_a",
-    "block_boundary",
     "choose_scheme",
 ]
 
@@ -190,20 +187,6 @@ def moricz_a(d: int, delta: float) -> float:
     if not 0 < delta <= 1:
         raise ValueError("margin must lie in (0, 1]")
     return 5.0**d * (1.0 - 2.0 ** (-delta / (4 + 2 * delta))) ** (-d * (2 + delta))
-
-
-def block_boundary(alpha: int, beta: int, l: int) -> int:
-    """n_l = sum_{i=1..l} (i^alpha + i^beta), exactly, with n_0 = 0."""
-    if not (isinstance(alpha, int) and isinstance(beta, int) and alpha > beta > 1):
-        raise ValueError("need integer alpha > beta > 1")
-    if l < 0:
-        raise ValueError("index must be nonnegative")
-    n = 0
-    for i in range(1, l + 1):
-        n += i**alpha + i**beta
-        if n >= _INT_CAP:
-            raise OverflowError("block boundary exceeds the supported index range")
-    return n
 
 
 def choose_scheme(

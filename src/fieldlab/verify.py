@@ -33,6 +33,7 @@ import functools
 import inspect
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ from .fields import (
 from .lattice import Block, cardinality, dist, inv_norm_sum, inv_norm_sum_bound
 from .rng import stream
 from .sums import block_var, prefix_at, sum_and_max, variance_defect
-from .theory import SchemeParams, moricz_a
+from .theory import moricz_a
 
 __all__ = [
     "VerificationReport",
@@ -205,14 +206,16 @@ def map_replicate_chunks(
     is a function of `cells` alone, never of the worker count, and kernels draw
     from per-replicate streams and reduce each replicate on its own; results
     are concatenated in replicate order, so the output is bitwise identical
-    for any number of workers.
+    for any number of workers.  At most min(workers, os.cpu_count(), tasks)
+    threads start.
     """
     chunk = min(CHUNK, max(1, _BATCH_CELLS // cells))
     spans = [(s, min(s + chunk, replicates)) for s in range(0, replicates, chunk)]
     if workers <= 1:
         parts = [kernel(s, e) for s, e in spans]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        threads = min(workers, os.cpu_count() or 1, len(spans))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda span: kernel(*span), spans))
     return np.concatenate(parts, axis=0)
 
@@ -723,23 +726,11 @@ def check_clt_distance(
     )
 
 
-def _decay_inputs(arguments: Mapping) -> None:
-    """alpha, beta and tau that SchemeParams takes, and at each depth a scheme
-    in the index range with a good top block, built as
-    check_coupling_error_decay builds it."""
-    params = SchemeParams(alpha=arguments["alpha"], beta=arguments["beta"],
-                          tau=arguments["tau"])
-    d = arguments["model"].d
-    for K in arguments["depths"]:
-        _require((K,) * d in cpl.build_scheme(params, K, d).good,
-                 f"depths: the top block is not good at depth {K} in d = {d}")
-
-
 @_claim(
     "coupling_error_decay",
     "The per-cell mean squared coupling error of the top scheme block "
     "falls as the scheme deepens.",
-    inputs=_decay_inputs,
+    inputs=lambda a: cpl.top_blocks(a["model"].d, a["depths"], a["alpha"], a["beta"], a["tau"]),
 )
 def check_coupling_error_decay(
     model: FieldModel,
@@ -756,14 +747,9 @@ def check_coupling_error_decay(
     One row per depth: the top block's coupling errors on m_eval fresh draws
     against a CDF of m_cdf draws, E e^2 normalized by the block volume.
     """
-    params = SchemeParams(alpha=alpha, beta=beta, tau=tau)
     rows = []
-    for K in depths:
-        scheme = cpl.build_scheme(params, K, model.d)
-        top = (K,) * model.d
-        sample = cpl.block_coupling_samples(
-            model, scheme.head(top).lengths, scheme.block(top).lengths, m_cdf, m_eval, seed
-        )
+    for K, head, block in cpl.top_blocks(model.d, depths, alpha, beta, tau):
+        sample = cpl.block_coupling_samples(model, head, block, m_cdf, m_eval, seed)
         e2 = sample.e**2
         mean_e2 = float(e2.mean())
         rows.append({

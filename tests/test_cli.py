@@ -269,11 +269,13 @@ class TestConfigValidation:
         {"exact_phi": True}, {"m_cdf": 50},
         {"bootstrap": 0}, {"bootstrap": 20.5}, {"replicates": 2.5},
         {"m_cdf": 150.5}, {"depths": []}, {"alpha": 40, "depths": [8]},
+        # these two ran past 15 s, or grew past 1.5 GB
+        {"depths": [10**30]}, {"alpha": 10**21},
     ], ids=["tau-string", "tau-negative", "tau-zero", "tau-bool",
             "exact_phi-string", "exact_phi-int", "replicates-one",
             "exact_phi-exponential", "m_cdf-50",
             "bootstrap-zero", "bootstrap-float", "replicates-float",
-            "m_cdf-float", "depths-empty", "alpha-overflow"])
+            "m_cdf-float", "depths-empty", "alpha-overflow", "depths-huge", "alpha-huge"])
     def test_bad_couple_values(self, tmp_path, capsys, bad):
         path = write_config(
             tmp_path,
@@ -285,6 +287,14 @@ class TestConfigValidation:
         out = tmp_path / "out"
         assert main(["couple", "--config", str(path), "--output-dir", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_couple_d2_domain_out_of_range(self, tmp_path, capsys):
+        # n_310^2 >= 2^62 cells: the plan ran past 15 s
+        path = write_config(tmp_path, model=PLANE, couple={"depths": [310]})
+        out = tmp_path / "out"
+        assert main(["couple", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert "cells or more" in capsys.readouterr().err
         assert not out.exists()
 
     def test_couple_inputs_checked_before_output(self, tmp_path, capsys):
@@ -409,6 +419,11 @@ class TestConfigValidation:
          "distinct points", NORMAL),
         # exited 3 when the checker built the block
         ("moment_growth", {"ladder": [16, 2**62]}, "fewer than 2^62 cells", NORMAL),
+        # these ran past 15 s, or grew past 1.5 GB
+        ("approximation_error", {"depths": [10**30]}, "index range", NORMAL),
+        ("approximation_error", {"depths": [310]}, "cells or more", PLANE),
+        ("coupling_error_decay", {"depths": [3, 10**30]}, "index range", NORMAL),
+        ("coupling_error_decay", {"alpha": 10**21}, "index range", NORMAL),
     ], ids=["one_corner", "one_replicate", "exact_phi-string", "exact_phi-exponential",
             "m_cdf-50", "decay-m_cdf-50", "bootstrap-zero", "bootstrap-float",
             "replicates-float", "m_cdf-float", "depths-empty", "clt-sigma2-zero",
@@ -428,7 +443,8 @@ class TestConfigValidation:
             "dependence-default-geometries-d2", "variance_defect-edges-float",
             "maximal-delta-negative", "clt-replicates-bool", "variance_ratio-N_small-negative",
             "decay-alpha-overflow", "dependence-shared-point", "dependence-overlap",
-            "dependence-repeated-point", "moment-ladder-oversized"])
+            "dependence-repeated-point", "moment-ladder-oversized", "approx-depth-huge",
+            "approx-d2-depth-310", "decay-depth-huge", "decay-alpha-huge"])
     def test_study_inputs_checked_before_any_claim(self, tmp_path, capsys, claim, bad,
                                                    match, model):
         # the valid claim listed first takes no model, so it is valid on every one

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from fieldlab import coupling
@@ -69,6 +71,41 @@ class TestScheme:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             build_scheme(PARAMS, K=0, d=1)
+
+
+class TestBlockBoundary:
+    """n_l = sum_{i<=l} (i^alpha + i^beta), as build_scheme sums them."""
+
+    def test_pinned_prefix(self):
+        assert list(build_scheme(PARAMS, K=4, d=1).boundaries) == [0, 2, 14, 50, 130]
+
+    @given(st.integers(3, 6), st.integers(2, 4), st.integers(1, 30))
+    def test_partial_sums_of_powers(self, alpha, beta, K):
+        if alpha <= beta:
+            alpha = beta + 1
+        scheme = build_scheme(SchemeParams(alpha=alpha, beta=beta), K=K, d=1)
+        expected = [sum(i**alpha + i**beta for i in range(1, l + 1)) for l in range(K + 1)]
+        assert list(scheme.boundaries) == expected
+
+    def test_overflow_guard(self):
+        with pytest.raises(ValueError, match="depth 1000000000 at alpha 10, beta 2"):
+            build_scheme(SchemeParams(alpha=10, beta=2), K=10**9, d=1)
+
+    @pytest.mark.parametrize("alpha, K, d, match", [
+        (3, 10**30, 1, "block boundary exceeds"),
+        (10**21, 3, 1, "block boundary exceeds"),
+        (3, 310, 2, "cells or more"),
+    ], ids=["depth-huge", "alpha-huge", "domain-d2"])
+    def test_index_range_checked_before_any_power(self, alpha, K, d, match):
+        # the first two summed for minutes, or formed a power of 10^21 bits
+        with pytest.raises(ValueError, match=match):
+            build_scheme(SchemeParams(alpha=alpha, beta=2), K=K, d=d)
+
+    def test_last_depth_in_range(self):
+        # d = 2: n_303^2 < 2^62 <= n_304^2
+        assert build_scheme(PARAMS, K=303, d=2).boundaries[-1] ** 2 < 2**62
+        with pytest.raises(ValueError, match="depth 304"):
+            build_scheme(PARAMS, K=304, d=2)
 
 
 class TestVariances:

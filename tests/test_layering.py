@@ -19,6 +19,9 @@ block's xi is mapped.  src/ holds no API, and no default, that only tests
 set or call.  verify is the one writer of the canonical format: every file
 the lab writes, and the table that theory prints.  domains is the one parser
 of the claims' inputs: verify's checkers read the values it returns.
+coupling.build_scheme is the one builder of a block scheme: verify asks
+coupling for the plans it runs, and theory, which only solves for the scheme
+constants, imports no package module.
 """
 
 import ast
@@ -360,3 +363,16 @@ def test_domains_alone_parse_the_claim_inputs():
     reads = reads_by_definition("verify")
     assert not [owner for owner, names in reads.items() if "_as_points" in names]
     assert not [owner for owner, names in reads.items() if {"isinstance", "Block"} <= names]
+
+
+def test_one_scheme_builder():
+    """Only coupling calls build_scheme, only theory (choose_scheme) and
+    coupling construct a SchemeParams, and theory imports no package module."""
+    def callers(name: str) -> set[str]:
+        return {m for m in MODULES for node in ast.walk(TREES[m])
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name}
+
+    assert callers("build_scheme") == {"coupling"}
+    assert callers("SchemeParams") == {"theory", "coupling"}
+    assert imported_modules("theory") == set()

@@ -9,7 +9,6 @@ from fieldlab.theory import (
     DecayTooSlowError,
     MomentParams,
     SchemeParams,
-    block_boundary,
     choose_delta,
     choose_scheme,
     lambda1,
@@ -122,22 +121,6 @@ class TestMoriczA:
 
     def test_grows_with_dimension(self):
         assert moricz_a(2, 1.0) > moricz_a(1, 1.0)
-
-
-class TestBlockBoundary:
-    def test_pinned_prefix(self):
-        assert [block_boundary(3, 2, l) for l in range(5)] == [0, 2, 14, 50, 130]
-
-    @given(st.integers(3, 6), st.integers(2, 4), st.integers(0, 30))
-    def test_partial_sums_of_powers(self, alpha, beta, l):
-        if alpha <= beta:
-            alpha = beta + 1
-        expected = sum(i**alpha + i**beta for i in range(1, l + 1))
-        assert block_boundary(alpha, beta, l) == expected
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            block_boundary(10, 2, 10**9)
 
 
 class TestSchemeParams:

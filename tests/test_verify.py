@@ -85,6 +85,33 @@ class TestStatisticsHelpers:
             assert spans[: len(expected)] == expected
             assert sorted(spans[len(expected) :]) == expected
 
+    def test_threads_capped_by_cores_and_tasks(self, monkeypatch):
+        # a task per replicate, and workers=10**6 started a thread per task
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def kernel(s, e):
+            return np.arange(s, e, dtype=np.float64)
+
+        monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 4)
+        for replicates in (1000, 3, 1):
+            out = map_replicate_chunks(kernel, replicates, 1 << 16, workers=10**6)
+            assert np.array_equal(out, np.arange(float(replicates)))
+        assert started == [4, 3, 1]
+
     @pytest.mark.parametrize("depth", [24, 48])
     def test_slope_fit_is_polyfit(self, depth):
         # the S - sigma W study's slope and bootstrap fits: one lstsq per
