@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import coupling as cpl
 from . import domains as dom
@@ -57,6 +56,7 @@ from .fields import (
     support_radius,
 )
 from .lattice import Block, cardinality, dist, inv_norm_sum, inv_norm_sum_bound
+from .normal import ndtr
 from .rng import stream
 from .sums import block_var, prefix_at, sum_and_max, variance_defect
 from .theory import moricz_a
@@ -175,7 +175,8 @@ def require_inputs(check: Callable, arguments: Mapping) -> dict:
 
 
 def kolmogorov_distance(sample: np.ndarray) -> float:
-    """sup |EDF - Phi| with the exact one-sided empirical envelopes."""
+    """sup |EDF - Phi| with the exact one-sided empirical envelopes; Phi is
+    normal.ndtr, the Cephes normal distribution function."""
     x = np.sort(np.asarray(sample, dtype=np.float64))
     m = x.size
     F = ndtr(x)

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fieldlab.coupling import BlockScheme, _couple_block, _coupled, _shape_key, _wiener_slabs
+from fieldlab.coupling import BlockScheme, _couple_blocks, _coupled, _shape_key, _wiener_slabs
 from fieldlab.fields import FieldModel, sample_block, sigma2
 from fieldlab.lattice import Block, cardinality
 from fieldlab.rng import stream
@@ -122,10 +122,9 @@ def run_coupling(
 
     coupled = tuple(_coupled(scheme, variances))
     draws = stream(seed, "companion", replicate).standard_normal(len(coupled))
-    w, xis, etas, errs = {}, {}, {}, {}
-    for k, z in zip(coupled, draws):
-        cdf = cdfs[_shape_key(scheme.head(k), scheme.block(k))]
-        w[k], xis[k], etas[k], errs[k] = _couple_block(u[k], z, variances[k], cdf)
+    w, xis, etas, errs = (dict(zip(coupled, a.tolist())) for a in _couple_blocks(
+        [u[k] for k in coupled], draws, [variances[k] for k in coupled],
+        [cdfs[_shape_key(scheme.head(k), scheme.block(k))] for k in coupled]))
 
     Z = build_wiener(scheme, etas, seed, replicate)
     return CouplingRun(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from fieldlab import coupling
 from fieldlab.coupling import (
@@ -166,6 +166,27 @@ class TestTransforms:
     def test_quantile_transform_identity_under_true_cdf(self):
         x = np.linspace(-2, 2, 41)
         assert np.allclose(quantile_transform(x, ndtr), x, atol=1e-9)
+
+    @pytest.mark.parametrize("exact_phi", [False, True])
+    def test_couple_blocks_equals_the_per_block_loop(self, ma_model, exact_phi):
+        """The one kernel couples a replicate's blocks with the bits of the
+        scalar loop, block by block, with scipy's Phi^-1 as the oracle."""
+        scheme = build_scheme(PARAMS, K=6, d=1)
+        variances = scheme_variances(ma_model, scheme)
+        cdfs = cdf_table(ma_model, scheme, variances, 1000, 2, exact_phi)
+        coupled = coupling._coupled(scheme, variances)
+        bvs = [variances[k] for k in coupled]
+        fs = [cdfs[coupling._shape_key(scheme.head(k), scheme.block(k))] for k in coupled]
+        gen = stream(2, "kernel", 0)
+        u, z = 3.0 * gen.standard_normal(len(coupled)), gen.standard_normal(len(coupled))
+        got = coupling._couple_blocks(u.tolist(), z, bvs, fs)
+        assert len(coupled) == 6 and all((f is None) == exact_phi for f in fs)
+        for i, (bv, cdf) in enumerate(zip(bvs, fs)):
+            w = float(z[i]) * math.sqrt(bv.tau2)
+            x = (float(u[i]) + w) / math.sqrt(bv.sigma2 + bv.tau2)
+            eta = x if cdf is None else float(ndtri(cdf(x)))
+            e = math.sqrt(bv.sigma2 + bv.tau2) * (x - eta)
+            assert [a[i] for a in got] == [w, x, eta, e]
 
 
 class TestCouplingRun:

@@ -21,7 +21,8 @@ the lab writes, and the table that theory prints.  domains is the one parser
 of the claims' inputs: verify's checkers read the values it returns.
 coupling.build_scheme is the one builder of a block scheme: verify asks
 coupling for the plans it runs, and theory, which only solves for the scheme
-constants, imports no package module.
+constants, imports no package module.  normal, which holds Phi and Phi^-1,
+is the bottom layer, so importing the CLI loads no scipy module.
 """
 
 import ast
@@ -39,8 +40,8 @@ import fieldlab
 SRC = Path(fieldlab.__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 # bottom to top; __init__ and __main__ are the package's entry points
-LAYERS = ["lattice", "rng", "theory", "fields", "sums", "domains", "coupling", "verify",
-          "cli"]
+LAYERS = ["normal", "lattice", "rng", "theory", "fields", "sums", "domains", "coupling",
+          "verify", "cli"]
 
 INNOVATION_LAYOUT = {"innovations", "_dilation", "_field_from_innovations"}
 SAMPLERS = {"sample_block", "sample_block_batch", "line_segments", "stream", "streams"}
@@ -154,15 +155,17 @@ def test_imports_only_lower_layers(module):
 
 
 def test_cli_import_loads_no_root_finder():
-    """theory's constants are closed forms: the CLI needs no scipy.optimize."""
+    """theory's constants are closed forms and normal holds Phi and Phi^-1,
+    so importing the CLI loads no scipy module at all."""
     src = str(SRC.resolve().parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, fieldlab.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, fieldlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "fields"])
