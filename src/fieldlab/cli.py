@@ -80,7 +80,8 @@ def _config_value(kind, value, name: str):
         raise ConfigError(str(e))
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, flags: dict) -> dict:
+    """The config at path, checked once the flag values in `flags` replace its own."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -89,6 +90,7 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     _check_keys(cfg, _TOP_KEYS, "config")
+    cfg.update(flags)
     if "seed" not in cfg:
         raise ConfigError("config must set a seed")
     _config_value(Seed, cfg["seed"], "seed")
@@ -168,33 +170,32 @@ def _cmd_theory(args) -> int:
         delta = choose_delta(params)
         scheme = choose_scheme(args.d, args.tau, mu=args.mu, delta=delta,
                                gamma1=args.gamma1)
+        doc = {
+            "t0": t0(),
+            "psi": psi(args.p),
+            "delta": delta,
+            "lambda1": lambda1(args.d, delta, args.p),
+            "lambda2": lambda2(args.d, delta, args.p),
+            "tau0": tau0(delta),
+            "A": moricz_a(args.d, delta),
+            "alpha": scheme.alpha,
+            "beta": scheme.beta,
+            "gamma0": scheme.gamma0,
+        }
     except ValueError as e:
         raise ConfigError(str(e))
-    doc = {
-        "t0": t0(),
-        "psi": psi(args.p),
-        "delta": delta,
-        "lambda1": lambda1(args.d, delta, args.p),
-        "lambda2": lambda2(args.d, delta, args.p),
-        "tau0": tau0(delta),
-        "A": moricz_a(args.d, delta),
-        "alpha": scheme.alpha,
-        "beta": scheme.beta,
-        "gamma0": scheme.gamma0,
-    }
+    except OverflowError:
+        raise ConfigError(f"--p {args.p}, --d {args.d}, --lambda {args.lam}: a constant "
+                          "of the table overflows a float")
     sys.stdout.write(verify_mod.canonical_json(doc))
     return 0
 
 
 def _load(args, name: str) -> tuple[dict, dict]:
     """The config with the command-line flags applied, and its `name` section."""
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = _config_value(Seed, args.seed, "seed")
-    if getattr(args, "workers", None) is not None:
-        cfg["workers"] = _config_value(Natural, args.workers, "workers")
-    if args.output_dir:
-        cfg["output_dir"] = args.output_dir
+    flags = {"seed": args.seed, "workers": getattr(args, "workers", None),
+             "output_dir": args.output_dir or None}
+    cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
     section = cfg.get(name)
     if section is None:
         raise ConfigError(f"config needs a {name} section")

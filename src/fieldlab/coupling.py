@@ -483,10 +483,10 @@ def study_plans(
 ) -> Study:
     """The S - sigma W study of these settings, each declared here once.
 
-    The one check of the study's values, run by `fieldlab couple` and the
-    approximation_error claim before any work.  Raises ValueError naming the
-    argument unless each argument lies in its declared domain, exact_phi is
-    true only with Gaussian innovations, m_cdf is a CdfDraws on the
+    The one check of the study's values, run by `fieldlab couple`, and the
+    input rule of the approximation_error claim.  Raises ValueError naming
+    the argument unless each argument lies in its declared domain, exact_phi
+    is true only with Gaussian innovations, m_cdf is a CdfDraws on the
     empirical-CDF path, sigma^2 != 0, alpha, beta and tau pass SchemeParams,
     every depth's scheme fits the index range, and every depth has two
     coupled in-cone corners.
@@ -514,12 +514,14 @@ def study_plans(
     return Study(replicates, exact_phi, m_cdf, bootstrap, plans)
 
 
-def top_blocks(d: int, depths: Sequence[int], alpha: int, beta: int, tau: float) -> list:
+def top_blocks(model: FieldModel, depths: Sequence[int], alpha: int, beta: int,
+               tau: float) -> list:
     """(K, head lengths, block lengths) of the top block (K, ..., K) at each
-    depth K: the check and the loop of the coupling_error_decay claim.  Raises
-    ValueError unless alpha, beta and tau pass SchemeParams, every depth's
-    scheme fits the index range and every top block is good."""
-    params = SchemeParams(alpha=alpha, beta=beta, tau=tau)
+    depth K, in the model's dimension d: the input rule and the loop of the
+    coupling_error_decay claim.  Raises ValueError unless alpha, beta and tau
+    pass SchemeParams, every depth's scheme fits the index range and every
+    top block is good."""
+    params, d = SchemeParams(alpha=alpha, beta=beta, tau=tau), model.d
     out = []
     for K in depths:
         scheme = build_scheme(params, K, d)

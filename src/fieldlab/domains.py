@@ -6,7 +6,7 @@ value on its own, never an order between values or the work they cost: it
 returns the value in the form the checkers read, or raises ValueError naming
 the parameter.  Sizes and index sets must lie in the dimension of the call's
 model.  Parsing is idempotent, so a parsed value passes its domain again
-unchanged.
+unchanged.  `record` returns a parsed value as a claim's report holds it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Annotated, Mapping, Sequence
 import numpy as np
 
 from .fields import _INNOVATIONS
-from .lattice import Block
+from .lattice import Block, cardinality
 
 __all__ = [
     "Count", "Positive", "OneOf", "Seq", "Size", "Geometries", "Seed", "Natural",
@@ -42,8 +42,13 @@ def _in_dimension(name: str, dims: int, d: int | None) -> None:
         _fail(name, f"in the model's dimension {d}: its entries have other dimensions")
 
 
+class _Domain:
+    def record(self, value):  # a report holds a parsed value as itself, by default
+        return value
+
+
 @dataclass(frozen=True)
-class Count:
+class Count(_Domain):
     """An integer from `minimum` to `maximum`, bools excluded; `need` says why."""
 
     minimum: int
@@ -59,7 +64,7 @@ class Count:
 
 
 @dataclass(frozen=True)
-class Positive:
+class Positive(_Domain):
     """A finite real number above 0 and at most `maximum`, bools excluded."""
 
     maximum: float = math.inf
@@ -73,7 +78,7 @@ class Positive:
 
 
 @dataclass(frozen=True)
-class OneOf:
+class OneOf(_Domain):
     """One of `values`, of its type too (1 is not True)."""
 
     values: tuple
@@ -86,7 +91,7 @@ class OneOf:
 
 
 @dataclass(frozen=True)
-class Seq:
+class Seq(_Domain):
     """A list of at least `points` values, each in the domain `item`: the
     tuple of the parsed values."""
 
@@ -99,9 +104,12 @@ class Seq:
             _fail(name, f"a list of at least {self.points} value(s)", self.need)
         return tuple(self.item.check(x, name, d) for x in value)
 
+    def record(self, value) -> list:
+        return [self.item.record(x) for x in value]
+
 
 @dataclass(frozen=True)
-class Size:
+class Size(_Domain):
     """The block (0, n] of n >= 1 cells, or a Block, in d = 1; unless
     `scalar`, also the block at the origin of a list of edges >= 1, or a
     Block, in the model's dimension.  A Block stays as it is."""
@@ -123,6 +131,9 @@ class Size:
         except (OverflowError, ValueError):
             _fail(name, "a block of fewer than 2^62 cells")
 
+    def record(self, value: Block) -> int:
+        return cardinality(value)
+
 
 # five standard block pairs (0, i], (j, k] at sup-norm distances 1 and 2 in d = 1
 _DEFAULT_PAIRS = tuple((Block((0,), (i,)), Block((j,), (k,))) for i, j, k in
@@ -130,7 +141,7 @@ _DEFAULT_PAIRS = tuple((Block((0,), (i,)), Block((j,), (k,))) for i, j, k in
 
 
 @dataclass(frozen=True)
-class Geometries:
+class Geometries(_Domain):
     """None (the default pairs, in d = 1 only), or a nonempty list of pairs
     (I, J) of disjoint index sets of distinct points: Blocks, or nonempty
     lists of integer points, in the model's dimension.  Each set becomes the
@@ -145,6 +156,9 @@ class Geometries:
                 and all(isinstance(pair, _LIST) and len(pair) == 2 for pair in value)):
             _fail(name, "a nonempty list of index-set pairs")
         return tuple(self._pair(pair, name, d) for pair in value)
+
+    def record(self, value: tuple) -> int:
+        return len(value)
 
     @staticmethod
     def _pair(pair, name: str, d: int | None) -> tuple:

@@ -189,6 +189,9 @@ def moricz_a(d: int, delta: float) -> float:
     return 5.0**d * (1.0 - 2.0 ** (-delta / (4 + 2 * delta))) ** (-d * (2 + delta))
 
 
+_ALPHA_CHUNK = 4096  # candidate alphas per step of choose_scheme's scan
+
+
 def choose_scheme(
     d: int,
     tau: float,
@@ -211,15 +214,19 @@ def choose_scheme(
     gamma_min = (1.0 + 1.0 / rho) * (1.0 - 1.0 / d)
     alpha_floor = max(2.0, 8.0 / (3.0 * tau) - 1.0, 2.0 / gamma1)
 
-    alphas = np.arange(3, 10**6 + 1, dtype=np.float64)
-    # the growth-ratio bound beta > alpha (1 - q) binds only while q < 1
-    lo = np.maximum(6.0 / rho, np.maximum(1.0, alphas * (1.0 - q)))
-    lo = np.maximum(lo, 2.0 * gamma_min / rho)  # beta > 2*gamma0/rho >= this
-    hi = alphas - 6.0 / rho  # beta < alpha - 6/rho (< alpha since 6/rho > 0)
-    beta_cand = np.floor(lo) + 1.0
-    ok = (alphas > alpha_floor) & (beta_cand > lo) & (beta_cand < hi) & (beta_cand > 1)
-    idx = np.flatnonzero(ok)
-    if idx.size == 0:
+    # alpha = 3..10^6 in chunks, elementwise: the first feasible alpha of one scan
+    for start in range(3, 10**6 + 1, _ALPHA_CHUNK):
+        alphas = np.arange(start, min(start + _ALPHA_CHUNK, 10**6 + 1), dtype=np.float64)
+        # the growth-ratio bound beta > alpha (1 - q) binds only while q < 1
+        lo = np.maximum(6.0 / rho, np.maximum(1.0, alphas * (1.0 - q)))
+        lo = np.maximum(lo, 2.0 * gamma_min / rho)  # beta > 2*gamma0/rho >= this
+        hi = alphas - 6.0 / rho  # beta < alpha - 6/rho (< alpha since 6/rho > 0)
+        beta_cand = np.floor(lo) + 1.0
+        ok = (alphas > alpha_floor) & (beta_cand > lo) & (beta_cand < hi) & (beta_cand > 1)
+        idx = np.flatnonzero(ok)
+        if idx.size:
+            break
+    else:
         raise ValueError(
             "no feasible (alpha, beta) up to alpha = 10^6; binding constraint is the "
             f"width requirement alpha*{q:.3g} > {6.0 / rho + 1:.3g} "

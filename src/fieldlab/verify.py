@@ -103,16 +103,17 @@ _LINE_CELLS = _BATCH_CELLS
 class VerificationReport:
     """One claim's verdict with everything needed to re-derive it.
 
-    A checker fills in the evidence; its @_claim registration fills in
-    claim_id, statement and seconds.
+    A checker fills in the evidence, and in `inputs` only what no argument
+    says; its @_claim registration adds the parsed arguments to the inputs
+    and fills in claim_id, statement and seconds.
     """
 
-    inputs: dict
     statistics: dict
     oracle: dict
     tolerance: dict
     passed: bool
     rows: tuple = ()
+    inputs: dict = dataclasses.field(default_factory=dict)
     claim_id: str = ""
     statement: str = ""
     seconds: float | None = None
@@ -121,37 +122,52 @@ class VerificationReport:
 # claim id -> checker: the one registry of verifiable claims
 CLAIMS: dict[str, Callable[..., VerificationReport]] = {}
 
+# the parameters that a report records under another key
+_REPORT_KEYS = {"lam": "lambda", "V": "card"}
 
-def _claim(claim_id: str, statement: str,
-           inputs: Callable[[Mapping], object] | None = None):
+
+def _claim(claim_id: str, statement: str, inputs: Callable | None = None):
     """Register a checker in CLAIMS and stamp its reports with the claim.
 
     functools.wraps keeps the checker's signature visible to inspect, which
     the CLI uses to build the checker's arguments.  Every parameter but the
     model declares its domain (see domains), resolved here once.  `inputs`
-    raises on the claim's own rules that no domain states.  Every call runs
-    both through require_inputs before any work, and a caller can run
-    require_inputs alone before any claim runs.  The checker body receives
-    the parsed values that require_inputs returns: a size as its Block, a
-    list as a tuple, index sets as point arrays.
+    raises on the claim's own rules that no domain states; it takes the
+    arguments that its parameters name, resolved here once, and a parameter
+    that the checker lacks keeps its default.  Every call runs both through
+    require_inputs before any work, and a caller can run require_inputs
+    alone before any claim runs.  The checker body receives the parsed
+    values that require_inputs returns: a size as its Block, a list as a
+    tuple, index sets as point arrays.  The report records them as its
+    domains do, the model as _model_inputs and no worker count, on which no
+    report depends; the body's own inputs add what no argument says.
     """
 
     def register(check):
         sig = inspect.signature(check)
+        rule = inspect.signature(inputs).parameters if inputs else {}
+        lacking = [n for n, p in rule.items() if n not in sig.parameters and p.default is p.empty]
+        if lacking:
+            raise TypeError(f"{claim_id}: its input rule needs {', '.join(lacking)}")
 
         @functools.wraps(check)
         def run(*args, **kwargs) -> VerificationReport:
             arguments = require_inputs(run, sig.bind(*args, **kwargs).arguments)
+            recorded = {_REPORT_KEYS.get(k, k): run.domains[k].record(v)
+                        for k, v in arguments.items() if k in run.domains and k != "workers"}
+            if "model" in arguments:
+                recorded["model"] = _model_inputs(arguments["model"])
             t0 = time.perf_counter()
             report = check(**arguments)
             return dataclasses.replace(
-                report, passed=bool(report.passed), rows=tuple(report.rows),
-                claim_id=claim_id, statement=statement,
+                report, inputs={**recorded, **report.inputs}, passed=bool(report.passed),
+                rows=tuple(report.rows), claim_id=claim_id, statement=statement,
                 seconds=time.perf_counter() - t0,
             )
 
         run.domains = dom.domains(check)
         run.inputs = inputs
+        run.input_names = [n for n in rule if n in sig.parameters]
         CLAIMS[claim_id] = run
         return run
 
@@ -165,12 +181,12 @@ def _require(ok: bool, message: str) -> None:
 
 def require_inputs(check: Callable, arguments: Mapping) -> dict:
     """The checker's arguments and defaults, parsed by their domains, once its
-    registered input check has passed on them."""
+    registered input rule has passed on the parsed arguments it names."""
     bound = inspect.signature(check).bind_partial(**arguments)
     bound.apply_defaults()
     parsed = dom.check_arguments(check.domains, bound.arguments)
     if check.inputs is not None:
-        check.inputs(parsed)
+        check.inputs(**{name: parsed[name] for name in check.input_names})
     return parsed
 
 
@@ -278,9 +294,8 @@ def _model_inputs(model: FieldModel) -> dict:
     }
 
 
-def _envelope_inputs(arguments: Mapping) -> None:
+def _envelope_inputs(model: FieldModel, c0: float, lam: float) -> None:
     """Exact check theta_r <= c0 r^-lam for all r >= 1 (finite support)."""
-    model, c0, lam = arguments["model"], arguments["c0"], arguments["lam"]
     for r in range(1, support_radius(model) + 2):
         _require(cox_grimmett(model, r) <= c0 * r ** (-lam) + 1e-12,
                  f"dependence coefficients violate the decay envelope at r={r}")
@@ -352,11 +367,6 @@ def _dependence_report(
     tops = [row["max_ratio"] for row in rows if row["max_ratio"] != ""]
     all_pass = all(row["passed"] for row in rows)
     return VerificationReport(
-        inputs={
-            "model": _model_inputs(model), "geometries": len(geometries),
-            "pairs": pairs, "replicates": replicates, "seed": seed,
-            "noise": noise,
-        },
         statistics={"max_ratio": max(tops, default=None), "all_geometries_pass": all_pass},
         oracle={"bound": "lip_f * lip_g * min(|I|,|J|) * theta_r"},
         tolerance={"ratio_allowance": "1 + 3 SE per pair"},
@@ -377,7 +387,8 @@ def check_dependence(
     seed: dom.Seed = 0,
 ) -> VerificationReport:
     """Covariance bound for clamped-linear pairs across block geometries."""
-    return _dependence_report(model, geometries, pairs, replicates, seed, noise=None)
+    report = _dependence_report(model, geometries, pairs, replicates, seed, noise=None)
+    return dataclasses.replace(report, inputs={"noise": None})
 
 
 @_claim(
@@ -404,9 +415,8 @@ def check_noise_stability(
 _DEFAULT_LADDER = tuple(16 * 2**j for j in range(11))
 
 
-def _growth_report(
-    model, delta, ladder, replicates, seed, c0, lam, workers, want_max
-) -> VerificationReport:
+def _growth_report(model, delta, ladder, replicates, seed, workers,
+                   want_max) -> VerificationReport:
     """Volume-growth cap on E|S|^q (q = 2 + delta), or with want_max on E M^q
     together with the maximal-constant ratio and pathwise M >= |S| checks."""
     q = 2.0 + delta
@@ -450,11 +460,6 @@ def _growth_report(
         for r, ratio in zip(rows, ratios):
             r["ratio_to_volume_power"] = float(ratio)
     return VerificationReport(
-        inputs={
-            "model": _model_inputs(model), "delta": delta,
-            "ladder": [int(c) for c in cards], "replicates": replicates,
-            "seed": seed, "c0": c0, "lambda": lam,
-        },
         statistics=statistics, oracle=oracle,
         tolerance={"slope_cap": cap, "ratio_growth_cap": 10.0},
         passed=passed, rows=rows,
@@ -478,9 +483,7 @@ def check_moment_inequality(
     workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Volume-growth cap on E|S(U)|^(2+delta) along a geometric ladder."""
-    return _growth_report(
-        model, delta, ladder, replicates, seed, c0, lam, workers, want_max=False
-    )
+    return _growth_report(model, delta, ladder, replicates, seed, workers, want_max=False)
 
 
 @_claim(
@@ -500,9 +503,7 @@ def check_maximal_inequality(
     workers: dom.Natural = 1,
 ) -> VerificationReport:
     """Same growth cap for M(U), plus the maximal-constant ratio check."""
-    return _growth_report(
-        model, delta, ladder, replicates, seed, c0, lam, workers, want_max=True
-    )
+    return _growth_report(model, delta, ladder, replicates, seed, workers, want_max=True)
 
 
 # --------------------------------------------------------------------------
@@ -532,10 +533,6 @@ def check_variance_ratio(
     agree = abs(est - exact_big) <= 3.0 * se
     approach = abs(exact_big - s2) <= abs(exact_small - s2) + 1e-12
     return VerificationReport(
-        inputs={
-            "model": _model_inputs(model), "N": card, "N_small": card_small,
-            "replicates": replicates, "seed": seed,
-        },
         statistics={"mc_ratio": est, "se": se},
         oracle={
             "exact_ratio": exact_big, "exact_ratio_small": exact_small,
@@ -572,8 +569,6 @@ def check_second_moment(
         ok &= var <= bound + 1e-9
         rows.append({"card": cardinality(V), "var": var, "bound": bound})
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "c0": c0, "lambda": lam,
-                "sizes": [r["card"] for r in rows]},
         statistics={"max_var_to_bound": max(r["var"] / r["bound"] for r in rows)},
         oracle={"d2": d2},
         tolerance={"slack": 1e-9},
@@ -605,7 +600,6 @@ def check_variance_defect(
         scaled[i + 1] <= scaled[i] + 1e-12 for i in range(len(scaled) - 1)
     )
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "edges": [r["edge"] for r in rows]},
         statistics={"scaled_defects": scaled},
         oracle={"sigma2": sigma2(model)},
         tolerance={"monotone": "defect*sqrt(edge) nonincreasing"},
@@ -668,8 +662,6 @@ def check_inverse_distance_sum(
             rows.append({"d": d, "nu": nu, "c_fit": c_fit, "c_validate": c_val,
                          "transfer_ratio": c_val / c_fit})
     return VerificationReport(
-        inputs={"dims": [int(x) for x in dims], "seed": seed,
-                "fit_blocks": fit_blocks, "validate_blocks": validate_blocks},
         statistics={"worst_transfer": max(r["transfer_ratio"] for r in rows)},
         oracle={"bound": "card^(1-nu/d), log-corrected at integer nu <= d"},
         tolerance={"headroom": 1.25},
@@ -681,9 +673,9 @@ def check_inverse_distance_sum(
 # distributional limits
 
 
-def _clt_inputs(arguments: Mapping) -> None:
+def _clt_inputs(model: FieldModel) -> None:
     """sigma^2 != 0 to standardize by."""
-    _require(sigma2(arguments["model"]) != 0, "CLT distance needs sigma^2 != 0")
+    _require(sigma2(model) != 0, "CLT distance needs sigma^2 != 0")
 
 
 @_claim(
@@ -717,9 +709,6 @@ def check_clt_distance(
         np.array([r["card"] for r in rows], dtype=np.float64), np.array(dists)
     )
     return VerificationReport(
-        inputs={"model": _model_inputs(model),
-                "ladder": [int(r["card"]) for r in rows],
-                "replicates": replicates, "seed": seed},
         statistics={"distances": dists, "fitted_decay_exponent": mu_hat},
         oracle={"noise_floor": floor},
         tolerance={"top_distance": 0.05, "decrease_allowance": 2.0 * floor},
@@ -731,7 +720,7 @@ def check_clt_distance(
     "coupling_error_decay",
     "The per-cell mean squared coupling error of the top scheme block "
     "falls as the scheme deepens.",
-    inputs=lambda a: cpl.top_blocks(a["model"].d, a["depths"], a["alpha"], a["beta"], a["tau"]),
+    inputs=cpl.top_blocks,
 )
 def check_coupling_error_decay(
     model: FieldModel,
@@ -749,7 +738,7 @@ def check_coupling_error_decay(
     against a CDF of m_cdf draws, E e^2 normalized by the block volume.
     """
     rows = []
-    for K, head, block in cpl.top_blocks(model.d, depths, alpha, beta, tau):
+    for K, head, block in cpl.top_blocks(model, depths, alpha, beta, tau):
         sample = cpl.block_coupling_samples(model, head, block, m_cdf, m_eval, seed)
         e2 = sample.e**2
         mean_e2 = float(e2.mean())
@@ -764,9 +753,6 @@ def check_coupling_error_decay(
         np.array([r["card"] for r in rows], dtype=np.float64), np.array(vals)
     )
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "depths": [int(k) for k in depths],
-                "m_cdf": m_cdf, "m_eval": m_eval, "seed": seed,
-                "alpha": alpha, "beta": beta, "tau": tau},
         statistics={"mean_e2_per_cell": vals, "fitted_decay_exponent": fitted},
         oracle={"direction": "strictly decreasing in depth"},
         tolerance={"strict": True},
@@ -806,9 +792,7 @@ def check_tail_bound(
     passed = zero_at_top or (exponent is not None and exponent <= cap)
     monotone = bool(np.all(np.diff(probs) <= 1e-12))
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "delta": delta,
-                "card": cardinality(V), "xs": [float(x) for x in xs],
-                "replicates": replicates, "seed": seed},
+        inputs={"xs": [float(x) for x in xs]},
         statistics={"tail_probabilities": probs.tolist(),
                     "fitted_exponent": exponent, "monotone_in_x": monotone},
         oracle={"exponent_cap": cap},
@@ -891,10 +875,7 @@ def approximation_error_study(
 @_claim(
     "approximation_error",
     "log median|S_N - sigma W_N| grows with log[N] at slope below 1/2.",
-    inputs=lambda a: cpl.study_plans(
-        a["model"], a["depths"], a["replicates"], exact_phi=a["exact_phi"],
-        m_cdf=a["m_cdf"], bootstrap=a["bootstrap"],
-    ),
+    inputs=cpl.study_plans,
 )
 def check_approximation_error(
     model: FieldModel,
@@ -917,9 +898,6 @@ def check_approximation_error(
     ]
     passed = all(r["ci_high"] < 0.5 for r in rows)
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "depths": [int(k) for k in depths],
-                "replicates": replicates, "seed": seed,
-                "exact_phi": exact_phi, "m_cdf": m_cdf, "bootstrap": bootstrap},
         statistics={"slopes": [r["slope"] for r in rows],
                     "ci_highs": [r["ci_high"] for r in rows]},
         oracle={"slope_limit": 0.5},
@@ -933,9 +911,8 @@ def _loglog_scale(n: float) -> float:
     return math.log(inner)
 
 
-def _lil_inputs(arguments: Mapping) -> None:
+def _lil_inputs(model: FieldModel) -> None:
     """A d = 1 model with sigma^2 != 0 to normalize by."""
-    model = arguments["model"]
     _require(model.d == 1, "the dyadic net is implemented for d = 1")
     _require(sigma2(model) != 0, "the LIL normalization needs sigma^2 != 0")
 
@@ -979,8 +956,6 @@ def check_lil(
         {"statistic": "top_exceedance", "value": exceed},
     ]
     return VerificationReport(
-        inputs={"model": _model_inputs(model), "depth": depth,
-                "replicates": replicates, "seed": seed},
         statistics={"median_max_R": max_med, "median_min_R": min_med,
                     "top_exceedance": exceed},
         oracle={"limsup": 1.0, "liminf": -1.0},

@@ -186,6 +186,15 @@ class TestTheory:
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
 
+    # psi's (p - 2)^2 overflows, and A is about 10^863: both exited 3
+    @pytest.mark.parametrize("argv", [["--p", "1e200"],
+                                      ["--p", "5", "--d", "300", "--lambda", "2000"]])
+    def test_overflowing_table(self, capsys, argv):
+        assert main(["theory", *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"--p {float(argv[1])}" in captured.err and captured.out == ""
+        assert "overflows" in captured.err
+
     def test_missing_required_flag(self):
         assert main(["theory"]) == 2
 
@@ -211,6 +220,16 @@ class TestConfigValidation:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"model": {"kind": "iid", "d": 1}}))
         assert main(["verify", "--config", str(path)]) == 2
+
+    def test_seed_flag_supplies_a_missing_seed(self, tmp_path):
+        # the config's seed was required even with --seed given: exit 2
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"model": {"kind": "iid", "d": 1},
+                                    "simulate": {"block": {"a": [0], "b": [4]}}}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--seed", "3",
+                     "--output-dir", str(out)]) == 0
+        assert json.loads((out / "resolved_config.json").read_text())["seed"] == 3
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "0")])
     def test_bad_flag_values(self, tmp_path, capsys, flag, value):

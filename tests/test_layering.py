@@ -18,7 +18,8 @@ it returns.  Below that gate only coupling.cdf_table chooses how a coupled
 block's xi is mapped.  src/ holds no API, and no default, that only tests
 set or call.  verify is the one writer of the canonical format: every file
 the lab writes, and the table that theory prints.  domains is the one parser
-of the claims' inputs: verify's checkers read the values it returns.
+of the claims' inputs: verify's checkers read the values it returns, and
+verify._claim records them in each report, so no checker restates them.
 coupling.build_scheme is the one builder of a block scheme: verify asks
 coupling for the plans it runs, and theory, which only solves for the scheme
 constants, imports no package module.  normal, which holds Phi and Phi^-1,
@@ -379,3 +380,19 @@ def test_one_scheme_builder():
     assert callers("build_scheme") == {"coupling"}
     assert callers("SchemeParams") == {"theory", "coupling"}
     assert imported_modules("theory") == set()
+
+
+def test_the_registry_records_the_inputs():
+    """No @_claim restates a checker's arguments in a lambda: each input rule
+    is a function called by parameter name.  The model is recorded by
+    verify._claim alone, and by the cli for its own files."""
+    from fieldlab.verify import CLAIMS
+
+    claims = [dec for node in ast.walk(TREES["verify"]) if isinstance(node, ast.FunctionDef)
+              for dec in node.decorator_list
+              if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "_claim"]
+    assert len(claims) == len(CLAIMS)
+    assert not [dec for dec in claims if any(isinstance(n, ast.Lambda) for n in ast.walk(dec))]
+    readers = {(m, owner) for m in MODULES for owner, names in reads_by_definition(m).items()
+               if "_model_inputs" in names}
+    assert {(m, owner) for m, owner in readers if m != "cli"} == {("verify", "_claim")}

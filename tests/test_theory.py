@@ -1,10 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import fieldlab
+from fieldlab import theory
 from fieldlab.theory import (
     DecayTooSlowError,
     MomentParams,
@@ -151,3 +158,81 @@ class TestChooseScheme:
     def test_infeasible_raises(self):
         with pytest.raises(ValueError):
             choose_scheme(1, 1.0, mu=1e-9, delta=1e-9, gamma1=1.0)
+
+
+def one_scan(d, tau, mu, delta, gamma1):
+    """(alpha, beta, gamma0) of choose_scheme as one scan over alpha = 3..10^6
+    found it, or the message it raised."""
+    rho = tau / 8.0
+    q = mu * delta / (8.0 * (1.0 + delta))
+    gamma_min = (1.0 + 1.0 / rho) * (1.0 - 1.0 / d)
+    alpha_floor = max(2.0, 8.0 / (3.0 * tau) - 1.0, 2.0 / gamma1)
+    alphas = np.arange(3, 10**6 + 1, dtype=np.float64)
+    lo = np.maximum(6.0 / rho, np.maximum(1.0, alphas * (1.0 - q)))
+    lo = np.maximum(lo, 2.0 * gamma_min / rho)
+    hi = alphas - 6.0 / rho
+    beta_cand = np.floor(lo) + 1.0
+    ok = (alphas > alpha_floor) & (beta_cand > lo) & (beta_cand < hi) & (beta_cand > 1)
+    idx = np.flatnonzero(ok)
+    if idx.size == 0:
+        return (
+            "no feasible (alpha, beta) up to alpha = 10^6; binding constraint is the "
+            f"width requirement alpha*{q:.3g} > {6.0 / rho + 1:.3g} "
+            "(growth-ratio cap vs. separation gap)"
+        )
+    beta = int(beta_cand[idx[0]])
+    return int(alphas[idx[0]]), beta, 0.5 * (max(gamma_min, 0.0) + rho * beta / 2.0)
+
+
+def chunked_scan(d, tau, mu, delta, gamma1):
+    try:
+        s = choose_scheme(d, tau, mu=mu, delta=delta, gamma1=gamma1)
+    except ValueError as e:
+        return str(e)
+    return s.alpha, s.beta, s.gamma0
+
+
+# (d, tau, mu, delta, gamma1): feasible alpha = 3, the first candidate; 122,
+# 337 and 401; 29203 (theory --p 5) and 283361, many default chunks in; none
+SCAN_CASES = [
+    (1, 1000.0, 100.0, 0.367, 1.0), (2, 1.0, 100.0, 0.367, 0.05), (2, 8.0, 0.5, 0.5, 0.2),
+    (3, 2.0, 1.0, 1.0, 0.05), (1, 1.0, 0.05, 0.36700683814454804, 0.05),
+    (1, 0.3, 0.05, 0.1, 0.05), (1, 1e-6, 0.05, 0.367, 0.05),
+]
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_chunked_scan_equals_one_scan(monkeypatch, case):
+    """The scan stops at the first chunk that holds a feasible alpha; it finds
+    the alpha of one whole scan wherever a chunk edge falls, and raises its
+    message when none is feasible."""
+    expected = one_scan(*case)
+    chunks = {theory._ALPHA_CHUNK, 1000}
+    if isinstance(expected, tuple) and expected[0] < 10**3:
+        # the feasible alpha first in the second chunk, last in the first
+        chunks |= {1, expected[0] - 2} | ({expected[0] - 3} if expected[0] > 3 else set())
+    for chunk in sorted(chunks):
+        monkeypatch.setattr(theory, "_ALPHA_CHUNK", chunk)
+        assert chunked_scan(*case) == expected, chunk
+
+
+def test_scan_cases_cover_first_and_none():
+    found = [one_scan(*case) for case in SCAN_CASES]
+    assert min(f[0] for f in found if isinstance(f, tuple)) == 3
+    assert max(f[0] for f in found if isinstance(f, tuple)) > 2 * theory._ALPHA_CHUNK
+    assert any(isinstance(f, str) for f in found)
+
+
+def test_theory_table_stays_small():
+    """theory --p 5 scans alpha in chunks: its process grows by less than
+    8 MiB past the CLI import (it grew by about 40 MiB on one whole scan)."""
+    src = str(Path(fieldlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import contextlib, io, resource, fieldlab.cli\n"
+            "r0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert fieldlab.cli.main(['theory', '--p', '5']) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - r0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert int(proc.stdout) < 8 * 1024  # ru_maxrss is in KiB on Linux

@@ -464,3 +464,70 @@ class TestReports:
         assert not bad.passed
         path = emit_report([bad], tmp_path / "fail")
         assert json.loads(path.read_text())["passed"] is False
+
+
+# small settings of every claim, on the model of the assoc_model fixture
+SMALL_CALLS = {
+    "dependence_bound": dict(pairs=2, replicates=50),
+    "noise_stability": dict(pairs=2, replicates=50, noise="rademacher"),
+    "moment_growth": dict(delta=0.367, ladder=(16, [64]), replicates=20),
+    "maximal_growth": dict(delta=0.367, ladder=(16, 64), replicates=20, workers=2),
+    "variance_ratio": dict(N=40, N_small=10, replicates=20),
+    "second_moment_bound": dict(sizes=(10, 20)),
+    "variance_defect": dict(edges=(10, 20)),
+    "inverse_distance_sum": dict(dims=(1,), fit_blocks=2, validate_blocks=1),
+    "clt_distance": dict(ladder=(16, 64), replicates=20),
+    "coupling_error_decay": dict(depths=(3, 4), m_cdf=100, m_eval=20),
+    "tail_bound": dict(delta=0.367, V=64, xs=(1, 2.0), replicates=20),
+    "approximation_error": dict(depths=(8,), replicates=2, m_cdf=100, bootstrap=10),
+    "iterated_logarithm": dict(depth=6, replicates=4),
+}
+
+# the parameters that a report records under another key
+REPORT_KEYS = {"lam": "lambda", "V": "card"}
+
+
+@pytest.mark.parametrize("claim", sorted(ALL_CLAIM_IDS))
+def test_reports_record_every_argument(assoc_model, claim):
+    """The registration records each parsed argument but the worker count,
+    under its report key; only dependence_bound adds an input of its own."""
+    fn = CLAIMS[claim]
+    params = inspect.signature(fn).parameters
+    model = {"model": assoc_model} if "model" in params else {}
+    report = fn(**model, **SMALL_CALLS[claim])
+    expected = {REPORT_KEYS.get(name, name) for name in params} - {"workers"}
+    assert set(report.inputs) == expected | ({"noise"} if claim == "dependence_bound" else set())
+    if "model" in params:
+        assert report.inputs["model"]["coeffs"] == {"0": 1.0, "1": 0.5}
+
+
+def test_recorded_forms(assoc_model):
+    """A block is recorded as its cardinality, a list item by item, index-set
+    pairs as their count, tail_bound's xs as floats."""
+    inputs = CLAIMS["moment_growth"](assoc_model, **SMALL_CALLS["moment_growth"]).inputs
+    assert inputs["ladder"] == [16, 64] and inputs["lambda"] == 2.0
+    inputs = CLAIMS["tail_bound"](assoc_model, **SMALL_CALLS["tail_bound"]).inputs
+    assert inputs["card"] == 64 and inputs["xs"] == [1.0, 2.0]
+    assert type(inputs["xs"][0]) is float
+    inputs = CLAIMS["dependence_bound"](assoc_model, **SMALL_CALLS["dependence_bound"]).inputs
+    assert inputs["geometries"] == 5 and inputs["noise"] is None
+
+
+@pytest.mark.parametrize("claim", sorted(c for c in ALL_CLAIM_IDS if CLAIMS[c].inputs))
+def test_input_rules_take_checker_parameters(claim):
+    """A rule is called with the parsed arguments its parameters name; one
+    that the checker lacks keeps its default."""
+    fn = CLAIMS[claim]
+    checker = inspect.signature(fn).parameters
+    rule = inspect.signature(fn.inputs).parameters
+    assert all(name in checker or p.default is not p.empty for name, p in rule.items())
+    assert fn.input_names == [name for name in rule if name in checker]
+
+
+def test_a_rule_parameter_without_default_is_refused():
+    def rule(model, missing):
+        pass
+
+    with pytest.raises(TypeError, match="missing"):
+        verify_mod._claim("unregistered", "", inputs=rule)(check_variance_defect)
+    assert "unregistered" not in CLAIMS
