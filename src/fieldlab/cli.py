@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -182,6 +183,8 @@ def _cmd_theory(args) -> int:
             "beta": scheme.beta,
             "gamma0": scheme.gamma0,
         }
+        if not all(map(math.isfinite, doc.values())):  # moricz_a's product overflows to inf
+            raise OverflowError
     except ValueError as e:
         raise ConfigError(str(e))
     except OverflowError:
@@ -240,7 +243,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int):
+def _plan(claim: str, cfg: dict, model_cache: dict, workers: int) -> verify_mod.Plan:
+    fn = VERIFIERS[claim]
     settings = {"seed": cfg["seed"], "workers": workers,
                 "delta": cfg.get("verify", {}).get("delta", 0.367)}
     kwargs = {k: v for k, v in settings.items() if k in fn.domains}
@@ -252,9 +256,9 @@ def _verifier_kwargs(claim: str, fn, cfg: dict, model_cache: dict, workers: int)
     extra = overrides.get(claim, {})
     _check_keys(extra, set(fn.domains), f"verify.overrides.{claim}")
     try:
-        return verify_mod.require_inputs(fn, {**kwargs, **extra})
+        return verify_mod.plan(fn, {**kwargs, **extra})
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"verify.overrides.{claim}: {e}")
+        raise ConfigError(f"{claim}: {e}")
 
 
 def _cmd_verify(args) -> int:
@@ -274,15 +278,11 @@ def _cmd_verify(args) -> int:
     workers = _workers(cfg)
 
     model_cache: dict = {}
-    plans = [
-        (claim, VERIFIERS[claim],
-         _verifier_kwargs(claim, VERIFIERS[claim], cfg, model_cache, workers))
-        for claim in claims
-    ]
+    plans = [(claim, _plan(claim, cfg, model_cache, workers)) for claim in claims]
     outdir = _resolve_outdir(args, cfg)
     reports = []
-    for claim, fn, kwargs in plans:
-        report = fn(**kwargs)
+    for claim, plan in plans:
+        report = VERIFIERS[claim](plan)
         reports.append(report)
         verdict = "PASS" if report.passed else "FAIL"
         _log(f"{claim}: {verdict} ({report.seconds:.2f}s)")

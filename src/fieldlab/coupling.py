@@ -484,12 +484,12 @@ def study_plans(
     """The S - sigma W study of these settings, each declared here once.
 
     The one check of the study's values, run by `fieldlab couple`, and the
-    input rule of the approximation_error claim.  Raises ValueError naming
-    the argument unless each argument lies in its declared domain, exact_phi
-    is true only with Gaussian innovations, m_cdf is a CdfDraws on the
-    empirical-CDF path, sigma^2 != 0, alpha, beta and tau pass SchemeParams,
-    every depth's scheme fits the index range, and every depth has two
-    coupled in-cone corners.
+    input rule of approximation_error, whose checker runs the Study in its
+    plan.  Raises ValueError naming the argument unless each argument lies in
+    its declared domain, exact_phi is true only with Gaussian innovations,
+    m_cdf is a CdfDraws on the empirical-CDF path, sigma^2 != 0, alpha, beta
+    and tau pass SchemeParams, every depth's scheme fits the index range, and
+    every depth has two coupled in-cone corners.
     """
     dom.check_arguments(dom.domains(study_plans), locals())
     if exact_phi:
@@ -517,10 +517,10 @@ def study_plans(
 def top_blocks(model: FieldModel, depths: Sequence[int], alpha: int, beta: int,
                tau: float) -> list:
     """(K, head lengths, block lengths) of the top block (K, ..., K) at each
-    depth K, in the model's dimension d: the input rule and the loop of the
-    coupling_error_decay claim.  Raises ValueError unless alpha, beta and tau
-    pass SchemeParams, every depth's scheme fits the index range and every
-    top block is good."""
+    depth K, in the model's dimension d: the input rule of the decay claim
+    coupling_error_decay, whose checker loops over the list in its plan.
+    Raises ValueError unless alpha, beta and tau pass SchemeParams, every
+    depth's scheme fits the index range and every top block is good."""
     params, d = SchemeParams(alpha=alpha, beta=beta, tau=tau), model.d
     out = []
     for K in depths:

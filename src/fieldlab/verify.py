@@ -38,7 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,7 +67,8 @@ __all__ = [
     "kolmogorov_distance",
     "dkw_bound",
     "map_replicate_chunks",
-    "require_inputs",
+    "Plan",
+    "plan",
     "check_dependence",
     "check_noise_stability",
     "check_moment_inequality",
@@ -126,25 +127,35 @@ CLAIMS: dict[str, Callable[..., VerificationReport]] = {}
 _REPORT_KEYS = {"lam": "lambda", "V": "card"}
 
 
+class Plan(NamedTuple):
+    """What one claim call runs on: its arguments parsed by their domains, and
+    what its input rule built from them (None for a rule that only checks)."""
+
+    arguments: dict
+    built: object
+
+
 def _claim(claim_id: str, statement: str, inputs: Callable | None = None):
     """Register a checker in CLAIMS and stamp its reports with the claim.
 
-    functools.wraps keeps the checker's signature visible to inspect, which
-    the CLI uses to build the checker's arguments.  Every parameter but the
-    model declares its domain (see domains), resolved here once.  `inputs`
-    raises on the claim's own rules that no domain states; it takes the
-    arguments that its parameters name, resolved here once, and a parameter
-    that the checker lacks keeps its default.  Every call runs both through
-    require_inputs before any work, and a caller can run require_inputs
-    alone before any claim runs.  The checker body receives the parsed
-    values that require_inputs returns: a size as its Block, a list as a
-    tuple, index sets as point arrays.  The report records them as its
-    domains do, the model as _model_inputs and no worker count, on which no
-    report depends; the body's own inputs add what no argument says.
+    Every parameter but the model declares its domain (see domains),
+    resolved here once.  `inputs` raises on the claim's own rules that no
+    domain states; it takes the arguments that its parameters name, resolved
+    here once (a parameter that the checker lacks keeps its default), and
+    what it returns reaches the body's one keyword-only parameter, which the
+    registered signature leaves out.  The entry takes the checker's
+    arguments, which it plans (see plan) before any work, or a Plan, which
+    it runs unchecked.  The body receives the parsed values: a size as its
+    Block, a list as a tuple, index sets as point arrays.  The report
+    records them as their domains do, the model as _model_inputs and no
+    worker count, on which no report depends; the body's own inputs add
+    what no argument says.
     """
 
     def register(check):
         sig = inspect.signature(check)
+        kwonly = [p.name for p in sig.parameters.values() if p.kind is p.KEYWORD_ONLY]
+        sig = sig.replace(parameters=[p for p in sig.parameters.values() if p.name not in kwonly])
         rule = inspect.signature(inputs).parameters if inputs else {}
         lacking = [n for n, p in rule.items() if n not in sig.parameters and p.default is p.empty]
         if lacking:
@@ -152,19 +163,22 @@ def _claim(claim_id: str, statement: str, inputs: Callable | None = None):
 
         @functools.wraps(check)
         def run(*args, **kwargs) -> VerificationReport:
-            arguments = require_inputs(run, sig.bind(*args, **kwargs).arguments)
+            if not (len(args) == 1 and not kwargs and isinstance(args[0], Plan)):
+                args = (plan(run, sig.bind(*args, **kwargs).arguments),)
+            arguments, built = args[0]
             recorded = {_REPORT_KEYS.get(k, k): run.domains[k].record(v)
                         for k, v in arguments.items() if k in run.domains and k != "workers"}
             if "model" in arguments:
                 recorded["model"] = _model_inputs(arguments["model"])
             t0 = time.perf_counter()
-            report = check(**arguments)
+            report = check(**arguments, **dict(zip(kwonly, [built])))
             return dataclasses.replace(
                 report, inputs={**recorded, **report.inputs}, passed=bool(report.passed),
                 rows=tuple(report.rows), claim_id=claim_id, statement=statement,
                 seconds=time.perf_counter() - t0,
             )
 
+        run.__signature__ = sig
         run.domains = dom.domains(check)
         run.inputs = inputs
         run.input_names = [n for n in rule if n in sig.parameters]
@@ -179,15 +193,14 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def require_inputs(check: Callable, arguments: Mapping) -> dict:
-    """The checker's arguments and defaults, parsed by their domains, once its
-    registered input rule has passed on the parsed arguments it names."""
+def plan(check: Callable, arguments: Mapping) -> Plan:
+    """The checker's arguments and defaults parsed by their domains, and what
+    its input rule returns on the parsed arguments it names, called once."""
     bound = inspect.signature(check).bind_partial(**arguments)
     bound.apply_defaults()
     parsed = dom.check_arguments(check.domains, bound.arguments)
-    if check.inputs is not None:
-        check.inputs(**{name: parsed[name] for name in check.input_names})
-    return parsed
+    built = check.inputs(**{n: parsed[n] for n in check.input_names}) if check.inputs else None
+    return Plan(parsed, built)
 
 
 def kolmogorov_distance(sample: np.ndarray) -> float:
@@ -731,6 +744,8 @@ def check_coupling_error_decay(
     alpha: dom.Exponent = 3,
     beta: dom.Exponent = 2,
     tau: dom.PositiveReal = 1.0,
+    *,
+    blocks: list,
 ) -> VerificationReport:
     """Per-cell E e^2 of the top scheme block falls as the scheme deepens.
 
@@ -738,7 +753,7 @@ def check_coupling_error_decay(
     against a CDF of m_cdf draws, E e^2 normalized by the block volume.
     """
     rows = []
-    for K, head, block in cpl.top_blocks(model, depths, alpha, beta, tau):
+    for K, head, block in blocks:
         sample = cpl.block_coupling_samples(model, head, block, m_cdf, m_eval, seed)
         e2 = sample.e**2
         mean_e2 = float(e2.mean())
@@ -886,10 +901,10 @@ def check_approximation_error(
     m_cdf: dom.Natural = 10_000,
     bootstrap: dom.Resamples = 1000,
     workers: dom.Natural = 1,
+    *,
+    study: cpl.Study,
 ) -> VerificationReport:
     """Bootstrap CI of the S - sigma W decay slope stays below 1/2."""
-    study = cpl.study_plans(model, depths, replicates, exact_phi=exact_phi, m_cdf=m_cdf,
-                            bootstrap=bootstrap)
     studies = approximation_error_study(model, study, seed, workers)
     rows = [
         {"depth": s["depth"], "top_volume": s["cards"][-1], "slope": s["slope"],

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fieldlab
-from fieldlab import domains
+from fieldlab import coupling, domains
 from fieldlab import verify as verify_mod
 from fieldlab.cli import main
 from fieldlab.domains import Count, Geometries, OneOf, Positive, Seq, Size
@@ -127,8 +127,9 @@ def test_every_domain_class_is_parsed():
 @pytest.mark.parametrize("domain, value, d", PARSED,
                          ids=[type(domain).__name__ for domain, _, _ in PARSED])
 def test_parsing_is_idempotent(domain, value, d):
-    """The CLI's pre-check parses a claim's arguments and the @_claim wrapper
-    parses them again, so a parsed value is its own parse."""
+    """A direct caller may pass a Block, which its domain keeps, and
+    coupling.study_plans, the input rule of approximation_error, parses the
+    planned values again, so a parsed value is its own parse."""
     parsed = domain.check(value, "x", d)
     assert parsed is not None
     again = domain.check(parsed, "x", d)
@@ -186,9 +187,11 @@ class TestTheory:
         captured = capsys.readouterr()
         assert "config error" in captured.err and captured.out == ""
 
-    # psi's (p - 2)^2 overflows, and A is about 10^863: both exited 3
+    # psi's (p - 2)^2 overflows, and A is about 10^863: both exited 3; at d = 100
+    # A's product overflowed to inf, and the table was written with exit 0
     @pytest.mark.parametrize("argv", [["--p", "1e200"],
-                                      ["--p", "5", "--d", "300", "--lambda", "2000"]])
+                                      ["--p", "5", "--d", "300", "--lambda", "2000"],
+                                      ["--p", "5", "--d", "100", "--lambda", "2000"]])
     def test_overflowing_table(self, capsys, argv):
         assert main(["theory", *argv]) == 2
         captured = capsys.readouterr()
@@ -538,6 +541,20 @@ class TestConfigValidation:
         assert "all be zero" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("claim, model, message", [
+        ("clt_distance", DEGENERATE, "CLT distance needs sigma^2 != 0"),
+        ("iterated_logarithm", PLANE, "the dyadic net is implemented for d = 1"),
+    ])
+    def test_a_model_fault_names_the_claim(self, tmp_path, capsys, claim, model, message):
+        # both named verify.overrides.<claim>, a section this config lacks
+        path = write_config(tmp_path, model=model, verify={"claims": [claim]})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(path), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {claim}: {message}" in err
+        assert "overrides" not in err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
@@ -619,6 +636,25 @@ class TestVerify:
         assert [r["claim_id"] for r in summary["reports"]] == ["second_moment_bound"]
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["verify"]["claims"] == ["second_moment_bound"]
+
+    @pytest.mark.parametrize("claim, overrides, schemes", [
+        ("approximation_error",
+         {"depths": [8], "replicates": 2, "exact_phi": True, "bootstrap": 10}, 1),
+        ("coupling_error_decay", {"depths": [3, 5], "m_cdf": 100, "m_eval": 20}, 2),
+    ])
+    def test_each_claim_call_plans_once(self, tmp_path, monkeypatch, claim, overrides,
+                                        schemes):
+        # the CLI planned the call, the registered entry planned it again and
+        # the checker rebuilt the plan: three schemes per depth
+        built = []
+        build_scheme = coupling.build_scheme
+        monkeypatch.setattr(coupling, "build_scheme",
+                            lambda *args: built.append(args) or build_scheme(*args))
+        path = write_config(tmp_path, verify={"claims": [claim],
+                                              "overrides": {claim: overrides}})
+        assert main(["verify", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) in (0, 1)
+        assert len(built) == schemes
 
     def test_runtime_error_exits_three(self, tmp_path, capsys, monkeypatch):
         # valid inputs reach the checker, whose inner study then fails

@@ -396,3 +396,25 @@ def test_the_registry_records_the_inputs():
     readers = {(m, owner) for m in MODULES for owner, names in reads_by_definition(m).items()
                if "_model_inputs" in names}
     assert {(m, owner) for m, owner in readers if m != "cli"} == {("verify", "_claim")}
+
+
+def test_no_checker_rebuilds_its_plan():
+    """What an input rule built reaches its checker through the checker's
+    keyword-only parameter, so no function registered with
+    @_claim(..., inputs=rule) calls its own rule; verify.plan is the one
+    planner, and the require_inputs that it replaced is gone from src/."""
+    from fieldlab.verify import CLAIMS
+
+    rules = {}
+    for node in TREES["verify"].body:
+        for dec in getattr(node, "decorator_list", []):
+            if isinstance(dec, ast.Call) and ast.unparse(dec.func) == "_claim":
+                rules.update({node.name: ast.unparse(k.value).split(".")[-1]
+                              for k in dec.keywords if k.arg == "inputs"})
+    assert len(rules) == sum(fn.inputs is not None for fn in CLAIMS.values())
+    for name, rule in rules.items():
+        (checker,) = [n for n in TREES["verify"].body if getattr(n, "name", None) == name]
+        called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                  for stmt in checker.body for n in ast.walk(stmt) if isinstance(n, ast.Call)}
+        assert rule not in called, f"{name} calls its input rule {rule}"
+    assert not [m for m in MODULES if "require_inputs" in (SRC / f"{m}.py").read_text()]

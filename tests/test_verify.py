@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from fieldlab import fields
+from fieldlab import coupling, fields
 from fieldlab import verify as verify_mod
 from fieldlab.cli import VERIFIERS
 from fieldlab.coupling import block_coupling_samples
@@ -15,6 +15,7 @@ from fieldlab.fields import linear_ma_model, sample_block_batch
 from fieldlab.lattice import Block
 from fieldlab.verify import (
     CLAIMS,
+    canonical_json,
     check_approximation_error,
     check_clt_distance,
     check_coupling_error_decay,
@@ -522,6 +523,41 @@ def test_input_rules_take_checker_parameters(claim):
     rule = inspect.signature(fn.inputs).parameters
     assert all(name in checker or p.default is not p.empty for name, p in rule.items())
     assert fn.input_names == [name for name in rule if name in checker]
+
+
+@pytest.mark.parametrize("claim", sorted(ALL_CLAIM_IDS))
+def test_a_plan_runs_to_the_direct_call_report(assoc_model, monkeypatch, claim):
+    """CLAIMS[id] runs a Plan to the report of the call it plans, without
+    calling the input rule again."""
+    fn = CLAIMS[claim]
+    args = {"model": assoc_model} if "model" in inspect.signature(fn).parameters else {}
+    args.update(SMALL_CALLS[claim])
+    direct = fn(**args)
+    if fn.inputs:
+        rule, calls = fn.inputs, []
+
+        def once(**kwargs):
+            calls.append(kwargs)
+            assert len(calls) == 1, "the input rule ran again"
+            return rule(**kwargs)
+
+        monkeypatch.setattr(fn, "inputs", once)
+    planned = fn(verify_mod.plan(fn, args))
+    assert report_record(planned) == report_record(direct)
+    assert canonical_json(list(planned.rows)) == canonical_json(list(direct.rows))
+
+
+@pytest.mark.parametrize("claim", ["approximation_error", "coupling_error_decay"])
+def test_a_direct_call_plans_once(assoc_model, monkeypatch, claim):
+    """A direct call builds each depth's scheme once."""
+    # the registered entry planned the call and the checker rebuilt the plan:
+    # two schemes per depth
+    built = []
+    build_scheme = coupling.build_scheme
+    monkeypatch.setattr(coupling, "build_scheme",
+                        lambda *args: built.append(args) or build_scheme(*args))
+    CLAIMS[claim](assoc_model, **SMALL_CALLS[claim])
+    assert len(built) == len(SMALL_CALLS[claim]["depths"])
 
 
 def test_a_rule_parameter_without_default_is_refused():
